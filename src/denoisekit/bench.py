@@ -19,12 +19,8 @@ def _weld(vertices, faces, decimals=9):
     """Merge vertices that coincide up to rounding; reindex faces."""
     v = np.asarray(vertices, dtype=float)
     key = np.round(v, decimals)
-    uniq, inv = np.unique(key, axis=0, return_inverse=True)
     # keep the first original coordinates for each welded vertex
-    first = np.full(len(uniq), -1, dtype=np.int64)
-    for i, g in enumerate(inv):
-        if first[g] < 0:
-            first[g] = i
+    _, first, inv = np.unique(key, axis=0, return_index=True, return_inverse=True)
     out_v = v[first]
     out_f = inv[np.asarray(faces, dtype=np.int64)]
     return out_v, out_f

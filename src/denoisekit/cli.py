@@ -27,7 +27,7 @@ from .kernels import KERNEL_KINDS, Kernel, sample_table, samples_to_csv
 from .meshcore import MeshError, NeighborhoodSpec, TriMesh, load_mesh, save_mesh
 from .meshfilter import METHODS, FilterSpec
 from .pipeline import denoise_cloud, denoise_mesh
-from .pointcloud import PointCloud, load_xyz, save_xyz
+from .pointcloud import PointCloud, PointCloudError, load_xyz, save_xyz
 from .pointfilter import POINT_METHODS, PointFilterSpec
 
 MESH_METHODS_CLI = tuple(m.replace("_", "-") for m in METHODS)
@@ -300,7 +300,7 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, MeshError) as e:
+    except (ValueError, MeshError, PointCloudError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except OSError as e:

@@ -1,16 +1,21 @@
 """Triangle mesh container, OBJ/PLY IO and derived quantities.
 
 The mesh stores vertices and faces as numpy arrays and caches per-face
-normals, centroids and areas plus vertex/face adjacency. Caches are rebuilt
-explicitly via :meth:`TriMesh.recompute_face_fields` after vertex edits.
+normals, centroids and areas. Face neighbourhoods are one CSR graph per
+:class:`NeighborhoodSpec`, built on first use; the per-vertex and per-face
+adjacency lists are views built from the same arrays on first access. Face
+fields are rebuilt explicitly via :meth:`TriMesh.recompute_face_fields`
+after vertex edits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 
 class MeshError(Exception):
@@ -53,9 +58,11 @@ class TriMesh:
     def __init__(self, vertices, faces, validate: bool = True):
         self.vertices = np.asarray(vertices, dtype=float).reshape(-1, 3)
         self.faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
-        if validate and len(self.faces):
-            if self.faces.min() < 0 or self.faces.max() >= len(self.vertices):
+        if validate:
+            if len(self.faces) and (self.faces.min() < 0 or self.faces.max() >= len(self.vertices)):
                 raise MeshError("face index out of range")
+            if not np.isfinite(self.vertices).all():
+                raise MeshError("non-finite vertex coordinates")
         self._build_topology()
         self.recompute_face_fields(validate=validate)
 
@@ -63,61 +70,118 @@ class TriMesh:
     # topology (depends on faces only)
 
     def _build_topology(self):
-        nf = len(self.faces)
+        """Unique undirected edges, the edge of each half-edge, faces per edge.
+
+        Half-edge ``k * F + f`` is side k (v0v1, v1v2, v2v0) of face f. The
+        neighbourhood graphs and list views are derived from these on first use.
+        """
         nv = len(self.vertices)
+        f = self.faces
+        sides = np.sort(np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]]), axis=1)
+        keys, self._halfedge_edge = np.unique(sides[:, 0] * nv + sides[:, 1],
+                                              return_inverse=True)
+        self.edges = np.stack([keys // max(nv, 1), keys % max(nv, 1)], axis=1)
+        self._edge_face_count = np.bincount(self._halfedge_edge, minlength=len(keys))
+        self._graphs = {}
 
-        # unique undirected edges and the faces on each
-        if nf:
-            e = np.concatenate([self.faces[:, [0, 1]],
-                                self.faces[:, [1, 2]],
-                                self.faces[:, [2, 0]]])
-            e_sorted = np.sort(e, axis=1)
-            self.edges, inv = np.unique(e_sorted, axis=0, return_inverse=True)
-            face_of_halfedge = np.tile(np.arange(nf), 3)
-            edge_faces = [[] for _ in range(len(self.edges))]
-            for he, f in zip(inv, face_of_halfedge):
-                edge_faces[he].append(int(f))
-            self.edge_faces = [sorted(fs) for fs in edge_faces]
+    def neighbor_graph(self, spec: NeighborhoodSpec):
+        """The neighbourhoods of all faces as CSR arrays.
+
+        Returns read-only ``(centers, neighbors, starts, counts)``: one entry
+        of ``centers``/``neighbors`` per (face, neighbour) pair, in ascending
+        face order and ascending neighbour order within a face, so face i's
+        neighbours are ``neighbors[starts[i]:starts[i] + counts[i]]``. Built on
+        the first request and cached per spec; radius graphs are dropped by
+        :meth:`recompute_face_fields`.
+        """
+        graph = self._graphs.get(spec)
+        if graph is None:
+            graph = self._graphs[spec] = self._build_graph(spec)
+        return graph
+
+    def _build_graph(self, spec: NeighborhoodSpec):
+        nf = len(self.faces)
+        face = np.arange(nf)
+        if spec.mode == "shared_edge":
+            keys = _group_pair_keys(self._halfedge_edge, np.tile(face, 3), nf)
+        elif spec.mode == "shared_vertex":
+            keys = _group_pair_keys(self.faces.ravel(), np.repeat(face, 3), nf)
         else:
-            self.edges = np.zeros((0, 2), dtype=np.int64)
-            self.edge_faces = []
+            keys = self._radius_pair_keys(spec.radius)
+        # key c * F + n encodes the pair (c, n); the self pairs are c * (F + 1)
+        keys = _distinct(np.concatenate([keys, face * (nf + 1)]))
+        centers, neighbors = np.divmod(keys, max(nf, 1))
+        if not spec.include_self:
+            other = centers != neighbors
+            centers, neighbors = centers[other], neighbors[other]
+        counts = np.bincount(centers, minlength=nf)
+        starts = np.cumsum(counts) - counts
+        for a in (centers, neighbors, starts, counts):
+            a.flags.writeable = False
+        return centers, neighbors, starts, counts
 
-        # vertex -> incident faces
-        vf = [[] for _ in range(nv)]
-        for f, (a, b, c) in enumerate(self.faces):
-            vf[a].append(f)
-            vf[b].append(f)
-            vf[c].append(f)
-        self.vertex_faces = [np.array(sorted(fs), dtype=np.int64) for fs in vf]
+    def _radius_pair_keys(self, radius: float) -> np.ndarray:
+        """Keys of the face pairs whose centroids lie within ``radius``."""
+        nf = len(self.faces)
+        c = self.face_centroids
+        finite = np.flatnonzero(np.isfinite(c).all(axis=1))  # NaN is near nothing
+        if len(finite) < 2:
+            return np.zeros(0, dtype=np.int64)
+        # the tree may round distances differently: take candidates from a
+        # slightly larger ball, then keep those numpy puts within the radius
+        pairs = cKDTree(c[finite]).query_pairs(radius * (1.0 + 1e-9), output_type="ndarray")
+        i, j = finite[pairs[:, 0]], finite[pairs[:, 1]]
+        near = np.linalg.norm(c[j] - c[i], axis=1) <= radius
+        i, j = i[near], j[near]
+        return np.concatenate([i * nf + j, j * nf + i])
 
-        # vertex -> one-ring vertices
-        vv = [set() for _ in range(nv)]
-        for a, b in self.edges:
-            vv[a].add(int(b))
-            vv[b].add(int(a))
-        self.vertex_ring = [np.array(sorted(s), dtype=np.int64) for s in vv]
+    # list views, built on first access
 
-        # face -> faces sharing an edge / sharing a vertex
-        adj_edge = [set() for _ in range(nf)]
-        for fs in self.edge_faces:
-            for i in fs:
-                for j in fs:
-                    if i != j:
-                        adj_edge[i].add(j)
-        self.face_adjacency_edge = [np.array(sorted(s), dtype=np.int64) for s in adj_edge]
+    @cached_property
+    def _edge_face_flat(self) -> np.ndarray:
+        """Faces on each edge, edge-major and ascending within an edge (CSR
+        rows with counts ``_edge_face_count``)."""
+        nf = len(self.faces)
+        return np.lexsort((np.tile(np.arange(nf), 3), self._halfedge_edge)) % max(nf, 1)
 
-        adj_vert = [set() for _ in range(nf)]
-        for f, (a, b, c) in enumerate(self.faces):
-            for v in (a, b, c):
-                adj_vert[f].update(int(g) for g in vf[v])
-            adj_vert[f].discard(f)
-        self.face_adjacency_vertex = [np.array(sorted(s), dtype=np.int64) for s in adj_vert]
+    @cached_property
+    def edge_faces(self) -> list[list[int]]:
+        """Sorted faces on each edge of ``edges``."""
+        flat = self._edge_face_flat.tolist()
+        ends = np.cumsum(self._edge_face_count).tolist()
+        return [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+    @cached_property
+    def vertex_faces(self) -> list[np.ndarray]:
+        """Sorted faces incident to each vertex."""
+        corners = self.faces.ravel()
+        faces = np.argsort(corners, kind="stable") // 3
+        return _split(faces, np.bincount(corners, minlength=len(self.vertices)))
+
+    @cached_property
+    def vertex_ring(self) -> list[np.ndarray]:
+        """Sorted one-ring vertices of each vertex."""
+        nv = len(self.vertices)
+        a, b = self.edges[:, 0], self.edges[:, 1]
+        rows, ring = np.divmod(_distinct(np.concatenate([a * nv + b, b * nv + a])), max(nv, 1))
+        return _split(ring, np.bincount(rows, minlength=nv))
+
+    @cached_property
+    def face_adjacency_edge(self) -> list[np.ndarray]:
+        """Sorted faces sharing an edge with each face (itself excluded)."""
+        return self.neighbor_lists(NeighborhoodSpec("shared_edge", include_self=False))
+
+    @cached_property
+    def face_adjacency_vertex(self) -> list[np.ndarray]:
+        """Sorted faces sharing a vertex with each face (itself excluded)."""
+        return self.neighbor_lists(NeighborhoodSpec("shared_vertex", include_self=False))
 
     # ------------------------------------------------------------------
     # geometry caches (depend on vertices)
 
     def recompute_face_fields(self, validate: bool = True):
         """Rebuild normals/centroids/areas/edge length after a vertex edit."""
+        self._graphs = {s: g for s, g in self._graphs.items() if s.mode != "radius"}
         v = self.vertices
         f = self.faces
         if len(f):
@@ -150,51 +214,42 @@ class TriMesh:
         """Sorted neighbor faces of ``face_index`` per the spec."""
         if not (0 <= face_index < len(self.faces)):
             raise IndexError(face_index)
-        if spec.mode == "shared_edge":
-            nbrs = self.face_adjacency_edge[face_index]
-        elif spec.mode == "shared_vertex":
-            nbrs = self.face_adjacency_vertex[face_index]
-        else:
-            c = self.face_centroids[face_index]
-            d = np.linalg.norm(self.face_centroids - c, axis=1)
-            nbrs = np.flatnonzero(d <= spec.radius)
-            nbrs = nbrs[nbrs != face_index]
-        if spec.include_self:
-            nbrs = np.sort(np.append(nbrs, face_index))
-        return np.asarray(nbrs, dtype=np.int64)
+        _, neighbors, starts, counts = self.neighbor_graph(spec)
+        s = starts[face_index]
+        return neighbors[s:s + counts[face_index]]
 
     def neighbor_lists(self, spec: NeighborhoodSpec) -> list[np.ndarray]:
-        return [self.face_neighbors(i, spec) for i in range(len(self.faces))]
+        _, neighbors, _, counts = self.neighbor_graph(spec)
+        return _split(neighbors, counts)
 
     def is_edge_manifold(self) -> bool:
-        return all(len(fs) <= 2 for fs in self.edge_faces)
+        return not np.any(self._edge_face_count > 2)
+
+    def require_edge_manifold(self) -> None:
+        """Raise NonManifoldError if an edge has more than two faces."""
+        bad = np.flatnonzero(self._edge_face_count > 2)
+        if len(bad):
+            raise NonManifoldError(f"non-manifold edges: {bad[:10].tolist()}")
 
     def vertex_mean_curvature(self) -> np.ndarray:
         """Cotangent mean-curvature magnitude per vertex (0 on the boundary)."""
-        bad = [i for i, fs in enumerate(self.edge_faces) if len(fs) > 2]
-        if bad:
-            raise NonManifoldError(f"non-manifold edges: {bad[:10]}")
+        self.require_edge_manifold()
         nv = len(self.vertices)
-        acc = np.zeros((nv, 3))
-        ring_area = np.zeros(nv)
+        v, f = self.vertices, self.faces
+        ring_area = np.bincount(f.ravel(), weights=np.repeat(self.face_areas, 3), minlength=nv)
         boundary = np.zeros(nv, dtype=bool)
-        for e, fs in zip(self.edges, self.edge_faces):
-            if len(fs) < 2:
-                boundary[e[0]] = boundary[e[1]] = True
+        boundary[self.edges[self._edge_face_count < 2].ravel()] = True
 
-        v = self.vertices
-        for f, (a, b, c) in enumerate(self.faces):
-            pa, pb, pc = v[a], v[b], v[c]
-            area = self.face_areas[f]
-            ring_area[[a, b, c]] += area
-            # cotangent at each corner weights the opposite edge
-            for (i, j, k) in ((a, b, c), (b, c, a), (c, a, b)):
-                u = v[j] - v[i]
-                w = v[k] - v[i]
-                cot = np.dot(u, w) / max(np.linalg.norm(np.cross(u, w)), 1e-300)
-                # corner i faces edge (j, k); contributes to both endpoints
-                acc[j] += cot * (v[k] - v[j])
-                acc[k] += cot * (v[j] - v[k])
+        # corner r of a face is (i, j, k) = (f[r], f[r+1], f[r+2]); its
+        # cotangent weights the opposite edge (j, k), pulling j toward k and
+        # k toward j. Contributions are summed face by face, corner by corner.
+        i, j, k = f, np.roll(f, -1, axis=1), np.roll(f, -2, axis=1)
+        u, w = v[j] - v[i], v[k] - v[i]
+        cot = np.einsum("fcx,fcx->fc", u, w) / np.maximum(
+            np.linalg.norm(np.cross(u, w), axis=2), 1e-300)
+        pull = cot[:, :, None] * (v[k] - v[j])
+        acc = scatter_rows(np.stack([j, k], axis=2).ravel(),
+                           np.stack([pull, -pull], axis=2).reshape(-1, 3), nv)
         kappa = np.linalg.norm(acc, axis=1) / np.maximum(4.0 * ring_area / 3.0, 1e-300)
         kappa[boundary] = 0.0
         kappa[ring_area == 0] = 0.0
@@ -202,15 +257,14 @@ class TriMesh:
 
     def dihedral_feature_edges(self, threshold_degrees: float) -> np.ndarray:
         """Edges whose adjacent-face normal angle >= threshold (interior only)."""
-        out = []
-        thr = math.radians(threshold_degrees)
-        for e, fs in zip(self.edges, self.edge_faces):
-            if len(fs) == 2:
-                n0, n1 = self.face_normals[fs[0]], self.face_normals[fs[1]]
-                ang = math.acos(min(1.0, max(-1.0, float(np.dot(n0, n1)))))
-                if ang >= thr:
-                    out.append(e)
-        return np.array(out, dtype=np.int64).reshape(-1, 2)
+        counts = self._edge_face_count
+        interior = np.flatnonzero(counts == 2)
+        first = (np.cumsum(counts) - counts)[interior]
+        n0 = self.face_normals[self._edge_face_flat[first]]
+        n1 = self.face_normals[self._edge_face_flat[first + 1]]
+        # a NaN normal (from a non-finite vertex) counts as opposite
+        dots = np.clip(np.nan_to_num(np.einsum("ij,ij->i", n0, n1), nan=-1.0), -1.0, 1.0)
+        return self.edges[interior[np.arccos(dots) >= math.radians(threshold_degrees)]]
 
     def volume(self) -> float:
         """Signed volume; meaningful for closed orientable meshes."""
@@ -223,6 +277,43 @@ class TriMesh:
 
     def copy(self) -> "TriMesh":
         return TriMesh(self.vertices.copy(), self.faces.copy(), validate=False)
+
+
+def _group_pair_keys(groups, members, nf: int) -> np.ndarray:
+    """Keys ``a * nf + b`` of every ordered pair (a, b) of members that share
+    a group, the pairs (a, a) included."""
+    order = np.argsort(groups, kind="stable")
+    groups, members = groups[order], members[order]
+    size = np.bincount(groups)
+    first = np.cumsum(size) - size
+    rep = size[groups]  # each member pairs with every member of its group
+    offset = np.arange(rep.sum()) - np.repeat(np.cumsum(rep) - rep, rep)
+    partner = members[np.repeat(first[groups], rep) + offset]
+    return np.repeat(members, rep) * nf + partner
+
+
+def scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """``out[index[p]] += rows[p]`` into ``n`` zero rows, adding in the order
+    of p (one ``np.bincount`` per column)."""
+    return np.stack([np.bincount(index, weights=rows[:, x], minlength=n)
+                     for x in range(rows.shape[1])], axis=1)
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an integer array.
+
+    Same as ``np.unique(keys)``, whose hash-based path is far slower on
+    large integer arrays than one sort.
+    """
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
+def _split(values: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
+    """Consecutive rows of ``values`` with the given lengths."""
+    return np.split(values, np.cumsum(counts)[:-1]) if len(counts) else []
 
 
 def convert_normal_args(value: float, kind: str) -> tuple[float, float, float]:

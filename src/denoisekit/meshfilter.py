@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .kernels import Kernel
-from .meshcore import NeighborhoodSpec, TriMesh
+from .meshcore import NeighborhoodSpec, TriMesh, scatter_rows
 
 METHODS = (
     "generic_unilateral",
@@ -206,35 +206,20 @@ def vector_directional_median(normals) -> tuple[np.ndarray, int]:
 # ----------------------------------------------------------------------
 # helpers
 
-def _flat_neighbors(nbr_lists):
-    """Flatten per-face neighbor lists into (centers, neighbors, segment starts)."""
-    centers = np.concatenate([np.full(len(nb), i, dtype=np.int64)
-                              for i, nb in enumerate(nbr_lists)]) if nbr_lists else np.zeros(0, np.int64)
-    flat = np.concatenate(nbr_lists) if nbr_lists else np.zeros(0, np.int64)
-    counts = np.array([len(nb) for nb in nbr_lists], dtype=np.int64)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]]) if len(counts) else np.zeros(0, np.int64)
-    return centers, flat, starts, counts
-
-
-def _substitute_nan(w, starts, counts):
+def _substitute_nan(w, centers, starts, counts):
     """Replace NaN weights by the max finite weight in the same neighborhood.
 
     A neighborhood with no finite weight at all (every argument was zero,
     i.e. all normals coincide) falls back to uniform weights.
     """
-    if not np.any(np.isnan(w)):
+    nan = np.isnan(w)
+    if not nan.any():
         return w
-    w = w.copy()
-    neg = np.where(np.isnan(w), -np.inf, w)
-    for s, c in zip(starts, counts):
-        if c == 0:
-            continue
-        seg = w[s:s + c]
-        mask = np.isnan(seg)
-        if mask.any():
-            m = np.max(neg[s:s + c])
-            seg[mask] = m if np.isfinite(m) else 1.0
-    return w
+    seg_max = np.full(len(counts), -np.inf)
+    nonempty = counts > 0
+    seg_max[nonempty] = np.maximum.reduceat(np.where(nan, -np.inf, w), starts[nonempty])
+    fill = seg_max[centers]
+    return np.where(nan, np.where(np.isfinite(fill), fill, 1.0), w)
 
 
 def _pair_arguments(spec, mesh, prev, centers, flat, kappa_face=None, guidance=None):
@@ -258,25 +243,29 @@ def _pair_arguments(spec, mesh, prev, centers, flat, kappa_face=None, guidance=N
     raise AssertionError(spec.argument)
 
 
-def _spatial_weights(spec, mesh, centers, flat, starts, counts):
-    """Spatial factor f(d_ij); ones for unilateral methods."""
+def _spatial_weights(spec, mesh, centers, flat):
+    """Spatial factor f(d_ij); ones for unilateral methods.
+
+    It depends only on the vertices, which stay put while normals are
+    filtered, so it is computed once per filter call.
+    """
     if spec.method == "yagou_mean":
         return mesh.face_areas[flat]
     if spec.spatial_sigma is None:
         return np.ones(len(flat))
     d = np.linalg.norm(mesh.face_centroids[centers] - mesh.face_centroids[flat], axis=1)
     if spec.spatial_sigma == "auto":
+        pos = d > 0
         if spec.sigma_d_global:
-            pos = d[d > 0]
-            sd = np.full(len(flat), pos.mean() if len(pos) else 1.0)
+            sd = d[pos].mean() if pos.any() else 1.0
         else:
-            sd = np.empty(len(flat))
-            for s, c in zip(starts, counts):
-                seg = d[s:s + c]
-                pos = seg[seg > 0]
-                sd[s:s + c] = pos.mean() if len(pos) else 1.0
+            # per face: the mean of its positive centroid distances
+            nf = len(mesh.faces)
+            n_pos = np.bincount(centers[pos], minlength=nf)
+            total = np.bincount(centers[pos], weights=d[pos], minlength=nf)
+            sd = np.where(n_pos > 0, total / np.maximum(n_pos, 1), 1.0)[centers]
     else:
-        sd = np.full(len(flat), float(spec.spatial_sigma))
+        sd = float(spec.spatial_sigma)
     return np.exp(-(d * d) / (2.0 * sd * sd))
 
 
@@ -286,17 +275,14 @@ def guidance_normals(mesh: TriMesh, neighborhood: NeighborhoodSpec,
     if not (0.0 < angle_threshold < math.pi):
         raise ValueError("angle_threshold must be in (0, pi)")
     prev = mesh.face_normals if normals is None else np.asarray(normals, dtype=float)
-    nbr = [mesh.face_neighbors(i, replace(neighborhood, include_self=True))
-           for i in range(len(mesh.faces))]
-    cos_thr = math.cos(angle_threshold)
-    out = np.empty_like(prev)
-    for i, idx in enumerate(nbr):
-        dots = np.clip(prev[idx] @ prev[i], -1.0, 1.0)
-        sel = idx[dots > cos_thr]
-        acc = (mesh.face_areas[sel, None] * prev[sel]).sum(axis=0)
-        nrm = np.linalg.norm(acc)
-        out[i] = acc / nrm if nrm > 1e-12 else prev[i]
-    return out
+    centers, flat, _, _ = mesh.neighbor_graph(replace(neighborhood, include_self=True))
+    dots = np.clip(np.einsum("ij,ij->i", prev[centers], prev[flat]), -1.0, 1.0)
+    near = dots > math.cos(angle_threshold)
+    centers, flat = centers[near], flat[near]
+    acc = scatter_rows(centers, mesh.face_areas[flat, None] * prev[flat], len(prev))
+    nrm = np.linalg.norm(acc, axis=1)
+    ok = nrm > 1e-12
+    return np.where(ok[:, None], acc / np.where(ok, nrm, 1.0)[:, None], prev)
 
 
 # ----------------------------------------------------------------------
@@ -307,8 +293,7 @@ def filter_normals(mesh: TriMesh, spec: FilterSpec, initial=None) -> NormalField
     if spec.method == "gradient_descent":
         return filter_gradient_descent(mesh, spec, initial=initial)
     prev = np.array(mesh.face_normals if initial is None else initial, dtype=float)
-    nbr = mesh.neighbor_lists(spec.neighborhood)
-    centers, flat, starts, counts = _flat_neighbors(nbr)
+    centers, flat, starts, counts = mesh.neighbor_graph(spec.neighborhood)
     warnings = 0
 
     kappa_face = None
@@ -316,9 +301,13 @@ def filter_normals(mesh: TriMesh, spec: FilterSpec, initial=None) -> NormalField
         kv = mesh.vertex_mean_curvature()
         kappa_face = kv[mesh.faces].mean(axis=1)
 
-    median_methods = ("yagou_median", "yagou_weighted_median", "shen_fuzzy_median")
+    median = spec.method in ("yagou_median", "yagou_weighted_median", "shen_fuzzy_median")
+    if median:
+        nbr = mesh.neighbor_lists(spec.neighborhood)
+    else:
+        spatial = _spatial_weights(spec, mesh, centers, flat)
     for _ in range(spec.iterations):
-        if spec.method in median_methods:
+        if median:
             new, w_count = _median_pass(mesh, spec, prev, nbr)
             warnings += w_count
         else:
@@ -329,10 +318,8 @@ def filter_normals(mesh: TriMesh, spec: FilterSpec, initial=None) -> NormalField
             x = _pair_arguments(spec, mesh, prev, centers, flat,
                                 kappa_face=kappa_face, guidance=guidance)
             w = spec.range_kernel.weight(x)
-            w = _substitute_nan(w, starts, counts)
-            w = w * _spatial_weights(spec, mesh, centers, flat, starts, counts)
-            acc = np.zeros_like(prev)
-            np.add.at(acc, centers, w[:, None] * prev[flat])
+            w = _substitute_nan(w, centers, starts, counts) * spatial
+            acc = scatter_rows(centers, w[:, None] * prev[flat], len(prev))
             nrm = np.linalg.norm(acc, axis=1)
             ok = nrm > 1e-12
             warnings += int(np.count_nonzero(~ok))
@@ -374,16 +361,14 @@ def filter_gradient_descent(mesh: TriMesh, spec: FilterSpec, initial=None) -> No
     if not spec.range_kernel.differentiable:
         raise ValueError("gradient descent needs a differentiable kernel")
     prev = np.array(mesh.face_normals if initial is None else initial, dtype=float)
-    nbr = mesh.neighbor_lists(spec.neighborhood)
-    centers, flat, starts, counts = _flat_neighbors(nbr)
+    centers, flat, _, _ = mesh.neighbor_graph(spec.neighborhood)
     for _ in range(spec.iterations):
         diff = prev[flat] - prev[centers]
         x = np.linalg.norm(diff, axis=1)
         # psi(x) * unit direction == g(x) * (n_j - n_i); exactly 0 when coincident
         g = spec.range_kernel.weight(x)
         contrib = np.where((x > 0)[:, None], g[:, None] * diff, 0.0)
-        step = np.zeros_like(prev)
-        np.add.at(step, centers, contrib)
+        step = scatter_rows(centers, contrib, len(prev))
         new = prev + spec.step_lambda * step
         nrm = np.linalg.norm(new, axis=1)
         ok = nrm > 1e-12
@@ -394,8 +379,7 @@ def filter_gradient_descent(mesh: TriMesh, spec: FilterSpec, initial=None) -> No
 def energy(mesh: TriMesh, normals, spec: FilterSpec) -> float:
     """The robust energy of a normal field under the spec's kernel/weights."""
     prev = np.asarray(normals, dtype=float)
-    nbr = mesh.neighbor_lists(spec.neighborhood)
-    centers, flat, starts, counts = _flat_neighbors(nbr)
+    centers, flat, _, _ = mesh.neighbor_graph(spec.neighborhood)
     kappa_face = None
     if spec.argument == "curvature_edge":
         kv = mesh.vertex_mean_curvature()
@@ -406,5 +390,5 @@ def energy(mesh: TriMesh, normals, spec: FilterSpec) -> float:
                                     spec.guidance_threshold, normals=prev)
     x = _pair_arguments(spec, mesh, prev, centers, flat,
                         kappa_face=kappa_face, guidance=guidance)
-    f = _spatial_weights(spec, mesh, centers, flat, starts, counts)
+    f = _spatial_weights(spec, mesh, centers, flat)
     return float(np.sum(spec.range_kernel.rho(x) * f))

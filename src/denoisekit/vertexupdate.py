@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .meshcore import NonManifoldError, TriMesh
+from .meshcore import TriMesh, scatter_rows
 
 
 def update_vertices(mesh: TriMesh, filtered_normals, iterations: int,
@@ -19,21 +19,19 @@ def update_vertices(mesh: TriMesh, filtered_normals, iterations: int,
     """
     if not (0.0 <= step <= 1.0):
         raise ValueError("step must be in [0, 1]")
-    bad = [i for i, fs in enumerate(mesh.edge_faces) if len(fs) > 2]
-    if bad:
-        raise NonManifoldError(f"non-manifold edges: {bad[:10]}")
+    mesh.require_edge_manifold()
     n = np.asarray(filtered_normals, dtype=float)
     v = mesh.vertices.copy()
     faces = mesh.faces
-    deg = np.zeros(len(v))
-    np.add.at(deg, faces.ravel(), 1.0)
+    nv = len(v)
+    # corner-major: corner 0 of every face, then corner 1, then corner 2
+    vid = faces.T.ravel()
+    deg = np.bincount(vid, minlength=nv).astype(float)
+    n3 = np.tile(n, (3, 1))
     for _ in range(iterations):
         centroids = (v[faces[:, 0]] + v[faces[:, 1]] + v[faces[:, 2]]) / 3.0
-        disp = np.zeros_like(v)
-        for corner in range(3):
-            vid = faces[:, corner]
-            offset = np.einsum("ij,ij->i", n, centroids - v[vid])
-            np.add.at(disp, vid, offset[:, None] * n)
+        offset = np.einsum("ij,ij->i", n3, np.tile(centroids, (3, 1)) - v[vid])
+        disp = scatter_rows(vid, offset[:, None] * n3, nv)
         with np.errstate(invalid="ignore"):
             v = v + step * disp / np.maximum(deg, 1.0)[:, None]
     return v

@@ -1,0 +1,273 @@
+"""Per-element loop implementations that the vectorised library is checked
+against: mesh topology, neighbourhoods, curvature, dihedral feature edges,
+guidance normals, the filter engine with per-pass spatial weights, the
+vertex update and the vertex weld.
+
+This is the straightforward face-by-face form of each computation. It is
+slow and kept only as a reference for the differential tests. The median
+pass and the pair arguments run the same way in both and are imported from
+the library.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import replace
+
+import numpy as np
+
+from denoisekit.meshcore import NonManifoldError
+from denoisekit.meshfilter import _median_pass, _pair_arguments
+
+
+def build_topology(faces, n_vertices) -> dict:
+    """Edges, edge faces, vertex faces, vertex rings and face adjacencies."""
+    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+    nf, nv = len(faces), n_vertices
+    if nf:
+        e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+        edges, inv = np.unique(np.sort(e, axis=1), axis=0, return_inverse=True)
+        edge_faces = [[] for _ in range(len(edges))]
+        for he, f in zip(inv, np.tile(np.arange(nf), 3)):
+            edge_faces[he].append(int(f))
+        edge_faces = [sorted(fs) for fs in edge_faces]
+    else:
+        edges = np.zeros((0, 2), dtype=np.int64)
+        edge_faces = []
+
+    vf = [[] for _ in range(nv)]
+    for f, (a, b, c) in enumerate(faces):
+        vf[a].append(f)
+        vf[b].append(f)
+        vf[c].append(f)
+    vertex_faces = [np.array(sorted(fs), dtype=np.int64) for fs in vf]
+
+    vv = [set() for _ in range(nv)]
+    for a, b in edges:
+        vv[a].add(int(b))
+        vv[b].add(int(a))
+    vertex_ring = [np.array(sorted(s), dtype=np.int64) for s in vv]
+
+    adj_edge = [set() for _ in range(nf)]
+    for fs in edge_faces:
+        for i in fs:
+            for j in fs:
+                if i != j:
+                    adj_edge[i].add(j)
+    adj_vert = [set() for _ in range(nf)]
+    for f, (a, b, c) in enumerate(faces):
+        for v in (a, b, c):
+            adj_vert[f].update(int(g) for g in vf[v])
+        adj_vert[f].discard(f)
+    return {
+        "edges": edges,
+        "edge_faces": edge_faces,
+        "vertex_faces": vertex_faces,
+        "vertex_ring": vertex_ring,
+        "face_adjacency_edge": [np.array(sorted(s), dtype=np.int64) for s in adj_edge],
+        "face_adjacency_vertex": [np.array(sorted(s), dtype=np.int64) for s in adj_vert],
+    }
+
+
+def neighbor_lists(mesh, spec) -> list[np.ndarray]:
+    """Sorted neighbours of every face, one face at a time."""
+    topo = build_topology(mesh.faces, len(mesh.vertices))
+    out = []
+    for i in range(len(mesh.faces)):
+        if spec.mode == "shared_edge":
+            nbrs = topo["face_adjacency_edge"][i]
+        elif spec.mode == "shared_vertex":
+            nbrs = topo["face_adjacency_vertex"][i]
+        else:
+            d = np.linalg.norm(mesh.face_centroids - mesh.face_centroids[i], axis=1)
+            nbrs = np.flatnonzero(d <= spec.radius)
+            nbrs = nbrs[nbrs != i]
+        if spec.include_self:
+            nbrs = np.sort(np.append(nbrs, i))
+        out.append(np.asarray(nbrs, dtype=np.int64))
+    return out
+
+
+def vertex_mean_curvature(mesh) -> np.ndarray:
+    topo = build_topology(mesh.faces, len(mesh.vertices))
+    bad = [i for i, fs in enumerate(topo["edge_faces"]) if len(fs) > 2]
+    if bad:
+        raise NonManifoldError(f"non-manifold edges: {bad[:10]}")
+    nv = len(mesh.vertices)
+    acc = np.zeros((nv, 3))
+    ring_area = np.zeros(nv)
+    boundary = np.zeros(nv, dtype=bool)
+    for e, fs in zip(topo["edges"], topo["edge_faces"]):
+        if len(fs) < 2:
+            boundary[e[0]] = boundary[e[1]] = True
+    v = mesh.vertices
+    for f, (a, b, c) in enumerate(mesh.faces):
+        ring_area[[a, b, c]] += mesh.face_areas[f]
+        for (i, j, k) in ((a, b, c), (b, c, a), (c, a, b)):
+            u = v[j] - v[i]
+            w = v[k] - v[i]
+            cot = np.dot(u, w) / max(np.linalg.norm(np.cross(u, w)), 1e-300)
+            acc[j] += cot * (v[k] - v[j])
+            acc[k] += cot * (v[j] - v[k])
+    kappa = np.linalg.norm(acc, axis=1) / np.maximum(4.0 * ring_area / 3.0, 1e-300)
+    kappa[boundary] = 0.0
+    kappa[ring_area == 0] = 0.0
+    return kappa
+
+
+def dihedral_feature_edges(mesh, threshold_degrees) -> np.ndarray:
+    topo = build_topology(mesh.faces, len(mesh.vertices))
+    out = []
+    thr = math.radians(threshold_degrees)
+    for e, fs in zip(topo["edges"], topo["edge_faces"]):
+        if len(fs) == 2:
+            n0, n1 = mesh.face_normals[fs[0]], mesh.face_normals[fs[1]]
+            ang = math.acos(min(1.0, max(-1.0, float(np.dot(n0, n1)))))
+            if ang >= thr:
+                out.append(e)
+    return np.array(out, dtype=np.int64).reshape(-1, 2)
+
+
+def guidance_normals(mesh, neighborhood, angle_threshold, normals=None) -> np.ndarray:
+    prev = mesh.face_normals if normals is None else np.asarray(normals, dtype=float)
+    nbr = neighbor_lists(mesh, replace(neighborhood, include_self=True))
+    cos_thr = math.cos(angle_threshold)
+    out = np.empty_like(prev)
+    for i, idx in enumerate(nbr):
+        dots = np.clip(prev[idx] @ prev[i], -1.0, 1.0)
+        sel = idx[dots > cos_thr]
+        acc = (mesh.face_areas[sel, None] * prev[sel]).sum(axis=0)
+        nrm = np.linalg.norm(acc)
+        out[i] = acc / nrm if nrm > 1e-12 else prev[i]
+    return out
+
+
+def _flat_neighbors(nbr_lists):
+    centers = np.concatenate([np.full(len(nb), i, dtype=np.int64)
+                              for i, nb in enumerate(nbr_lists)])
+    flat = np.concatenate(nbr_lists)
+    counts = np.array([len(nb) for nb in nbr_lists], dtype=np.int64)
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    return centers, flat, starts, counts
+
+
+def _substitute_nan(w, starts, counts):
+    if not np.any(np.isnan(w)):
+        return w
+    w = w.copy()
+    neg = np.where(np.isnan(w), -np.inf, w)
+    for s, c in zip(starts, counts):
+        if c == 0:
+            continue
+        seg = w[s:s + c]
+        mask = np.isnan(seg)
+        if mask.any():
+            m = np.max(neg[s:s + c])
+            seg[mask] = m if np.isfinite(m) else 1.0
+    return w
+
+
+def spatial_weights(spec, mesh, centers, flat, starts, counts):
+    if spec.method == "yagou_mean":
+        return mesh.face_areas[flat]
+    if spec.spatial_sigma is None:
+        return np.ones(len(flat))
+    d = np.linalg.norm(mesh.face_centroids[centers] - mesh.face_centroids[flat], axis=1)
+    if spec.spatial_sigma == "auto":
+        if spec.sigma_d_global:
+            pos = d[d > 0]
+            sd = np.full(len(flat), pos.mean() if len(pos) else 1.0)
+        else:
+            sd = np.empty(len(flat))
+            for s, c in zip(starts, counts):
+                seg = d[s:s + c]
+                pos = seg[seg > 0]
+                sd[s:s + c] = pos.mean() if len(pos) else 1.0
+    else:
+        sd = np.full(len(flat), float(spec.spatial_sigma))
+    return np.exp(-(d * d) / (2.0 * sd * sd))
+
+
+def filter_normals(mesh, spec) -> np.ndarray:
+    """Filtered normals, recomputing the spatial weights on every pass."""
+    prev = np.array(mesh.face_normals, dtype=float)
+    nbr = neighbor_lists(mesh, spec.neighborhood)
+    centers, flat, starts, counts = _flat_neighbors(nbr)
+    if spec.method == "gradient_descent":
+        for _ in range(spec.iterations):
+            diff = prev[flat] - prev[centers]
+            x = np.linalg.norm(diff, axis=1)
+            g = spec.range_kernel.weight(x)
+            contrib = np.where((x > 0)[:, None], g[:, None] * diff, 0.0)
+            step = np.zeros_like(prev)
+            np.add.at(step, centers, contrib)
+            new = prev + spec.step_lambda * step
+            nrm = np.linalg.norm(new, axis=1)
+            ok = nrm > 1e-12
+            prev = np.where(ok[:, None], new / np.where(ok, nrm, 1.0)[:, None], prev)
+        return prev
+    kappa_face = None
+    if spec.argument == "curvature_edge":
+        kappa_face = vertex_mean_curvature(mesh)[mesh.faces].mean(axis=1)
+    for _ in range(spec.iterations):
+        if spec.method in ("yagou_median", "yagou_weighted_median", "shen_fuzzy_median"):
+            prev, _ = _median_pass(mesh, spec, prev, nbr)
+            continue
+        guidance = None
+        if spec.argument == "guidance":
+            guidance = guidance_normals(mesh, spec.neighborhood,
+                                        spec.guidance_threshold, normals=prev)
+        x = _pair_arguments(spec, mesh, prev, centers, flat,
+                            kappa_face=kappa_face, guidance=guidance)
+        w = _substitute_nan(spec.range_kernel.weight(x), starts, counts)
+        w = w * spatial_weights(spec, mesh, centers, flat, starts, counts)
+        acc = np.zeros_like(prev)
+        np.add.at(acc, centers, w[:, None] * prev[flat])
+        nrm = np.linalg.norm(acc, axis=1)
+        ok = nrm > 1e-12
+        prev = np.where(ok[:, None], acc / np.where(ok, nrm, 1.0)[:, None], prev)
+    return prev
+
+
+def energy(mesh, normals, spec) -> float:
+    prev = np.asarray(normals, dtype=float)
+    centers, flat, starts, counts = _flat_neighbors(neighbor_lists(mesh, spec.neighborhood))
+    kappa_face = None
+    if spec.argument == "curvature_edge":
+        kappa_face = vertex_mean_curvature(mesh)[mesh.faces].mean(axis=1)
+    guidance = None
+    if spec.argument == "guidance":
+        guidance = guidance_normals(mesh, spec.neighborhood, spec.guidance_threshold,
+                                    normals=prev)
+    x = _pair_arguments(spec, mesh, prev, centers, flat,
+                        kappa_face=kappa_face, guidance=guidance)
+    f = spatial_weights(spec, mesh, centers, flat, starts, counts)
+    return float(np.sum(spec.range_kernel.rho(x) * f))
+
+
+def update_vertices(mesh, filtered_normals, iterations, step=1.0) -> np.ndarray:
+    n = np.asarray(filtered_normals, dtype=float)
+    v = mesh.vertices.copy()
+    faces = mesh.faces
+    deg = np.zeros(len(v))
+    np.add.at(deg, faces.ravel(), 1.0)
+    for _ in range(iterations):
+        centroids = (v[faces[:, 0]] + v[faces[:, 1]] + v[faces[:, 2]]) / 3.0
+        disp = np.zeros_like(v)
+        for corner in range(3):
+            vid = faces[:, corner]
+            offset = np.einsum("ij,ij->i", n, centroids - v[vid])
+            np.add.at(disp, vid, offset[:, None] * n)
+        with np.errstate(invalid="ignore"):
+            v = v + step * disp / np.maximum(deg, 1.0)[:, None]
+    return v
+
+
+def weld(vertices, faces, decimals=9):
+    v = np.asarray(vertices, dtype=float)
+    uniq, inv = np.unique(np.round(v, decimals), axis=0, return_inverse=True)
+    first = np.full(len(uniq), -1, dtype=np.int64)
+    for i, g in enumerate(inv):
+        if first[g] < 0:
+            first[g] = i
+    return v[first], inv[np.asarray(faces, dtype=np.int64)]

@@ -65,6 +65,26 @@ def test_denoise_processing_error(tmp_path):
     assert code == 1
 
 
+def test_denoise_non_finite_vertex(tmp_path, capsys):
+    bad = tmp_path / "nan.obj"
+    bad.write_text("v 0 0 0\nv 1 0 0\nv 0 nan 0\nf 1 2 3\n")
+    out = tmp_path / "o.obj"
+    code = run("denoise", "--input", str(bad), "--method", "zheng-bilateral",
+               "--output", str(out))
+    assert code == 1
+    assert "error: non-finite vertex coordinates" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_denoise_malformed_xyz(tmp_path, capsys):
+    bad = tmp_path / "bad.xyz"
+    bad.write_text("0 0 0\n1 0 0 0\n")
+    code = run("denoise", "--input", str(bad), "--method", "li-bilateral",
+               "--output", str(tmp_path / "o.xyz"))
+    assert code == 1
+    assert "error: line 2: expected 3 or 6 columns" in capsys.readouterr().err
+
+
 def test_denoise_mesh_with_report(cube_obj, tmp_path):
     noisy = tmp_path / "noisy.obj"
     assert run("add-noise", "--input", str(cube_obj), "--sigma-factor", "0.3",

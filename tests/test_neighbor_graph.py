@@ -1,0 +1,255 @@
+"""Differential and property tests of the CSR neighbourhood graph and the
+vectorised filters, against the per-element loops in ``reference_loops``."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+import reference_loops as ref
+from denoisekit import (
+    DegenerateFaceError,
+    FilterSpec,
+    Kernel,
+    NeighborhoodSpec,
+    NonManifoldError,
+    TriMesh,
+    add_noise,
+    energy,
+    filter_normals,
+    guidance_normals,
+    make_cube,
+    make_icosphere,
+    make_plane,
+    make_wedge,
+    update_vertices,
+)
+from denoisekit.bench import _weld
+from denoisekit.kernels import KERNEL_KINDS
+from denoisekit.meshfilter import METHODS
+
+TOLERANCE = 1e-12
+SHAPES = {
+    "cube": lambda: make_cube(4),
+    "plane": lambda: make_plane(5),
+    "icosphere": lambda: make_icosphere(2),
+    "wedge": lambda: make_wedge(),
+}
+LIST_VIEWS = ("vertex_faces", "vertex_ring", "face_adjacency_edge", "face_adjacency_vertex")
+PRESET_SIGMAS = {"yadav_box_2017": math.radians(30.0),
+                 "tasdizen": math.radians(30.0),
+                 "belyaev_ohtake": 1.0}
+
+
+def preset(method, **kw):
+    return FilterSpec.preset(method, sigma=PRESET_SIGMAS.get(method, 0.35), **kw)
+
+
+def all_specs(mesh):
+    """Every mode with and without the face itself. One radius is an exact
+    centroid distance, so the ``<=`` boundary is exercised."""
+    c = mesh.face_centroids
+    radii = [1.5 * max(mesh.avg_edge_length, 1e-3)]
+    if len(c) > 1 and np.isfinite(c[:2]).all() and np.any(c[1] != c[0]):
+        radii.append(float(np.linalg.norm(c[1] - c[0])))
+    specs = []
+    for include_self in (True, False):
+        specs += [NeighborhoodSpec("shared_edge", include_self=include_self),
+                  NeighborhoodSpec("shared_vertex", include_self=include_self)]
+        specs += [NeighborhoodSpec("radius", radius=r, include_self=include_self)
+                  for r in radii]
+    return specs
+
+
+def assert_same_lists(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b), (a, b)
+
+
+def assert_topology_matches(mesh):
+    topo = ref.build_topology(mesh.faces, len(mesh.vertices))
+    assert np.array_equal(mesh.edges, topo["edges"])
+    assert mesh.edge_faces == topo["edge_faces"]
+    for name in LIST_VIEWS:
+        assert_same_lists(getattr(mesh, name), topo[name])
+    assert mesh.is_edge_manifold() == all(len(fs) <= 2 for fs in topo["edge_faces"])
+    for spec in all_specs(mesh):
+        want = ref.neighbor_lists(mesh, spec)
+        assert_same_lists(mesh.neighbor_lists(spec), want)
+        assert_same_lists([mesh.face_neighbors(i, spec) for i in range(len(mesh.faces))], want)
+        centers, neighbors, starts, counts = mesh.neighbor_graph(spec)
+        assert np.array_equal(counts, [len(w) for w in want])
+        assert np.array_equal(centers, np.repeat(np.arange(len(mesh.faces)), counts))
+        assert np.array_equal(starts, np.cumsum(counts) - counts)
+    with np.errstate(invalid="ignore"):
+        for threshold in (0.0, 30.0, 70.0):
+            assert np.array_equal(mesh.dihedral_feature_edges(threshold),
+                                  ref.dihedral_feature_edges(mesh, threshold))
+
+
+def filter_or_error(fn, *args):
+    """The result of fn, or the type of the error it raised: curvature needs
+    a manifold, and a vector median an empty neighbourhood."""
+    try:
+        return fn(*args)
+    except (NonManifoldError, ValueError) as e:
+        return type(e)
+
+
+def assert_filters_match(mesh, methods, neighborhood=None, iterations=3):
+    """Largest deviation of each preset's output and energy from the reference."""
+    for method in methods:
+        kw = {"iterations": iterations}
+        if neighborhood is not None:
+            kw["neighborhood"] = neighborhood
+        if method == "gradient_descent":
+            kw["step_lambda"] = 0.05
+        spec = preset(method, **kw)
+        got = filter_or_error(lambda: filter_normals(mesh, spec).normals)
+        want = filter_or_error(ref.filter_normals, mesh, spec)
+        if isinstance(want, type):
+            assert got is want, method
+            continue
+        assert np.max(np.abs(got - want)) <= TOLERANCE, method
+        e_got, e_want = energy(mesh, want, spec), ref.energy(mesh, want, spec)
+        assert abs(e_got - e_want) <= TOLERANCE * max(1.0, abs(e_want)), method
+
+
+# ----------------------------------------------------------------------
+# topology on the synthetic shapes
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_topology_lists_match_reference(shape):
+    assert_topology_matches(SHAPES[shape]())
+
+
+@pytest.mark.parametrize("n_vertices", [0, 4])
+def test_faceless_mesh_topology_matches_reference(n_vertices):
+    assert_topology_matches(TriMesh(np.zeros((n_vertices, 3)), np.zeros((0, 3), dtype=int)))
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_curvature_and_guidance_match_reference(shape):
+    mesh = add_noise(SHAPES[shape](), 0.3, 7)
+    k = mesh.vertex_mean_curvature()
+    assert np.max(np.abs(k - ref.vertex_mean_curvature(mesh))) <= TOLERANCE * max(1.0, k.max())
+    for spec in all_specs(mesh):
+        got = guidance_normals(mesh, spec, math.radians(60.0))
+        want = ref.guidance_normals(mesh, spec, math.radians(60.0))
+        assert np.max(np.abs(got - want)) <= TOLERANCE
+
+
+def test_neighbor_graph_is_cached():
+    mesh = make_plane(4)
+    for spec in all_specs(mesh):
+        graph = mesh.neighbor_graph(spec)
+        assert mesh.neighbor_graph(spec) is graph
+        assert not any(a.flags.writeable for a in graph)
+
+
+def test_radius_graph_follows_vertex_edits():
+    mesh = make_plane(4)
+    vertex_spec = NeighborhoodSpec("shared_vertex")
+    radius_spec = NeighborhoodSpec("radius", radius=0.4)
+    kept = mesh.neighbor_graph(vertex_spec)
+    mesh.neighbor_graph(radius_spec)
+    mesh.vertices = mesh.vertices * 2.0
+    mesh.recompute_face_fields()
+    assert mesh.neighbor_graph(vertex_spec) is kept
+    assert_same_lists(mesh.neighbor_lists(radius_spec), ref.neighbor_lists(mesh, radius_spec))
+
+
+def test_non_finite_vertex_matches_reference():
+    """Unvalidated meshes may carry a NaN vertex: its faces are near no
+    centroid, and their NaN normals make their edges features."""
+    verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [np.nan, 0, 0]]
+    mesh = TriMesh(verts, [[0, 1, 2], [1, 3, 2], [1, 4, 3]], validate=False)
+    with np.errstate(invalid="ignore"):
+        for include_self in (True, False):
+            spec = NeighborhoodSpec("radius", radius=2.0, include_self=include_self)
+            assert_same_lists(mesh.neighbor_lists(spec), ref.neighbor_lists(mesh, spec))
+        assert np.array_equal(mesh.dihedral_feature_edges(70.0),
+                              ref.dihedral_feature_edges(mesh, 70.0))
+
+
+# ----------------------------------------------------------------------
+# every preset against the reference engine
+
+@pytest.mark.parametrize("shape", ["cube", "wedge"])
+def test_all_presets_match_reference(shape):
+    assert_filters_match(add_noise(SHAPES[shape](), 0.3, 42), METHODS)
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+@pytest.mark.parametrize("method", ["generic_unilateral", "generic_bilateral"])
+def test_generic_kernels_match_reference(method, kind):
+    """The L1 kernels give the self pair a NaN weight, which is replaced by
+    the largest finite weight of its neighbourhood."""
+    mesh = add_noise(make_cube(4), 0.3, 9)
+    spec = FilterSpec.preset(method, range_kernel=Kernel(kind, 0.5), iterations=3)
+    got = filter_normals(mesh, spec).normals
+    assert np.max(np.abs(got - ref.filter_normals(mesh, spec))) <= TOLERANCE
+
+
+@pytest.mark.parametrize("kw", [{"sigma_d_global": True}, {"spatial_sigma": 0.2}])
+def test_spatial_sigma_variants_match_reference(kw):
+    mesh = add_noise(make_cube(4), 0.3, 3)
+    spec = FilterSpec.preset("zheng_bilateral", iterations=3, **kw)
+    got = filter_normals(mesh, spec).normals
+    assert np.max(np.abs(got - ref.filter_normals(mesh, spec))) <= TOLERANCE
+
+
+def test_update_vertices_equals_reference():
+    mesh = add_noise(make_cube(5), 0.3, 11)
+    normals = filter_normals(mesh, preset("yadav_tukey_2018", iterations=2)).normals
+    assert np.array_equal(update_vertices(mesh, normals, 7, 0.5),
+                          ref.update_vertices(mesh, normals, 7, 0.5))
+
+
+def test_weld_equals_reference():
+    rng = np.random.Generator(np.random.Philox(key=5))
+    base = rng.normal(size=(40, 3))
+    v = base[rng.integers(0, 40, 200)] + rng.choice([0.0, 1e-12], size=(200, 3))
+    faces = rng.integers(0, 200, (60, 3))
+    for got, want in zip(_weld(v, faces), ref.weld(v, faces)):
+        assert np.array_equal(got, want)
+
+
+# ----------------------------------------------------------------------
+# property tests on random small meshes
+
+@st.composite
+def small_meshes(draw, validate):
+    """Random faces on a few integer-grid vertices. Without validation the
+    faces may repeat a vertex, repeat each other or share an edge with
+    several others."""
+    nv = draw(st.integers(3, 8))
+    coords = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=nv, max_size=nv))
+    index = st.integers(0, nv - 1)
+    face = (st.lists(index, min_size=3, max_size=3, unique=True) if validate
+            else st.tuples(index, index, index))
+    faces = draw(st.lists(face, min_size=1, max_size=10))
+    try:
+        return TriMesh(np.array(coords, dtype=float), np.array(faces), validate=validate)
+    except DegenerateFaceError:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_meshes(validate=False))
+def test_random_mesh_topology_matches_reference(mesh):
+    with np.errstate(invalid="ignore"):
+        assert_topology_matches(mesh)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(small_meshes(validate=True), st.sampled_from(["shared_edge", "shared_vertex", "radius"]),
+       st.booleans())
+def test_random_mesh_filters_match_reference(mesh, mode, include_self):
+    nb = NeighborhoodSpec(mode, radius=2.5 if mode == "radius" else None,
+                          include_self=include_self)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        assert_filters_match(mesh, METHODS, neighborhood=nb, iterations=2)
