@@ -159,12 +159,21 @@ class TriMesh:
         return _split(faces, np.bincount(corners, minlength=len(self.vertices)))
 
     @cached_property
-    def vertex_ring(self) -> list[np.ndarray]:
-        """Sorted one-ring vertices of each vertex."""
+    def vertex_ring_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(vertices, ring)``: one entry per (vertex, one-ring vertex) pair,
+        in ascending vertex order and ascending ring order within a vertex."""
         nv = len(self.vertices)
         a, b = self.edges[:, 0], self.edges[:, 1]
-        rows, ring = np.divmod(_distinct(np.concatenate([a * nv + b, b * nv + a])), max(nv, 1))
-        return _split(ring, np.bincount(rows, minlength=nv))
+        pairs = np.divmod(_distinct(np.concatenate([a * nv + b, b * nv + a])), max(nv, 1))
+        for x in pairs:
+            x.flags.writeable = False
+        return pairs
+
+    @cached_property
+    def vertex_ring(self) -> list[np.ndarray]:
+        """Sorted one-ring vertices of each vertex."""
+        rows, ring = self.vertex_ring_pairs
+        return _split(ring, np.bincount(rows, minlength=len(self.vertices)))
 
     @cached_property
     def face_adjacency_edge(self) -> list[np.ndarray]:

@@ -183,12 +183,8 @@ def vector_median(normals, weights=None) -> tuple[np.ndarray, int]:
     normals = np.asarray(normals, dtype=float)
     if len(normals) == 0:
         raise ValueError("empty set")
-    diff = normals[:, None, :] - normals[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
-    if weights is not None:
-        dist = dist * np.asarray(weights, dtype=float)[None, :]
-    sums = dist.sum(axis=1)
-    idx = int(np.argmin(sums))  # argmin returns the first minimum
+    w = None if weights is None else np.asarray(weights, dtype=float)[None]
+    idx = int(_vector_median_index(normals[None], w)[0])
     return normals[idx], idx
 
 
@@ -197,10 +193,32 @@ def vector_directional_median(normals) -> tuple[np.ndarray, int]:
     normals = np.asarray(normals, dtype=float)
     if len(normals) == 0:
         raise ValueError("empty set")
-    dots = np.clip(normals @ normals.T, -1.0, 1.0)
-    sums = np.arccos(dots).sum(axis=1)
-    idx = int(np.argmin(sums))
+    idx = int(_directional_median_index(normals[None])[0])
     return normals[idx], idx
+
+
+def _vector_median_index(cand, weights=None):
+    """Per row of ``cand`` (m, k, d): the position of the member minimizing
+    the sum of Euclidean distances to all members, each distance to member b
+    scaled by ``weights[:, b]``. Ties go to the lowest position."""
+    m, k, d = cand.shape
+    dist = np.zeros((m, k, k))
+    diff = np.empty_like(dist)
+    for c in range(d):  # adds in the order of np.linalg.norm
+        np.subtract(cand[:, :, None, c], cand[:, None, :, c], out=diff)
+        dist += np.square(diff, out=diff)
+    np.sqrt(dist, out=dist)
+    if weights is not None:
+        dist *= weights[:, None, :]
+    return np.argmin(dist.sum(axis=2), axis=1)
+
+
+def _directional_median_index(cand):
+    """Per row of ``cand`` (m, k, d): the position of the member minimizing
+    the sum of angles to all members. Ties go to the lowest position."""
+    angles = cand @ cand.transpose(0, 2, 1)
+    np.clip(angles, -1.0, 1.0, out=angles)
+    return np.argmin(np.arccos(angles, out=angles).sum(axis=2), axis=1)
 
 
 # ----------------------------------------------------------------------
@@ -302,13 +320,11 @@ def filter_normals(mesh: TriMesh, spec: FilterSpec, initial=None) -> NormalField
         kappa_face = kv[mesh.faces].mean(axis=1)
 
     median = spec.method in ("yagou_median", "yagou_weighted_median", "shen_fuzzy_median")
-    if median:
-        nbr = mesh.neighbor_lists(spec.neighborhood)
-    else:
+    if not median:
         spatial = _spatial_weights(spec, mesh, centers, flat)
     for _ in range(spec.iterations):
         if median:
-            new, w_count = _median_pass(mesh, spec, prev, nbr)
+            new, w_count = _median_pass(spec, prev, flat, starts, counts)
             warnings += w_count
         else:
             guidance = None
@@ -328,32 +344,50 @@ def filter_normals(mesh: TriMesh, spec: FilterSpec, initial=None) -> NormalField
     return NormalField(prev, iterations=spec.iterations, zero_weight_warnings=warnings)
 
 
-def _median_pass(mesh, spec, prev, nbr):
-    """One pass of the median-flavored presets (face-by-face)."""
-    new = np.empty_like(prev)
-    warnings = 0
-    for i, idx in enumerate(nbr):
-        cand = prev[idx]
-        if spec.method == "yagou_median":
-            new[i], _ = vector_median(cand)
-        elif spec.method == "yagou_weighted_median":
-            x = np.linalg.norm(prev[i] - cand, axis=1)
-            w = spec.range_kernel.weight(x)
-            finite = w[np.isfinite(w)]
-            w = np.where(np.isnan(w), finite.max() if len(finite) else 1.0, w)
-            new[i], _ = vector_median(cand, weights=w)
-        else:  # shen_fuzzy_median
-            nvd, _ = vector_directional_median(cand)
-            x = np.linalg.norm(cand - nvd, axis=1)
-            w = spec.range_kernel.weight(x)
-            acc = (w[:, None] * cand).sum(axis=0)
-            nrm = np.linalg.norm(acc)
-            if nrm > 1e-12:
-                new[i] = acc / nrm
-            else:
-                new[i] = prev[i]
-                warnings += 1
+# Entries of one (m, k, k) array in the median pass: 512 KiB, so a batch
+# stays in cache and its memory does not grow with the square of a large
+# (radius) neighbourhood.
+_MEDIAN_BLOCK = 1 << 16
+
+
+def _median_pass(spec, prev, neighbors, starts, counts):
+    """One pass of the median-flavored presets, in batches of faces that
+    have the same neighbourhood size. A face with no neighbour keeps its
+    normal and counts as a warning, as in the averaging engine."""
+    new = prev.copy()
+    warnings = int(np.count_nonzero(counts == 0))
+    for k in np.unique(counts[counts > 0]):
+        group = np.flatnonzero(counts == k)
+        for rows in np.array_split(group, math.ceil(len(group) * k * k / _MEDIAN_BLOCK)):
+            cand = prev[neighbors[starts[rows, None] + np.arange(k)]]
+            new[rows], count = _median_batch(spec, prev[rows], cand)
+            warnings += count
     return new, warnings
+
+
+def _median_batch(spec, own, cand):
+    """New normals of m faces with normals ``own`` (m, 3) and neighbourhood
+    normals ``cand`` (m, k, 3), and the number of faces that kept their own
+    because the fuzzy median's weighted sum vanished."""
+    pick = np.arange(len(cand))
+    if spec.method == "shen_fuzzy_median":
+        nvd = cand[pick, _directional_median_index(cand)]
+        w = spec.range_kernel.weight(np.linalg.norm(cand - nvd[:, None], axis=2))
+        acc = (w[:, :, None] * cand).sum(axis=1)
+        # the BLAS dot that np.linalg.norm takes for one vector: the
+        # directional median's arccos near 1 would amplify a last-bit
+        # difference on the next pass
+        nrm = np.sqrt(acc[:, None, :] @ acc[:, :, None])[:, 0, 0]
+        ok = nrm > 1e-12
+        out = np.where(ok[:, None], acc / np.where(ok, nrm, 1.0)[:, None], own)
+        return out, int(np.count_nonzero(~ok))
+    w = None
+    if spec.method == "yagou_weighted_median":
+        w = spec.range_kernel.weight(np.linalg.norm(own[:, None] - cand, axis=2))
+        top = np.where(np.isfinite(w), w, -np.inf).max(axis=1)
+        fill = np.where(np.isfinite(top), top, 1.0)  # no finite weight: uniform
+        w = np.where(np.isnan(w), fill[:, None], w)
+    return cand[pick, _vector_median_index(cand, w)], 0
 
 
 def filter_gradient_descent(mesh: TriMesh, spec: FilterSpec, initial=None) -> NormalField:

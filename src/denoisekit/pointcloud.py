@@ -19,10 +19,14 @@ class RankDeficientNeighborhood(PointCloudError):
 class PointCloud:
     def __init__(self, points, normals=None):
         self.points = np.asarray(points, dtype=float).reshape(-1, 3)
+        if not np.isfinite(self.points).all():
+            raise PointCloudError("non-finite point coordinates")
         if normals is not None:
             normals = np.asarray(normals, dtype=float).reshape(-1, 3)
             if len(normals) != len(self.points):
                 raise PointCloudError("normals/points cardinality mismatch")
+            if not np.isfinite(normals).all():
+                raise PointCloudError("non-finite normals")
             norms = np.linalg.norm(normals, axis=1)
             if len(normals) and np.any(np.abs(norms - 1.0) > 1e-9):
                 normals = normals / np.where(norms > 0, norms, 1.0)[:, None]
@@ -170,39 +174,3 @@ def save_xyz(cloud: PointCloud, path) -> None:
                 fh.write(f"{p[0]:.9g} {p[1]:.9g} {p[2]:.9g} "
                          f"{nv[0]:.9g} {nv[1]:.9g} {nv[2]:.9g}\n")
 
-
-def load_ply_points(path) -> PointCloud:
-    """Vertex-only ASCII PLY reader."""
-    from .meshcore import ParseError
-    lines = open(path, "r", encoding="utf-8").read().splitlines()
-    n_vertex = 0
-    props = []
-    current = None
-    i = 0
-    while i < len(lines):
-        line = lines[i].strip()
-        i += 1
-        if line.startswith("element vertex"):
-            n_vertex = int(line.split()[2])
-            current = "vertex"
-        elif line.startswith("element"):
-            current = None
-        elif line.startswith("property") and current == "vertex":
-            props.append(line.split()[-1])
-        elif line == "end_header":
-            break
-    else:
-        raise ParseError("PLY header without end_header")
-    body = [ln for ln in lines[i:] if ln.strip()]
-    xi, yi, zi = (props.index(p) for p in ("x", "y", "z"))
-    has_normals = all(p in props for p in ("nx", "ny", "nz"))
-    pts, nrm = [], []
-    for ln in body[:n_vertex]:
-        parts = ln.split()
-        pts.append([float(parts[xi]), float(parts[yi]), float(parts[zi])])
-        if has_normals:
-            nrm.append([float(parts[props.index("nx")]),
-                        float(parts[props.index("ny")]),
-                        float(parts[props.index("nz")])])
-    return PointCloud(np.array(pts).reshape(-1, 3),
-                      np.array(nrm).reshape(-1, 3) if nrm else None)

@@ -51,15 +51,17 @@ def orthogonality_residual(vertices, faces, normals) -> float:
 
 
 def laplacian_smooth(mesh: TriMesh, iterations: int, lam: float) -> np.ndarray:
-    """Uniform-Laplacian (umbrella) smoothing: p += lam * (ring mean - p)."""
+    """Uniform-Laplacian (umbrella) smoothing: p += lam * (ring mean - p).
+
+    A vertex with an empty ring stays put.
+    """
     if not (0.0 <= lam < 1.0):
         raise ValueError("lambda must be in [0, 1)")
     v = mesh.vertices.copy()
-    rings = mesh.vertex_ring
+    rows, ring = mesh.vertex_ring_pairs
+    size = np.bincount(rows, minlength=len(v))
+    has_ring = (size > 0)[:, None]
     for _ in range(iterations):
-        new = v.copy()
-        for i, ring in enumerate(rings):
-            if len(ring):
-                new[i] = v[i] + lam * (v[ring].mean(axis=0) - v[i])
-        v = new
+        mean = scatter_rows(rows, v[ring], len(v)) / np.maximum(size, 1)[:, None]
+        v = np.where(has_ring, v + lam * (mean - v), v)
     return v

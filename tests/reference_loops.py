@@ -1,12 +1,12 @@
 """Per-element loop implementations that the vectorised library is checked
 against: mesh topology, neighbourhoods, curvature, dihedral feature edges,
 guidance normals, the filter engine with per-pass spatial weights, the
-vertex update and the vertex weld.
+vector medians and the median pass, the vertex update, Laplacian smoothing
+and the vertex weld.
 
 This is the straightforward face-by-face form of each computation. It is
-slow and kept only as a reference for the differential tests. The median
-pass and the pair arguments run the same way in both and are imported from
-the library.
+slow and kept only as a reference for the differential tests. Only the pair
+arguments run the same way in both and are imported from the library.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from denoisekit.meshcore import NonManifoldError
-from denoisekit.meshfilter import _median_pass, _pair_arguments
+from denoisekit.meshfilter import _pair_arguments
 
 
 def build_topology(faces, n_vertices) -> dict:
@@ -142,6 +142,69 @@ def guidance_normals(mesh, neighborhood, angle_threshold, normals=None) -> np.nd
     return out
 
 
+def vector_median(normals, weights=None):
+    """(vector, index) of the member minimising the (weighted) sum of
+    Euclidean distances; ties go to the lowest position."""
+    normals = np.asarray(normals, dtype=float)
+    diff = normals[:, None, :] - normals[None, :, :]
+    dist = np.linalg.norm(diff, axis=2)
+    if weights is not None:
+        dist = dist * np.asarray(weights, dtype=float)[None, :]
+    idx = int(np.argmin(dist.sum(axis=1)))
+    return normals[idx], idx
+
+
+def vector_directional_median(normals):
+    """(vector, index) of the member minimising the sum of angles."""
+    normals = np.asarray(normals, dtype=float)
+    dots = np.clip(normals @ normals.T, -1.0, 1.0)
+    idx = int(np.argmin(np.arccos(dots).sum(axis=1)))
+    return normals[idx], idx
+
+
+def median_pass(spec, prev, nbr):
+    """One pass of the median presets, face by face. A face with no
+    neighbour keeps its normal and counts as a warning."""
+    new = np.empty_like(prev)
+    warnings = 0
+    for i, idx in enumerate(nbr):
+        cand = prev[idx]
+        if len(idx) == 0:
+            new[i] = prev[i]
+            warnings += 1
+        elif spec.method == "yagou_median":
+            new[i], _ = vector_median(cand)
+        elif spec.method == "yagou_weighted_median":
+            x = np.linalg.norm(prev[i] - cand, axis=1)
+            w = spec.range_kernel.weight(x)
+            finite = w[np.isfinite(w)]
+            w = np.where(np.isnan(w), finite.max() if len(finite) else 1.0, w)
+            new[i], _ = vector_median(cand, weights=w)
+        else:  # shen_fuzzy_median
+            nvd, _ = vector_directional_median(cand)
+            x = np.linalg.norm(cand - nvd, axis=1)
+            w = spec.range_kernel.weight(x)
+            acc = (w[:, None] * cand).sum(axis=0)
+            nrm = np.linalg.norm(acc)
+            if nrm > 1e-12:
+                new[i] = acc / nrm
+            else:
+                new[i] = prev[i]
+                warnings += 1
+    return new, warnings
+
+
+def median_filter(mesh, spec):
+    """(normals, warnings) after spec.iterations median passes."""
+    prev = np.array(mesh.face_normals, dtype=float)
+    nbr = neighbor_lists(mesh, spec.neighborhood)
+    warnings = 0
+    for _ in range(spec.iterations):
+        prev, count = median_pass(spec, prev, nbr)
+        warnings += count
+    return prev, warnings
+
+
 def _flat_neighbors(nbr_lists):
     centers = np.concatenate([np.full(len(nb), i, dtype=np.int64)
                               for i, nb in enumerate(nbr_lists)])
@@ -190,9 +253,10 @@ def spatial_weights(spec, mesh, centers, flat, starts, counts):
 
 def filter_normals(mesh, spec) -> np.ndarray:
     """Filtered normals, recomputing the spatial weights on every pass."""
+    if spec.method in ("yagou_median", "yagou_weighted_median", "shen_fuzzy_median"):
+        return median_filter(mesh, spec)[0]
     prev = np.array(mesh.face_normals, dtype=float)
-    nbr = neighbor_lists(mesh, spec.neighborhood)
-    centers, flat, starts, counts = _flat_neighbors(nbr)
+    centers, flat, starts, counts = _flat_neighbors(neighbor_lists(mesh, spec.neighborhood))
     if spec.method == "gradient_descent":
         for _ in range(spec.iterations):
             diff = prev[flat] - prev[centers]
@@ -210,9 +274,6 @@ def filter_normals(mesh, spec) -> np.ndarray:
     if spec.argument == "curvature_edge":
         kappa_face = vertex_mean_curvature(mesh)[mesh.faces].mean(axis=1)
     for _ in range(spec.iterations):
-        if spec.method in ("yagou_median", "yagou_weighted_median", "shen_fuzzy_median"):
-            prev, _ = _median_pass(mesh, spec, prev, nbr)
-            continue
         guidance = None
         if spec.argument == "guidance":
             guidance = guidance_normals(mesh, spec.neighborhood,
@@ -260,6 +321,19 @@ def update_vertices(mesh, filtered_normals, iterations, step=1.0) -> np.ndarray:
             np.add.at(disp, vid, offset[:, None] * n)
         with np.errstate(invalid="ignore"):
             v = v + step * disp / np.maximum(deg, 1.0)[:, None]
+    return v
+
+
+def laplacian_smooth(mesh, iterations, lam) -> np.ndarray:
+    """Umbrella smoothing, one vertex at a time."""
+    v = mesh.vertices.copy()
+    rings = build_topology(mesh.faces, len(v))["vertex_ring"]
+    for _ in range(iterations):
+        new = v.copy()
+        for i, ring in enumerate(rings):
+            if len(ring):
+                new[i] = v[i] + lam * (v[ring].mean(axis=0) - v[i])
+        v = new
     return v
 
 

@@ -85,6 +85,17 @@ def test_denoise_malformed_xyz(tmp_path, capsys):
     assert "error: line 2: expected 3 or 6 columns" in capsys.readouterr().err
 
 
+def test_denoise_non_finite_xyz(tmp_path, capsys):
+    bad = tmp_path / "nan.xyz"
+    bad.write_text("0 0 0\n1 0 0\n0 nan 0\n1 1 0\n")
+    out = tmp_path / "o.xyz"
+    code = run("denoise", "--input", str(bad), "--method", "li-bilateral",
+               "--output", str(out))
+    assert code == 1
+    assert "error: non-finite point coordinates" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_denoise_mesh_with_report(cube_obj, tmp_path):
     noisy = tmp_path / "noisy.obj"
     assert run("add-noise", "--input", str(cube_obj), "--sigma-factor", "0.3",

@@ -2,6 +2,7 @@
 vectorised filters, against the per-element loops in ``reference_loops``."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,12 +21,14 @@ from denoisekit import (
     energy,
     filter_normals,
     guidance_normals,
+    laplacian_smooth,
     make_cube,
     make_icosphere,
     make_plane,
     make_wedge,
     update_vertices,
 )
+from denoisekit import meshfilter
 from denoisekit.bench import _weld
 from denoisekit.kernels import KERNEL_KINDS
 from denoisekit.meshfilter import METHODS
@@ -37,6 +40,7 @@ SHAPES = {
     "icosphere": lambda: make_icosphere(2),
     "wedge": lambda: make_wedge(),
 }
+MEDIANS = ("yagou_median", "yagou_weighted_median", "shen_fuzzy_median")
 LIST_VIEWS = ("vertex_faces", "vertex_ring", "face_adjacency_edge", "face_adjacency_vertex")
 PRESET_SIGMAS = {"yadav_box_2017": math.radians(30.0),
                  "tasdizen": math.radians(30.0),
@@ -92,10 +96,10 @@ def assert_topology_matches(mesh):
 
 def filter_or_error(fn, *args):
     """The result of fn, or the type of the error it raised: curvature needs
-    a manifold, and a vector median an empty neighbourhood."""
+    a manifold."""
     try:
         return fn(*args)
-    except (NonManifoldError, ValueError) as e:
+    except NonManifoldError as e:
         return type(e)
 
 
@@ -116,6 +120,21 @@ def assert_filters_match(mesh, methods, neighborhood=None, iterations=3):
         assert np.max(np.abs(got - want)) <= TOLERANCE, method
         e_got, e_want = energy(mesh, want, spec), ref.energy(mesh, want, spec)
         assert abs(e_got - e_want) <= TOLERANCE * max(1.0, abs(e_want)), method
+
+
+def assert_medians_match(mesh, neighborhood, iterations=20):
+    """The batched median pass against the face-by-face loop: the two
+    Euclidean medians bit for bit, the fuzzy median to within TOLERANCE, and
+    the same number of warnings."""
+    for method in MEDIANS:
+        spec = preset(method, neighborhood=neighborhood, iterations=iterations)
+        field = filter_normals(mesh, spec)
+        want, warnings = ref.median_filter(mesh, spec)
+        if method == "shen_fuzzy_median":
+            assert np.max(np.abs(field.normals - want), initial=0.0) <= TOLERANCE, method
+        else:
+            assert np.array_equal(field.normals, want), method
+        assert field.zero_weight_warnings == warnings, method
 
 
 # ----------------------------------------------------------------------
@@ -202,11 +221,87 @@ def test_spatial_sigma_variants_match_reference(kw):
     assert np.max(np.abs(got - ref.filter_normals(mesh, spec))) <= TOLERANCE
 
 
+@pytest.mark.parametrize("include_self", [True, False])
+@pytest.mark.parametrize("mode", ["shared_edge", "shared_vertex", "radius"])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_median_presets_match_reference(shape, mode, include_self):
+    """Boundary faces give the plane, wedge and radius graphs several
+    neighbourhood sizes, so the pass runs more than one batch."""
+    mesh = add_noise(SHAPES[shape](), 0.3, 42)
+    radius = 1.5 * mesh.avg_edge_length if mode == "radius" else None
+    assert_medians_match(mesh, NeighborhoodSpec(mode, radius=radius, include_self=include_self))
+
+
+@pytest.mark.parametrize("block", [1, 100])
+def test_median_presets_in_small_blocks_match_reference(monkeypatch, block):
+    """Splitting a size group over several blocks changes nothing; a block
+    of 1 puts every face in a block of its own."""
+    monkeypatch.setattr(meshfilter, "_MEDIAN_BLOCK", block)
+    mesh = add_noise(SHAPES["wedge"](), 0.3, 42)
+    assert_medians_match(mesh, NeighborhoodSpec("shared_vertex"), iterations=5)
+
+
+def test_median_pass_memory_is_bounded_for_large_neighbourhoods():
+    """A radius of four edge lengths gives up to 131 neighbours: one batch
+    per neighbourhood size would hold 26 MiB of (m, k, k) arrays, the blocks
+    about 1 MiB."""
+    mesh = make_plane(16)
+    nb = NeighborhoodSpec("radius", radius=4 * mesh.avg_edge_length)
+    mesh.neighbor_graph(nb)
+    tracemalloc.start()
+    try:
+        filter_normals(mesh, preset("yagou_median", neighborhood=nb))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+
+
+@pytest.mark.parametrize("shape", ["cube", "plane"])
+def test_median_presets_with_nan_weights_match_reference(shape):
+    """Without noise, whole neighbourhoods share one normal: every argument
+    is 0 and every truncated-L1 weight NaN, so the weights fall back to
+    uniform and such a face keeps its normal."""
+    mesh = SHAPES[shape]()
+    spec = preset("yagou_weighted_median", neighborhood=NeighborhoodSpec("shared_vertex"))
+    n = mesh.face_normals
+    flat = [i for i, nb in enumerate(mesh.neighbor_lists(spec.neighborhood))
+            if np.all(n[nb] == n[i])]
+    assert flat and np.isnan(spec.range_kernel.weight(0.0))
+    assert_medians_match(mesh, spec.neighborhood)
+    assert np.array_equal(filter_normals(mesh, spec).normals[flat], n[flat])
+
+
+@pytest.mark.parametrize("method", MEDIANS)
+def test_median_presets_keep_normal_of_face_without_neighbours(method):
+    """Two triangles that share no vertex: without the face itself, each
+    neighbourhood is empty, so each face keeps its normal and counts one
+    warning per pass, as in the averaging engine."""
+    verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [5, 0, 0], [5, 1, 0], [5, 0, 1]]
+    mesh = TriMesh(verts, [[0, 1, 2], [3, 4, 5]])
+    for nb in (NeighborhoodSpec("shared_vertex", include_self=False),
+               NeighborhoodSpec("radius", radius=1.0, include_self=False)):
+        field = filter_normals(mesh, preset(method, neighborhood=nb, iterations=3))
+        assert np.array_equal(field.normals, mesh.face_normals)
+        assert field.zero_weight_warnings == 2 * 3
+
+
 def test_update_vertices_equals_reference():
     mesh = add_noise(make_cube(5), 0.3, 11)
     normals = filter_normals(mesh, preset("yadav_tukey_2018", iterations=2)).normals
     assert np.array_equal(update_vertices(mesh, normals, 7, 0.5),
                           ref.update_vertices(mesh, normals, 7, 0.5))
+
+
+@pytest.mark.parametrize("shape", ["icosphere", "plane"])
+def test_laplacian_smooth_equals_reference(shape):
+    """The plane's boundary vertices have shorter rings than its interior;
+    the appended vertex is on no face and has an empty ring."""
+    mesh = add_noise(SHAPES[shape](), 0.3, 5)
+    mesh = TriMesh(np.vstack([mesh.vertices, [[9.0, 9.0, 9.0]]]), mesh.faces)
+    got = laplacian_smooth(mesh, 7, 0.5)
+    assert np.array_equal(got, ref.laplacian_smooth(mesh, 7, 0.5))
+    assert np.array_equal(got[-1], mesh.vertices[-1])
 
 
 def test_weld_equals_reference():
@@ -253,3 +348,4 @@ def test_random_mesh_filters_match_reference(mesh, mode, include_self):
                           include_self=include_self)
     with np.errstate(invalid="ignore", divide="ignore"):
         assert_filters_match(mesh, METHODS, neighborhood=nb, iterations=2)
+        assert_medians_match(mesh, nb)

@@ -21,6 +21,16 @@ def test_normals_cardinality_mismatch():
         PointCloud([[0, 0, 0], [1, 0, 0]], [[0, 0, 1]])
 
 
+@pytest.mark.parametrize("points, normals", [
+    ([[0, 0, 0], [1, np.nan, 0]], None),
+    ([[0, 0, 0], [np.inf, 0, 0]], None),
+    ([[0, 0, 0], [1, 0, 0]], [[0, 0, 1], [0, np.nan, 1]]),
+])
+def test_non_finite_input_rejected(points, normals):
+    with pytest.raises(PointCloudError, match="non-finite"):
+        PointCloud(points, normals)
+
+
 def test_normals_renormalized():
     c = PointCloud([[0, 0, 0]], [[0, 0, 2.0]])
     assert np.allclose(c.normals[0], [0, 0, 1])
