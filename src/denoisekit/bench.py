@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .meshcore import TriMesh
+from .meshcore import TriMesh, vector_dots
 from .pointcloud import PointCloud
 
 
@@ -203,8 +203,9 @@ def add_noise(obj, sigma_factor: float, seed: int):
         return TriMesh(obj.vertices + disp, obj.faces.copy(), validate=False)
     if isinstance(obj, PointCloud):
         if len(obj) > 1 and sigma_factor:
-            d = np.array([np.linalg.norm(obj.points[obj.knn(i, 1)[0]] - obj.points[i])
-                          for i in range(len(obj))])
+            centers, neighbors, _, _ = obj.neighbor_graph(k=1)
+            gap = obj.points[neighbors[centers != neighbors]] - obj.points
+            d = np.sqrt(vector_dots(gap, gap))  # np.linalg.norm of each gap
             sigma = sigma_factor * float(d.mean())
             disp = _noise_displacements(len(obj), sigma, seed)
         else:

@@ -1,8 +1,8 @@
 """Batch command line front-end.
 
 Subcommands: make-shape, add-noise, denoise, metrics, kernel-table,
-experiment. All runs are deterministic for a fixed argv and inputs;
-``--threads`` caps internal workers without changing any result.
+experiment. All runs are deterministic for a fixed argv and inputs.
+``--threads`` is accepted but does nothing yet: every run uses one worker.
 
 Sigma conventions: methods whose filter argument is an angle
 (yadav-box-2017, tasdizen, belyaev-ohtake, li-bilateral, yadav-vnvt) take
@@ -25,23 +25,22 @@ import numpy as np
 from . import bench
 from .kernels import KERNEL_KINDS, Kernel, sample_table, samples_to_csv
 from .meshcore import MeshError, NeighborhoodSpec, TriMesh, load_mesh, save_mesh
-from .meshfilter import METHODS, FilterSpec
+from .meshfilter import METHODS, PRESET, FilterSpec
 from .pipeline import denoise_cloud, denoise_mesh
 from .pointcloud import PointCloud, PointCloudError, load_xyz, save_xyz
-from .pointfilter import POINT_METHODS, PointFilterSpec
+from .pointfilter import POINT_METHODS, POINT_PRESET, PointFilterSpec
 
 MESH_METHODS_CLI = tuple(m.replace("_", "-") for m in METHODS)
 POINT_METHODS_CLI = tuple(m.replace("_", "-") for m in POINT_METHODS)
 
-# methods whose sigma is an angle, taken in degrees on the CLI
-ANGLE_SIGMA_METHODS = {"yadav-box-2017", "tasdizen", "belyaev-ohtake",
-                       "li-bilateral", "yadav-vnvt"}
+# methods whose filter argument is an angle take --sigma in degrees
+ANGLE_SIGMA_METHODS = (
+    {m.replace("_", "-") for m, (_, arg, _) in PRESET.items()
+     if arg in ("angle", "angle_per_distance")}
+    | {m.replace("_", "-") for m, (arg, _, _) in POINT_PRESET.items() if arg == "angle"})
 
-EXPERIMENT_METHODS = (
-    "belyaev-ohtake", "yagou-mean", "yagou-median", "yagou-weighted-median",
-    "yadav-box-2017", "shen-fuzzy-median", "tasdizen", "centin-signoroni",
-    "zheng-bilateral", "zhang-guided", "yadav-tukey-2018",
-)
+# the mesh presets with a pinned kernel
+EXPERIMENT_METHODS = tuple(m.replace("_", "-") for m in METHODS if PRESET[m][0] is not None)
 
 
 class CliError(Exception):
@@ -64,23 +63,24 @@ def _save_any(obj, path: str):
         save_mesh(obj, path)
 
 
+def _sigmas(args) -> tuple:
+    """--sigma (in radians for angle methods) and --sigma-d ("auto" if unset)."""
+    sigma = math.radians(args.sigma) if args.method in ANGLE_SIGMA_METHODS else args.sigma
+    return sigma, "auto" if args.sigma_d in (None, "auto") else float(args.sigma_d)
+
+
 def _mesh_spec(args) -> FilterSpec:
     method = args.method.replace("-", "_")
-    sigma = args.sigma
-    if args.method in ANGLE_SIGMA_METHODS:
-        sigma = math.radians(sigma)
-    sigma_d = args.sigma_d
-    if sigma_d not in (None, "auto"):
-        sigma_d = float(sigma_d)
+    sigma, sigma_d = _sigmas(args)
     nb = NeighborhoodSpec(args.neighborhood.replace("-", "_"),
                           radius=args.radius, include_self=True)
     kw = dict(neighborhood=nb, iterations=args.iters)
-    if method in ("zheng_bilateral", "zhang_guided", "yadav_tukey_2018",
-                  "generic_bilateral"):
-        kw["spatial_sigma"] = sigma_d if sigma_d is not None else "auto"
+    kind, _, bilateral = PRESET[method]
+    if bilateral:
+        kw["spatial_sigma"] = sigma_d
     if method == "gradient_descent":
         kw["step_lambda"] = args.step_lambda
-    if method in ("generic_unilateral", "generic_bilateral", "gradient_descent"):
+    if kind is None:
         kw["range_kernel"] = Kernel(args.kernel, sigma,
                                     box_floor=args.box_floor)
     return FilterSpec.preset(method, sigma=sigma, **kw)
@@ -91,12 +91,7 @@ def _point_spec(args) -> PointFilterSpec:
     if method not in POINT_METHODS:
         raise CliError(f"unknown point method {args.method!r}; "
                        f"valid: {', '.join(POINT_METHODS_CLI)}")
-    sigma = args.sigma
-    if args.method in ANGLE_SIGMA_METHODS:
-        sigma = math.radians(sigma)
-    sigma_d = args.sigma_d if args.sigma_d is not None else "auto"
-    if sigma_d != "auto":
-        sigma_d = float(sigma_d)
+    sigma, sigma_d = _sigmas(args)
     return PointFilterSpec(method=method, sigma=sigma, sigma_d=sigma_d,
                            k=args.k, radius=args.radius, iterations=args.iters)
 
@@ -206,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--threads", type=int, default=1,
-                    help="cap internal worker count (results are identical for any value)")
+                    help="accepted but unused: every run uses one worker")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("make-shape", help="generate a synthetic benchmark shape")

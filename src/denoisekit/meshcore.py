@@ -308,6 +308,25 @@ def scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
                      for x in range(rows.shape[1])], axis=1)
 
 
+def vector_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dots of (m, 3) arrays, each the BLAS dot that ``np.dot`` and
+    ``np.linalg.norm`` take for one pair of vectors, so they round alike."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def parse_key_values(text: str) -> dict:
+    """The ``key=value`` lines of a spec text; blank and ``#`` lines skipped."""
+    kv = {}
+    for ln, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            k, eq, v = line.partition("=")
+            if not eq:
+                raise ValueError(f"line {ln}: expected key=value")
+            kv[k.strip()] = v.strip()
+    return kv
+
+
 def _distinct(keys: np.ndarray) -> np.ndarray:
     """Sorted distinct values of an integer array.
 
@@ -349,11 +368,12 @@ def convert_normal_args(value: float, kind: str) -> tuple[float, float, float]:
 # file IO
 
 def load_mesh(path) -> TriMesh:
-    """Load an ASCII OBJ (v/f) or ASCII PLY triangle mesh."""
+    """Load an ASCII OBJ (v/f) or ASCII PLY triangle mesh with at least one face."""
     text = open(path, "r", encoding="utf-8", errors="replace").read()
-    if text.lstrip().startswith("ply"):
-        return _load_ply(text)
-    return _load_obj(text)
+    mesh = _load_ply(text) if text.lstrip().startswith("ply") else _load_obj(text)
+    if not len(mesh.faces):
+        raise ParseError("no faces")
+    return mesh
 
 
 def _load_obj(text: str) -> TriMesh:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .kernels import Kernel
-from .meshcore import NeighborhoodSpec, TriMesh, scatter_rows
+from .meshcore import NeighborhoodSpec, TriMesh, parse_key_values, scatter_rows, vector_dots
 
 METHODS = (
     "generic_unilateral",
@@ -43,7 +43,7 @@ ARGUMENTS = (
 )
 
 # method -> (pinned kernel kind or None, pinned argument, bilateral?)
-_PRESET = {
+PRESET = {
     "generic_unilateral": (None, None, False),
     "generic_bilateral": (None, None, True),
     "belyaev_ohtake": ("gaussian", "angle_per_distance", False),
@@ -82,7 +82,7 @@ class FilterSpec:
             raise ValueError("iterations must be >= 1")
         if not (0.0 < self.step_lambda <= 1.0):
             raise ValueError("step_lambda must be in (0, 1]")
-        kind, arg, bilateral = _PRESET[self.method]
+        kind, arg, bilateral = PRESET[self.method]
         if kind is not None and self.range_kernel.kind != kind:
             raise ValueError(f"method {self.method} requires a {kind} kernel, "
                              f"got {self.range_kernel.kind}")
@@ -100,7 +100,7 @@ class FilterSpec:
     @classmethod
     def preset(cls, method: str, sigma: float = 0.35, **kw) -> "FilterSpec":
         """Build a spec with the method's pinned kernel/argument filled in."""
-        kind, arg, bilateral = _PRESET[method]
+        kind, arg, bilateral = PRESET[method]
         if kind is None:
             kernel = kw.pop("range_kernel", Kernel("gaussian", sigma))
         else:
@@ -133,15 +133,7 @@ class FilterSpec:
 
     @classmethod
     def from_text(cls, text: str) -> "FilterSpec":
-        kv = {}
-        for ln, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"line {ln}: expected key=value")
-            k, v = line.split("=", 1)
-            kv[k.strip()] = v.strip()
+        kv = parse_key_values(text)
         kernel = Kernel(kv["kernel"], float(kv["sigma"]),
                         box_floor=float(kv.get("box_floor", 0.0)))
         sd = kv.get("sigma_d", "none")
@@ -377,7 +369,7 @@ def _median_batch(spec, own, cand):
         # the BLAS dot that np.linalg.norm takes for one vector: the
         # directional median's arccos near 1 would amplify a last-bit
         # difference on the next pass
-        nrm = np.sqrt(acc[:, None, :] @ acc[:, :, None])[:, 0, 0]
+        nrm = np.sqrt(vector_dots(acc, acc))
         ok = nrm > 1e-12
         out = np.where(ok[:, None], acc / np.where(ok, nrm, 1.0)[:, None], own)
         return out, int(np.count_nonzero(~ok))

@@ -7,6 +7,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 from scipy.spatial import cKDTree
 
+from .meshcore import vector_dots
+
 
 class PointCloudError(Exception):
     pass
@@ -31,46 +33,58 @@ class PointCloud:
             if len(normals) and np.any(np.abs(norms - 1.0) > 1e-9):
                 normals = normals / np.where(norms > 0, norms, 1.0)[:, None]
         self.normals = normals
-        self.tree = cKDTree(self.points) if len(self.points) else None
-        if len(self.points):
-            lo = self.points.min(axis=0)
-            hi = self.points.max(axis=0)
-            self.bbox_diagonal = float(np.linalg.norm(hi - lo))
-        else:
-            self.bbox_diagonal = 0.0
+        extent = np.ptp(self.points, axis=0) if len(self.points) else np.zeros(3)
+        self.bbox_diagonal = float(np.linalg.norm(extent))
+        self._graphs = {}
 
     def __len__(self):
         return len(self.points)
 
-    def knn(self, i: int, k: int) -> np.ndarray:
-        """The k nearest points to point i, excluding i itself.
+    def neighbor_graph(self, k: int | None = None, radius: float | None = None):
+        """Each point with its k nearest others (by numpy's distance, ties to
+        the lowest index) or with all points within ``radius``, as the cached
+        read-only CSR arrays ``(centers, neighbors, starts, counts)`` of
+        :meth:`TriMesh.neighbor_graph`, in ascending point and neighbour order."""
+        if (k is None) == (radius is None):
+            raise ValueError("give exactly one of k and radius")
+        key = ("k", k) if radius is None else ("radius", radius)
+        graph = self._graphs.get(key)
+        if graph is None:
+            n, tree = len(self.points), cKDTree(self.points)
+            # key c * n + j encodes the pair (c, j); the self pairs are c * (n + 1)
+            if radius is None:
+                if not (1 <= k < n):
+                    raise ValueError(f"k must be in [1, {n - 1}], got {k}")
+                keys = (np.sort(self._knn(tree, k), axis=1) + (np.arange(n) * n)[:, None]).ravel()
+            else:
+                i, j = tree.query_pairs(radius, output_type="ndarray").T
+                keys = np.sort(np.concatenate([i * n + j, j * n + i, np.arange(n) * (n + 1)]))
+            centers, neighbors = np.divmod(keys, max(n, 1))
+            counts = np.bincount(centers, minlength=n)
+            graph = self._graphs[key] = (centers, neighbors, np.cumsum(counts) - counts, counts)
+            for a in graph:
+                a.flags.writeable = False
+        return graph
 
-        Sorted by distance, ties broken by ascending index.
-        """
-        n = len(self.points)
-        if not (1 <= k < n):
-            raise ValueError(f"k must be in [1, {n - 1}], got {k}")
-        d, idx = self.tree.query(self.points[i], k=min(n, k + 1))
-        d, idx = np.atleast_1d(d), np.atleast_1d(idx)
-        keep = idx != i
-        d, idx = d[keep], idx[keep]
-        if len(idx) > k:
-            d, idx = d[:k], idx[:k]
-        # re-query by radius so boundary ties resolve by index, not tree order
-        r = d[-1] * (1 + 1e-12) + 1e-300
-        cand = np.array([j for j in self.tree.query_ball_point(self.points[i], r) if j != i])
-        dc = np.linalg.norm(self.points[cand] - self.points[i], axis=1)
-        order = np.lexsort((cand, dc))
-        return cand[order][:k].astype(np.int64)
-
-    def radius_neighbors(self, i: int, r: float, include_self: bool = False) -> np.ndarray:
-        idx = np.array(sorted(self.tree.query_ball_point(self.points[i], r)), dtype=np.int64)
-        if not include_self:
-            idx = idx[idx != i]
-        return idx
+    def _knn(self, tree: cKDTree, k: int) -> np.ndarray:
+        """(n, k + 1): each point and its k nearest. Only rows where the next
+        one lies within a hair of the k-th rank the whole ball (at most n)."""
+        dist, rows = tree.query(self.points, k=k + 2)
+        reach = dist[:, k] * (1 + 1e-12) + 1e-300
+        tie = np.flatnonzero(dist[:, k + 1] <= reach)
+        if len(tie):
+            ball = tree.query_ball_point(self.points[tie], reach[tie], return_length=True)
+            cand = tree.query(self.points[tie], k=ball.max())[1]
+            d = np.linalg.norm(self.points[cand] - self.points[tie, None], axis=2)
+            d[cand == tie[:, None]] = -1.0  # the point itself first
+            rows[tie, :k + 1] = np.take_along_axis(cand, np.lexsort((cand, d))[:, :k + 1], axis=1)
+        return rows[:, :k + 1]
 
     def with_normals(self, normals) -> "PointCloud":
-        return PointCloud(self.points.copy(), normals)
+        """A copy with other normals that shares the cached graphs."""
+        clone = PointCloud(self.points.copy(), normals)
+        clone._graphs = self._graphs
+        return clone
 
 
 def estimate_normals_pca(cloud: PointCloud, k: int,
@@ -88,19 +102,16 @@ def estimate_normals_pca(cloud: PointCloud, k: int,
         raise ValueError("k must be >= 3")
     n = len(cloud)
     pts = cloud.points
-    normals = np.empty((n, 3))
-    nbrs = []
-    for i in range(n):
-        idx = cloud.knn(i, k)
-        nbrs.append(idx)
-        group = np.vstack([pts[i], pts[idx]])
-        center = group.mean(axis=0)
-        q = group - center
-        if np.max(np.linalg.norm(group - group[0], axis=1)) < 1e-12 * max(cloud.bbox_diagonal, 1e-300):
-            raise RankDeficientNeighborhood(f"degenerate neighborhood around point {i}")
-        cov = q.T @ q
-        w, vec = np.linalg.eigh(cov)
-        normals[i] = vec[:, 0]
+    centers, neighbors, _, _ = cloud.neighbor_graph(k=k)
+    rows = neighbors.reshape(n, k + 1)
+    d = np.linalg.norm(pts[rows] - pts[:, None], axis=2)
+    flat = np.flatnonzero(d.max(axis=1) < 1e-12 * max(cloud.bbox_diagonal, 1e-300))
+    if len(flat):
+        raise RankDeficientNeighborhood(f"degenerate neighborhood around point {flat[0]}")
+    # nearest first, as the loop summed them (points at distance 0 are equal)
+    group = pts[np.take_along_axis(rows, np.lexsort((rows, d)), axis=1)]
+    group -= group.mean(axis=1)[:, None]
+    normals = np.linalg.eigh(group.transpose(0, 2, 1) @ group)[1][:, :, 0].copy()
 
     if orient_to is not None:
         ref = np.asarray(orient_to, dtype=float)
@@ -109,18 +120,15 @@ def estimate_normals_pca(cloud: PointCloud, k: int,
         return normals
 
     # symmetric kNN graph with angular-agreement weights
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        for j in nbrs[i]:
-            w = 1.0 - abs(float(np.dot(normals[i], normals[j]))) + 1e-12
-            rows.append(i)
-            cols.append(int(j))
-            vals.append(w)
+    other = centers != neighbors
+    rows, cols = centers[other], neighbors[other]
+    vals = 1.0 - np.abs(vector_dots(normals[rows], normals[cols])) + 1e-12
     graph = csr_matrix((vals, (rows, cols)), shape=(n, n))
     graph = graph.maximum(graph.T)
     mst = minimum_spanning_tree(graph)
     mst = mst.maximum(mst.T).tocsr()
 
+    # the orientation walk stays a loop: each flip depends on the one before
     ncomp, labels = connected_components(graph, directed=False)
     visited = np.zeros(n, dtype=bool)
     for comp in range(ncomp):
@@ -145,6 +153,7 @@ def estimate_normals_pca(cloud: PointCloud, k: int,
 # XYZ text IO: "x y z [nx ny nz]" per line
 
 def load_xyz(path) -> PointCloud:
+    """Load an ``.xyz`` file with at least one point."""
     pts, nrm = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh, start=1):
@@ -158,6 +167,8 @@ def load_xyz(path) -> PointCloud:
             pts.append(vals[:3])
             if len(vals) == 6:
                 nrm.append(vals[3:])
+    if not pts:
+        raise PointCloudError("no points")
     if nrm and len(nrm) != len(pts):
         raise PointCloudError("some lines carry normals, some do not")
     return PointCloud(np.array(pts).reshape(-1, 3),
@@ -165,12 +176,6 @@ def load_xyz(path) -> PointCloud:
 
 
 def save_xyz(cloud: PointCloud, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if cloud.normals is None:
-            for p in cloud.points:
-                fh.write(f"{p[0]:.9g} {p[1]:.9g} {p[2]:.9g}\n")
-        else:
-            for p, nv in zip(cloud.points, cloud.normals):
-                fh.write(f"{p[0]:.9g} {p[1]:.9g} {p[2]:.9g} "
-                         f"{nv[0]:.9g} {nv[1]:.9g} {nv[2]:.9g}\n")
+    columns = [cloud.points] if cloud.normals is None else [cloud.points, cloud.normals]
+    np.savetxt(path, np.hstack(columns), fmt="%.9g")
 

@@ -3,20 +3,32 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .kernels import Kernel
+from .meshcore import parse_key_values, scatter_rows, vector_dots
 from .pointcloud import PointCloud
 
-POINT_METHODS = (
-    "li_bilateral",
-    "zheng_guided_pc",
-    "digne_bilateral",
-    "zheng_rolling",
-    "yadav_vnvt",
-)
+
+def _gauss(x, sigma):
+    return np.exp(-(x * x) / (sigma * sigma))
+
+
+# method -> (argument x_ij: normal angle, |n_j - n_i| or that of guidance
+# normals, None for digne_bilateral, which only moves points; range weight
+# g(x, sigma); "auto" sigma_d of the spatial Gaussian: half the farthest
+# neighbour's distance, the mean positive distance, or no spatial factor)
+POINT_PRESET = {
+    "li_bilateral": ("angle", _gauss, "half_radius"),
+    "zheng_guided_pc": ("guidance", _gauss, "mean_distance"),
+    "digne_bilateral": (None, None, None),
+    "zheng_rolling": ("euclidean", _gauss, "mean_distance"),
+    "yadav_vnvt": ("angle", lambda x, sigma: Kernel("box", sigma).weight(x), None),
+}
+POINT_METHODS = tuple(POINT_PRESET)
 
 
 @dataclass(frozen=True)
@@ -42,25 +54,12 @@ class PointFilterSpec:
 
     # ---- flat key=value serialization (same format as FilterSpec) ----
     def to_text(self) -> str:
-        lines = {
-            "method": self.method,
-            "sigma": str(self.sigma),
-            "sigma_d": str(self.sigma_d),
-            "k": "none" if self.k is None else str(self.k),
-            "radius": "none" if self.radius is None else repr(self.radius),
-            "iterations": str(self.iterations),
-        }
-        return "".join(f"{k}={v}\n" for k, v in lines.items())
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return "".join(f"{k}={'none' if v is None else v}\n" for k, v in values)
 
     @classmethod
     def from_text(cls, text: str) -> "PointFilterSpec":
-        kv = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            k, v = line.split("=", 1)
-            kv[k.strip()] = v.strip()
+        kv = parse_key_values(text)
         def num(v):
             return v if v == "auto" else float(v)
         k = kv.get("k", "none")
@@ -73,92 +72,71 @@ class PointFilterSpec:
                    iterations=int(kv.get("iterations", 1)))
 
 
-def _neighborhoods(cloud: PointCloud, spec) -> list[np.ndarray]:
-    """Per-point neighbor indices including the point itself, ascending."""
-    out = []
-    for i in range(len(cloud)):
-        if spec.radius is not None:
-            idx = cloud.radius_neighbors(i, spec.radius, include_self=True)
-        else:
-            idx = np.sort(np.append(cloud.knn(i, min(spec.k, len(cloud) - 1)), i))
-        out.append(idx)
-    return out
-
-
-def _gauss(x, sigma):
-    return np.exp(-(x * x) / (sigma * sigma))
-
-
 def filter_point_normals(cloud: PointCloud, spec: PointFilterSpec) -> np.ndarray:
-    """Per-method weighted normal averaging, double-buffered across iterations."""
+    """Weighted normal averaging per the method's row of POINT_PRESET, double-buffered."""
     if cloud.normals is None:
         raise ValueError("cloud has no normals; estimate them first")
-    pts = cloud.points
+    argument, weight, spatial_rule = POINT_PRESET[spec.method]
     prev = cloud.normals.copy()
-    nbrs = _neighborhoods(cloud, spec)
+    if argument is None or not len(prev):
+        return prev
+    k = None if spec.radius is not None else min(spec.k, len(cloud) - 1)
+    centers, neighbors, starts, counts = cloud.neighbor_graph(k=k, radius=spec.radius)
+    d = np.linalg.norm(cloud.points[neighbors] - cloud.points[centers], axis=1)
+    spatial = 1.0
+    if spatial_rule is not None:
+        sd = spec.sigma_d
+        if sd == "auto" and spatial_rule == "half_radius":
+            r = np.maximum.reduceat(d, starts)
+            sd = np.where(r > 0, r, 1.0)[centers] / 2.0
+        elif sd == "auto":
+            n_pos = np.bincount(centers, weights=d > 0, minlength=len(prev))
+            total = np.bincount(centers, weights=d, minlength=len(prev))
+            sd = np.where(n_pos > 0, total / np.maximum(n_pos, 1), 1.0)[centers]
+        spatial = _gauss(d, sd)
 
     # Li's auto sigma: std of the angular variation, from the initial normals
     sigma = spec.sigma
     if sigma == "auto":
-        angs = []
-        for i, idx in enumerate(nbrs):
-            dots = np.clip(prev[idx] @ prev[i], -1.0, 1.0)
-            angs.append(np.arccos(dots))
-        sigma = float(np.std(np.concatenate(angs)))
-        sigma = max(sigma, 1e-6)
+        sigma = max(float(np.std(_angles(prev, neighbors, starts, counts))), 1e-6)
 
     for _ in range(spec.iterations):
-        guidance = None
-        if spec.method == "zheng_guided_pc":
-            guidance = _guidance_pc(cloud, prev, nbrs, spec)
-        new = np.empty_like(prev)
-        for i, idx in enumerate(nbrs):
-            d = np.linalg.norm(pts[idx] - pts[i], axis=1)
-            if spec.method == "li_bilateral":
-                x = np.arccos(np.clip(prev[idx] @ prev[i], -1.0, 1.0))
-                r = d.max() if d.max() > 0 else 1.0
-                sd = spec.sigma_d if spec.sigma_d != "auto" else r / 2.0
-                w = _gauss(x, sigma) * _gauss(d, sd)
-            elif spec.method == "zheng_guided_pc":
-                x = np.linalg.norm(guidance[idx] - guidance[i], axis=1)
-                sd = _auto_sd(spec, d)
-                w = _gauss(x, sigma) * _gauss(d, sd)
-            elif spec.method == "zheng_rolling":
-                x = np.linalg.norm(prev[idx] - prev[i], axis=1)
-                sd = _auto_sd(spec, d)
-                w = _gauss(x, sigma) * _gauss(d, sd)
-            elif spec.method == "yadav_vnvt":
-                x = np.arccos(np.clip(prev[idx] @ prev[i], -1.0, 1.0))
-                w = Kernel("box", sigma, box_floor=0.0).weight(x)
-            else:  # digne_bilateral smooths positions only; normals pass through
-                new[i] = prev[i]
-                continue
-            acc = (w[:, None] * prev[idx]).sum(axis=0)
-            nrm = np.linalg.norm(acc)
-            new[i] = acc / nrm if nrm > 1e-12 else prev[i]
-        prev = new
+        if argument == "angle":
+            x = _angles(prev, neighbors, starts, counts)
+        else:
+            # single-normal guidance: the distance-weighted mean normal
+            g = prev if argument == "euclidean" else \
+                _weighted_mean(prev, spatial, centers, neighbors)
+            x = np.linalg.norm(g[neighbors] - g[centers], axis=1)
+        prev = _weighted_mean(prev, weight(x, sigma) * spatial, centers, neighbors)
     return prev
 
 
-def _auto_sd(spec, d):
-    if spec.sigma_d != "auto":
-        return spec.sigma_d
-    pos = d[d > 0]
-    return float(pos.mean()) if len(pos) else 1.0
+def _angles(normals, neighbors, starts, counts):
+    """The angle between the normals of each pair. A point's dots are one
+    matrix-vector product, batched over the points with as many neighbours,
+    so they round as ``normals[row] @ normals[i]``: arccos near 1 would turn
+    another rounding of a point's dot with itself into an angle of 1e-8."""
+    dots = np.empty(len(neighbors))
+    for size in np.unique(counts):
+        rows = np.flatnonzero(counts == size)
+        pairs = starts[rows, None] + np.arange(size)
+        dots[pairs] = (normals[neighbors[pairs]] @ normals[rows, :, None])[:, :, 0]
+    return np.arccos(np.clip(dots, -1.0, 1.0))
 
 
-def _guidance_pc(cloud, prev, nbrs, spec):
-    """Distance-weighted mean normal per point (single-normal guidance)."""
-    pts = cloud.points
-    out = np.empty_like(prev)
-    for i, idx in enumerate(nbrs):
-        d = np.linalg.norm(pts[idx] - pts[i], axis=1)
-        sd = _auto_sd(spec, d)
-        w = _gauss(d, sd)
-        acc = (w[:, None] * prev[idx]).sum(axis=0)
-        nrm = np.linalg.norm(acc)
-        out[i] = acc / nrm if nrm > 1e-12 else prev[i]
-    return out
+def _weighted_mean(normals, w, centers, neighbors):
+    """Per point, the unit sum of its neighbours' normals under weights w;
+    a point whose sum vanishes keeps its normal."""
+    acc = scatter_rows(centers, w[:, None] * normals[neighbors], len(normals))
+    nrm = np.sqrt(vector_dots(acc, acc))
+    ok = nrm > 1e-12
+    return np.where(ok[:, None], acc / np.where(ok, nrm, 1.0)[:, None], normals)
+
+
+# Pairs per block of the position update (at least): 96 KiB per float
+# temporary of a block, so a large radius does not multiply the memory.
+_PAIR_BLOCK = 1 << 12
 
 
 def default_radius(cloud: PointCloud) -> float:
@@ -184,27 +162,34 @@ def update_point_positions(cloud: PointCloud, filtered_normals,
             radius = spec.radius
     if radius is None:
         radius = default_radius(cloud)
-    sigma_d = radius / 3.0
-    sigma = radius / 3.0
     pts = cloud.points.copy()
     warnings = 0
     for _ in range(iterations):
-        snapshot = PointCloud(pts)
-        new = pts.copy()
-        for i in range(len(pts)):
-            idx = snapshot.radius_neighbors(i, radius, include_self=True)
-            idx = idx[idx != i]
-            if len(idx) == 0:
-                warnings += 1
-                continue
-            rel = pts[idx] - pts[i]
-            d = np.linalg.norm(rel, axis=1)
-            h = np.einsum("ij,j->i", rel, n[i])
-            w = _gauss(d, sigma_d) * _gauss(np.abs(h), sigma)
-            denom = w.sum()
-            if denom <= 1e-300:
-                warnings += 1
-                continue
-            new[i] = pts[i] + (np.dot(w, h) / denom) * n[i]
-        pts = new
+        pts, stay = _position_step(pts, n, radius)
+        warnings += stay
     return pts, warnings
+
+
+def _position_step(pts, n, radius):
+    """One iteration over the point pairs within ``radius``, in blocks: the
+    new points, and how many stay for want of a neighbour or of weight. The
+    pairs are freed on return, before the next iteration queries its own."""
+    sigma_d = radius / 3.0
+    sigma = radius / 3.0
+    pairs = cKDTree(pts).query_pairs(radius, output_type="ndarray")
+    num = np.zeros(len(pts))
+    denom = np.zeros(len(pts))
+    # at least n pairs a block, so the bincounts do not outweigh the pairs
+    block = max(_PAIR_BLOCK, len(pts))
+    for lo in range(0, len(pairs), block):
+        i, j = pairs[lo:lo + block].T
+        rel = pts[j] - pts[i]
+        near = _gauss(np.linalg.norm(rel, axis=1), sigma_d)
+        for c, r in ((i, rel), (j, -rel)):  # each pair moves both its points
+            h = np.einsum("ij,ij->i", r, n[c])
+            w = near * _gauss(np.abs(h), sigma)
+            denom += np.bincount(c, weights=w, minlength=len(pts))
+            num += np.bincount(c, weights=w * h, minlength=len(pts))
+    ok = denom > 1e-300
+    new = np.where(ok[:, None], pts + (num / np.where(ok, denom, 1.0))[:, None] * n, pts)
+    return new, int(np.count_nonzero(~ok))

@@ -2,11 +2,13 @@
 against: mesh topology, neighbourhoods, curvature, dihedral feature edges,
 guidance normals, the filter engine with per-pass spatial weights, the
 vector medians and the median pass, the vertex update, Laplacian smoothing
-and the vertex weld.
+and the vertex weld; for point clouds the kNN and radius queries, PCA
+normals, the five point filters, the position update and the noise spacing.
 
-This is the straightforward face-by-face form of each computation. It is
-slow and kept only as a reference for the differential tests. Only the pair
-arguments run the same way in both and are imported from the library.
+This is the straightforward face-by-face (point-by-point) form of each
+computation. It is slow and kept only as a reference for the differential
+tests. Only the pair arguments and the kernels run the same way in both and
+are imported from the library.
 """
 
 from __future__ import annotations
@@ -15,9 +17,14 @@ import math
 from dataclasses import replace
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
+from scipy.spatial import cKDTree
 
+from denoisekit.kernels import Kernel
 from denoisekit.meshcore import NonManifoldError
 from denoisekit.meshfilter import _pair_arguments
+from denoisekit.pointcloud import RankDeficientNeighborhood
 
 
 def build_topology(faces, n_vertices) -> dict:
@@ -345,3 +352,216 @@ def weld(vertices, faces, decimals=9):
         if first[g] < 0:
             first[g] = i
     return v[first], inv[np.asarray(faces, dtype=np.int64)]
+
+
+# ----------------------------------------------------------------------
+# point clouds: one tree query per point
+
+def knn(tree, i, k) -> np.ndarray:
+    """The k nearest points to point i of the tree's points, excluding i
+    itself, sorted by distance with ties broken by ascending index."""
+    points = tree.data
+    n = len(points)
+    if not (1 <= k < n):
+        raise ValueError(f"k must be in [1, {n - 1}], got {k}")
+    d, idx = tree.query(points[i], k=min(n, k + 1))
+    d, idx = np.atleast_1d(d), np.atleast_1d(idx)
+    keep = idx != i
+    d, idx = d[keep], idx[keep]
+    if len(idx) > k:
+        d, idx = d[:k], idx[:k]
+    # re-query by radius so boundary ties resolve by index, not tree order
+    r = d[-1] * (1 + 1e-12) + 1e-300
+    cand = np.array([j for j in tree.query_ball_point(points[i], r) if j != i])
+    dc = np.linalg.norm(points[cand] - points[i], axis=1)
+    order = np.lexsort((cand, dc))
+    return cand[order][:k].astype(np.int64)
+
+
+def radius_neighbors(tree, i, r, include_self=False) -> np.ndarray:
+    idx = np.array(sorted(tree.query_ball_point(tree.data[i], r)), dtype=np.int64)
+    if not include_self:
+        idx = idx[idx != i]
+    return idx
+
+
+def point_neighborhoods(cloud, spec) -> list[np.ndarray]:
+    """Per-point neighbour indices including the point itself, ascending."""
+    tree = cKDTree(cloud.points)
+    out = []
+    for i in range(len(cloud)):
+        if spec.radius is not None:
+            idx = radius_neighbors(tree, i, spec.radius, include_self=True)
+        else:
+            idx = np.sort(np.append(knn(tree, i, min(spec.k, len(cloud) - 1)), i))
+        out.append(idx)
+    return out
+
+
+def estimate_normals_pca(cloud, k, orient_to=None) -> np.ndarray:
+    if k < 3:
+        raise ValueError("k must be >= 3")
+    n = len(cloud)
+    pts = cloud.points
+    normals = np.empty((n, 3))
+    nbrs = []
+    tree = cKDTree(pts)
+    for i in range(n):
+        idx = knn(tree, i, k)
+        nbrs.append(idx)
+        group = np.vstack([pts[i], pts[idx]])
+        center = group.mean(axis=0)
+        q = group - center
+        if np.max(np.linalg.norm(group - group[0], axis=1)) < 1e-12 * max(cloud.bbox_diagonal, 1e-300):
+            raise RankDeficientNeighborhood(f"degenerate neighborhood around point {i}")
+        cov = q.T @ q
+        w, vec = np.linalg.eigh(cov)
+        normals[i] = vec[:, 0]
+
+    if orient_to is not None:
+        ref = np.asarray(orient_to, dtype=float)
+        flip = np.einsum("ij,ij->i", normals, ref) < 0
+        normals[flip] *= -1
+        return normals
+
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        for j in nbrs[i]:
+            w = 1.0 - abs(float(np.dot(normals[i], normals[j]))) + 1e-12
+            rows.append(i)
+            cols.append(int(j))
+            vals.append(w)
+    graph = csr_matrix((vals, (rows, cols)), shape=(n, n))
+    graph = graph.maximum(graph.T)
+    mst = minimum_spanning_tree(graph)
+    mst = mst.maximum(mst.T).tocsr()
+
+    ncomp, labels = connected_components(graph, directed=False)
+    visited = np.zeros(n, dtype=bool)
+    for comp in range(ncomp):
+        members = np.flatnonzero(labels == comp)
+        seed = members[np.argmax(pts[members, 2])]
+        if normals[seed, 2] < 0:
+            normals[seed] *= -1
+        stack = [int(seed)]
+        visited[seed] = True
+        while stack:
+            i = stack.pop()
+            for j in mst.indices[mst.indptr[i]:mst.indptr[i + 1]]:
+                if not visited[j]:
+                    if np.dot(normals[i], normals[j]) < 0:
+                        normals[j] *= -1
+                    visited[j] = True
+                    stack.append(int(j))
+    return normals
+
+
+def _gauss(x, sigma):
+    return np.exp(-(x * x) / (sigma * sigma))
+
+
+def _auto_sd(spec, d):
+    if spec.sigma_d != "auto":
+        return spec.sigma_d
+    pos = d[d > 0]
+    return float(pos.mean()) if len(pos) else 1.0
+
+
+def _guidance_pc(cloud, prev, nbrs, spec):
+    """Distance-weighted mean normal per point (single-normal guidance)."""
+    pts = cloud.points
+    out = np.empty_like(prev)
+    for i, idx in enumerate(nbrs):
+        d = np.linalg.norm(pts[idx] - pts[i], axis=1)
+        sd = _auto_sd(spec, d)
+        w = _gauss(d, sd)
+        acc = (w[:, None] * prev[idx]).sum(axis=0)
+        nrm = np.linalg.norm(acc)
+        out[i] = acc / nrm if nrm > 1e-12 else prev[i]
+    return out
+
+
+def filter_point_normals(cloud, spec) -> np.ndarray:
+    """The five point filters as per-point branches."""
+    if cloud.normals is None:
+        raise ValueError("cloud has no normals; estimate them first")
+    pts = cloud.points
+    prev = cloud.normals.copy()
+    nbrs = point_neighborhoods(cloud, spec)
+
+    sigma = spec.sigma
+    if sigma == "auto":
+        angs = []
+        for i, idx in enumerate(nbrs):
+            dots = np.clip(prev[idx] @ prev[i], -1.0, 1.0)
+            angs.append(np.arccos(dots))
+        sigma = float(np.std(np.concatenate(angs)))
+        sigma = max(sigma, 1e-6)
+
+    for _ in range(spec.iterations):
+        guidance = None
+        if spec.method == "zheng_guided_pc":
+            guidance = _guidance_pc(cloud, prev, nbrs, spec)
+        new = np.empty_like(prev)
+        for i, idx in enumerate(nbrs):
+            d = np.linalg.norm(pts[idx] - pts[i], axis=1)
+            if spec.method == "li_bilateral":
+                x = np.arccos(np.clip(prev[idx] @ prev[i], -1.0, 1.0))
+                r = d.max() if d.max() > 0 else 1.0
+                sd = spec.sigma_d if spec.sigma_d != "auto" else r / 2.0
+                w = _gauss(x, sigma) * _gauss(d, sd)
+            elif spec.method == "zheng_guided_pc":
+                x = np.linalg.norm(guidance[idx] - guidance[i], axis=1)
+                sd = _auto_sd(spec, d)
+                w = _gauss(x, sigma) * _gauss(d, sd)
+            elif spec.method == "zheng_rolling":
+                x = np.linalg.norm(prev[idx] - prev[i], axis=1)
+                sd = _auto_sd(spec, d)
+                w = _gauss(x, sigma) * _gauss(d, sd)
+            elif spec.method == "yadav_vnvt":
+                x = np.arccos(np.clip(prev[idx] @ prev[i], -1.0, 1.0))
+                w = Kernel("box", sigma, box_floor=0.0).weight(x)
+            else:  # digne_bilateral smooths positions only; normals pass through
+                new[i] = prev[i]
+                continue
+            acc = (w[:, None] * prev[idx]).sum(axis=0)
+            nrm = np.linalg.norm(acc)
+            new[i] = acc / nrm if nrm > 1e-12 else prev[i]
+        prev = new
+    return prev
+
+
+def update_point_positions(cloud, filtered_normals, radius, iterations) -> tuple:
+    """The position update with one ball query per point per iteration."""
+    n = np.asarray(filtered_normals, dtype=float)
+    sigma_d = radius / 3.0
+    sigma = radius / 3.0
+    pts = cloud.points.copy()
+    warnings = 0
+    for _ in range(iterations):
+        tree = cKDTree(pts)
+        new = pts.copy()
+        for i in range(len(pts)):
+            idx = radius_neighbors(tree, i, radius)
+            if len(idx) == 0:
+                warnings += 1
+                continue
+            rel = pts[idx] - pts[i]
+            d = np.linalg.norm(rel, axis=1)
+            h = np.einsum("ij,j->i", rel, n[i])
+            w = _gauss(d, sigma_d) * _gauss(np.abs(h), sigma)
+            denom = w.sum()
+            if denom <= 1e-300:
+                warnings += 1
+                continue
+            new[i] = pts[i] + (np.dot(w, h) / denom) * n[i]
+        pts = new
+    return pts, warnings
+
+
+def noise_spacing(points) -> float:
+    """The mean nearest-neighbour distance that scales a cloud's noise."""
+    tree = cKDTree(points)
+    d = np.array([np.linalg.norm(points[knn(tree, i, 1)[0]] - points[i])
+                  for i in range(len(points))])
+    return float(d.mean())

@@ -96,6 +96,26 @@ def test_denoise_non_finite_xyz(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, text, message", [
+    ("empty.xyz", "# no points\n\n", "error: no points"),
+    ("empty.obj", "# no faces\nv 0 0 0\nv 1 0 0\nv 0 1 0\n", "error: no faces"),
+    ("empty.ply", "ply\nformat ascii 1.0\nelement vertex 0\nproperty float x\n"
+                  "property float y\nproperty float z\nelement face 0\nend_header\n",
+     "error: no faces"),
+])
+def test_denoise_empty_input(tmp_path, capsys, name, text, message):
+    """A file with no points (a cloud) or no faces (a mesh) exits 1 and
+    writes nothing."""
+    bad = tmp_path / name
+    bad.write_text(text)
+    out = tmp_path / ("o" + bad.suffix)
+    code = run("denoise", "--input", str(bad), "--method", "li-bilateral"
+               if bad.suffix == ".xyz" else "zheng-bilateral", "--output", str(out))
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_denoise_mesh_with_report(cube_obj, tmp_path):
     noisy = tmp_path / "noisy.obj"
     assert run("add-noise", "--input", str(cube_obj), "--sigma-factor", "0.3",

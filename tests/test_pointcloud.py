@@ -44,35 +44,53 @@ def test_bbox_diagonal():
 # ----------------------------------------------------------------------
 # queries
 
+def graph_row(cloud, i, **size):
+    """Row i of the cloud's neighbour graph: the point and its neighbours."""
+    _, neighbors, starts, counts = cloud.neighbor_graph(**size)
+    return neighbors[starts[i]:starts[i] + counts[i]].tolist()
+
+
 def test_knn_collinear_middle():
     c = PointCloud([[0, 0, 0], [1, 0, 0], [3, 0, 0]])
-    assert c.knn(1, 1).tolist() == [0]
+    assert graph_row(c, 1, k=1) == [0, 1]
 
 
 def test_knn_grid_center():
     pts = [[x, y, 0] for y in range(3) for x in range(3)]
     c = PointCloud(pts)
-    assert sorted(c.knn(4, 4).tolist()) == [1, 3, 5, 7]
+    assert graph_row(c, 4, k=4) == [1, 3, 4, 5, 7]
 
 
 def test_knn_duplicate_tie_by_index():
     c = PointCloud([[0, 0, 0], [5, 0, 0], [0, 0, 0], [0, 0, 0]])
-    assert c.knn(3, 1).tolist() == [0]
-    assert c.knn(0, 2).tolist() == [2, 3]
+    assert graph_row(c, 3, k=1) == [0, 3]
+    assert graph_row(c, 0, k=2) == [0, 2, 3]
 
 
 def test_knn_k_validation():
     c = PointCloud([[0, 0, 0], [1, 0, 0]])
     with pytest.raises(ValueError):
-        c.knn(0, 0)
+        c.neighbor_graph(k=0)
     with pytest.raises(ValueError):
-        c.knn(0, 2)
+        c.neighbor_graph(k=2)
+    with pytest.raises(ValueError):
+        c.neighbor_graph(k=1, radius=1.0)
 
 
 def test_radius_neighbors():
     c = PointCloud([[0, 0, 0], [1, 0, 0], [3, 0, 0]])
-    assert c.radius_neighbors(0, 1.5).tolist() == [1]
-    assert c.radius_neighbors(0, 1.5, include_self=True).tolist() == [0, 1]
+    assert graph_row(c, 0, radius=1.5) == [0, 1]
+    assert graph_row(c, 2, radius=1.5) == [2]
+
+
+def test_neighbor_graph_layout_and_cache():
+    c = PointCloud([[0, 0, 0], [1, 0, 0], [3, 0, 0]])
+    centers, neighbors, starts, counts = c.neighbor_graph(radius=2.0)
+    assert centers.tolist() == [0, 0, 1, 1, 1, 2, 2]
+    assert neighbors.tolist() == [0, 1, 0, 1, 2, 1, 2]
+    assert starts.tolist() == [0, 2, 5] and counts.tolist() == [2, 3, 2]
+    assert c.neighbor_graph(radius=2.0)[1] is neighbors
+    assert not neighbors.flags.writeable
 
 
 # ----------------------------------------------------------------------

@@ -63,6 +63,11 @@ def test_text_roundtrip(method):
     assert PointFilterSpec.from_text(spec.to_text()) == spec
 
 
+def test_from_text_names_the_bad_line():
+    with pytest.raises(ValueError, match="line 2: expected key=value"):
+        PointFilterSpec.from_text("method=li_bilateral\nbogus\n")
+
+
 # ----------------------------------------------------------------------
 # normal filtering
 
