@@ -263,20 +263,9 @@ def compare(ground_truth, candidate, feature_threshold_deg: float = 70.0,
         nc = candidate.face_normals if candidate_normals is None else candidate_normals
         errs = angular_errors_deg(ground_truth.face_normals, nc)
         vdist = np.linalg.norm(ground_truth.vertices - candidate.vertices, axis=1)
-        vb = ground_truth.volume()
-        va = candidate.volume()
-        feat = candidate.dihedral_feature_edges(feature_threshold_deg)
-        return MetricsReport(
-            mean_angular_error_deg=float(errs.mean()) if len(errs) else 0.0,
-            max_angular_error_deg=float(errs.max()) if len(errs) else 0.0,
-            mean_vertex_distance=float(vdist.mean()) if len(vdist) else 0.0,
-            volume_before=vb,
-            volume_after=va,
-            relative_volume_change=(va - vb) / vb if vb else 0.0,
-            feature_edge_count=int(len(feat)),
-            warnings=dict(warnings or {}),
-        )
-    if isinstance(ground_truth, PointCloud):
+        vb, va = ground_truth.volume(), candidate.volume()
+        features = len(candidate.dihedral_feature_edges(feature_threshold_deg))
+    elif isinstance(ground_truth, PointCloud):
         if len(ground_truth) != len(candidate):
             raise ValueError("clouds must share cardinality")
         if ground_truth.normals is not None and candidate.normals is not None:
@@ -284,14 +273,17 @@ def compare(ground_truth, candidate, feature_threshold_deg: float = 70.0,
         else:
             errs = np.zeros(0)
         vdist = np.linalg.norm(ground_truth.points - candidate.points, axis=1)
-        return MetricsReport(
-            mean_angular_error_deg=float(errs.mean()) if len(errs) else 0.0,
-            max_angular_error_deg=float(errs.max()) if len(errs) else 0.0,
-            mean_vertex_distance=float(vdist.mean()) if len(vdist) else 0.0,
-            volume_before=0.0,
-            volume_after=0.0,
-            relative_volume_change=0.0,
-            feature_edge_count=0,
-            warnings=dict(warnings or {}),
-        )
-    raise TypeError(type(ground_truth).__name__)
+        vb = va = 0.0  # a cloud has no volume
+        features = 0
+    else:
+        raise TypeError(type(ground_truth).__name__)
+    return MetricsReport(
+        mean_angular_error_deg=float(errs.mean()) if len(errs) else 0.0,
+        max_angular_error_deg=float(errs.max()) if len(errs) else 0.0,
+        mean_vertex_distance=float(vdist.mean()) if len(vdist) else 0.0,
+        volume_before=vb,
+        volume_after=va,
+        relative_volume_change=(va - vb) / vb if vb else 0.0,
+        feature_edge_count=features,
+        warnings=dict(warnings or {}),
+    )

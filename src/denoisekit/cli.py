@@ -15,32 +15,27 @@ comparable across methods.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import bench
 from .kernels import KERNEL_KINDS, Kernel, sample_table, samples_to_csv
-from .meshcore import MeshError, NeighborhoodSpec, TriMesh, load_mesh, save_mesh
-from .meshfilter import METHODS, PRESET, FilterSpec
+from .meshcore import MeshError, NeighborhoodSpec, load_mesh, save_mesh
+from .meshfilter import METHODS, POINT_METHODS, PRESET, FilterSpec
 from .pipeline import denoise_cloud, denoise_mesh
 from .pointcloud import PointCloud, PointCloudError, load_xyz, save_xyz
-from .pointfilter import POINT_METHODS, POINT_PRESET, PointFilterSpec
+from .pointfilter import PointFilterSpec
 
 MESH_METHODS_CLI = tuple(m.replace("_", "-") for m in METHODS)
 POINT_METHODS_CLI = tuple(m.replace("_", "-") for m in POINT_METHODS)
 
 # methods whose filter argument is an angle take --sigma in degrees
-ANGLE_SIGMA_METHODS = (
-    {m.replace("_", "-") for m, (_, arg, _) in PRESET.items()
-     if arg in ("angle", "angle_per_distance")}
-    | {m.replace("_", "-") for m, (arg, _, _) in POINT_PRESET.items() if arg == "angle"})
+ANGLE_SIGMA_METHODS = {m.replace("_", "-") for m, row in PRESET.items()
+                       if row.argument in ("angle", "angle_per_distance")}
 
 # the mesh presets with a pinned kernel
-EXPERIMENT_METHODS = tuple(m.replace("_", "-") for m in METHODS if PRESET[m][0] is not None)
+EXPERIMENT_METHODS = tuple(m.replace("_", "-") for m in METHODS if PRESET[m].kind is not None)
 
 
 class CliError(Exception):
@@ -71,16 +66,18 @@ def _sigmas(args) -> tuple:
 
 def _mesh_spec(args) -> FilterSpec:
     method = args.method.replace("-", "_")
+    if method not in METHODS:
+        raise CliError(f"unknown method {args.method!r}; valid: {', '.join(MESH_METHODS_CLI)}")
     sigma, sigma_d = _sigmas(args)
     nb = NeighborhoodSpec(args.neighborhood.replace("-", "_"),
                           radius=args.radius, include_self=True)
     kw = dict(neighborhood=nb, iterations=args.iters)
-    kind, _, bilateral = PRESET[method]
-    if bilateral:
+    row = PRESET[method]
+    if row.spatial == "gaussian":
         kw["spatial_sigma"] = sigma_d
-    if method == "gradient_descent":
+    if row.flavour == "gradient":
         kw["step_lambda"] = args.step_lambda
-    if kind is None:
+    if row.kind is None:
         kw["range_kernel"] = Kernel(args.kernel, sigma,
                                     box_floor=args.box_floor)
     return FilterSpec.preset(method, sigma=sigma, **kw)
@@ -117,13 +114,10 @@ def _cmd_denoise(args) -> int:
     warnings = {}
     if isinstance(obj, PointCloud):
         spec = _point_spec(args)
-        out, wcount = denoise_cloud(obj, spec, position_iterations=args.vertex_iters or 1,
+        out, wcount = denoise_cloud(obj, spec, position_iterations=args.vertex_iters,
                                     estimate_k=max(args.k or 12, 3))
         warnings["empty_neighborhoods"] = wcount
     else:
-        if args.method.replace("-", "_") not in METHODS:
-            raise CliError(f"unknown method {args.method!r}; "
-                           f"valid: {', '.join(MESH_METHODS_CLI)}")
         spec = _mesh_spec(args)
         out, field = denoise_mesh(obj, spec, vertex_iterations=args.vertex_iters,
                                   step=args.step)
@@ -151,8 +145,6 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_kernel_table(args) -> int:
-    if args.kernel not in KERNEL_KINDS:
-        raise CliError(f"unknown kernel {args.kernel!r}; valid: {', '.join(KERNEL_KINDS)}")
     kernel = Kernel(args.kernel, args.sigma, box_floor=args.box_floor)
     rows = sample_table(kernel, args.xmax, args.n)
     Path(args.out).write_text(samples_to_csv(rows))
@@ -160,13 +152,13 @@ def _cmd_kernel_table(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    if args.preset not in ("cube", "plane", "icosphere", "fandisk-like"):
-        raise CliError(f"unknown preset {args.preset!r}")
     methods = EXPERIMENT_METHODS if args.methods == "all" else \
         tuple(m.strip() for m in args.methods.split(","))
-    for m in methods:
-        if m.replace("-", "_") not in METHODS:
-            raise CliError(f"unknown method {m!r}; valid: {', '.join(MESH_METHODS_CLI)}")
+    specs = [(m, _mesh_spec(argparse.Namespace(
+        method=m, sigma=args.sigma_deg if m in ANGLE_SIGMA_METHODS else args.sigma,
+        sigma_d="auto", neighborhood=args.neighborhood, radius=None,
+        iters=args.iters, step_lambda=0.05, kernel="gaussian", box_floor=0.0)))
+        for m in methods]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     kind = "wedge" if args.preset == "fandisk-like" else args.preset
@@ -177,12 +169,7 @@ def _cmd_experiment(args) -> int:
     rows = ["method," + ",".join(bench.MetricsReport.CSV_FIELDS)]
     noisy_report = bench.compare(truth, noisy, args.feature_threshold)
     rows.append("noisy," + noisy_report.to_csv_row())
-    for m in methods:
-        margs = argparse.Namespace(
-            method=m, sigma=args.sigma_deg if m in ANGLE_SIGMA_METHODS else args.sigma,
-            sigma_d="auto", neighborhood=args.neighborhood, radius=None,
-            iters=args.iters, step_lambda=0.05, kernel="gaussian", box_floor=0.0)
-        spec = _mesh_spec(margs)
+    for m, spec in specs:
         out, field = denoise_mesh(noisy, spec, vertex_iterations=args.vertex_iters,
                                   step=args.step)
         report = bench.compare(truth, out, args.feature_threshold,
@@ -256,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_metrics)
 
     p = sub.add_parser("kernel-table", help="export sampled kernel curves as CSV")
-    p.add_argument("--kernel", required=True)
+    p.add_argument("--kernel", required=True, choices=KERNEL_KINDS)
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--box-floor", type=float, default=0.0)
     p.add_argument("--xmax", type=float, default=4.0)
@@ -266,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run the benchmark protocol across methods")
     p.add_argument("--preset", required=True,
-                   help="cube | plane | icosphere | fandisk-like")
+                   choices=("cube", "plane", "icosphere", "fandisk-like"))
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--noise", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -295,10 +282,7 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, MeshError, PointCloudError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (ValueError, MeshError, PointCloudError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -314,17 +314,70 @@ def vector_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def parse_key_values(text: str) -> dict:
-    """The ``key=value`` lines of a spec text; blank and ``#`` lines skipped."""
+def unit_rows(rows: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarray, int]:
+    """``rows`` scaled to unit length, each by the norm ``np.linalg.norm``
+    takes for one vector; a row of norm 1e-12 or less is replaced by that row
+    of ``fallback``. Returns (unit rows, number replaced)."""
+    nrm = np.sqrt(vector_dots(rows, rows))
+    ok = nrm > 1e-12
+    return (np.where(ok[:, None], rows / np.where(ok, nrm, 1.0)[:, None], fallback),
+            int(np.count_nonzero(~ok)))
+
+
+def weighted_unit_mean(normals, w, centers, neighbors) -> tuple[np.ndarray, int]:
+    """Per center, the unit sum of its neighbours' normals under the pair
+    weights ``w``; one whose sum vanishes keeps its normal (counted)."""
+    return unit_rows(scatter_rows(centers, w[:, None] * normals[neighbors], len(normals)),
+                     normals)
+
+
+def pair_angles(normals, neighbors, starts, counts) -> np.ndarray:
+    """The angle between the normals of each pair of a CSR graph. A center's
+    dots are one matrix-vector product, batched over the centers with as many
+    neighbours, so they round as ``normals[row] @ normals[i]``: arccos near 1
+    would turn another rounding of a normal's dot with itself into 1e-8."""
+    dots = np.empty(len(neighbors))
+    for size in np.unique(counts):
+        rows = np.flatnonzero(counts == size)
+        pairs = starts[rows, None] + np.arange(size)
+        dots[pairs] = (normals[neighbors[pairs]] @ normals[rows, :, None])[:, :, 0]
+    return np.arccos(np.clip(dots, -1.0, 1.0))
+
+
+def mean_positive_distance(d, centers, n: int) -> np.ndarray:
+    """Per pair, the mean of the positive pair distances ``d`` of its center
+    (one of ``n``), or 1 where the center has none."""
+    pos = d > 0
+    n_pos = np.bincount(centers[pos], minlength=n)
+    total = np.bincount(centers[pos], weights=d[pos], minlength=n)
+    return np.where(n_pos > 0, total / np.maximum(n_pos, 1), 1.0)[centers]
+
+
+def check_positive(name: str, value) -> None:
+    """Raise ValueError unless a spec value is None, "auto" or finite and > 0."""
+    if value not in (None, "auto") and (isinstance(value, str) or not 0 < value < math.inf):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def parse_key_values(text: str, keys) -> dict:
+    """The ``key=value`` lines of a spec text; blank and ``#`` lines are
+    skipped, and a key not in ``keys`` is an error."""
     kv = {}
     for ln, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if line and not line.startswith("#"):
-            k, eq, v = line.partition("=")
+            k, eq, v = (part.strip() for part in line.partition("="))
             if not eq:
                 raise ValueError(f"line {ln}: expected key=value")
-            kv[k.strip()] = v.strip()
+            if k not in keys:
+                raise ValueError(f"line {ln}: unknown key {k!r}")
+            kv[k] = v
     return kv
+
+
+def text_value(text: str, convert=float):
+    """A spec-text value: None for "none", "auto" as it is, else convert(text)."""
+    return None if text == "none" else text if text == "auto" else convert(text)
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Point-set normal filters and the normal-driven point position update."""
+"""Point-set normal filters (the "points" rows of ``meshfilter.PRESET``) and
+the normal-driven point position update."""
 
 from __future__ import annotations
 
@@ -9,7 +10,9 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .kernels import Kernel
-from .meshcore import parse_key_values, scatter_rows, vector_dots
+from .meshcore import (check_positive, mean_positive_distance, pair_angles, parse_key_values,
+                       text_value, weighted_unit_mean)
+from .meshfilter import POINT_METHODS, PRESET, pair_argument, smooth_normals
 from .pointcloud import PointCloud
 
 
@@ -17,24 +20,10 @@ def _gauss(x, sigma):
     return np.exp(-(x * x) / (sigma * sigma))
 
 
-# method -> (argument x_ij: normal angle, |n_j - n_i| or that of guidance
-# normals, None for digne_bilateral, which only moves points; range weight
-# g(x, sigma); "auto" sigma_d of the spatial Gaussian: half the farthest
-# neighbour's distance, the mean positive distance, or no spatial factor)
-POINT_PRESET = {
-    "li_bilateral": ("angle", _gauss, "half_radius"),
-    "zheng_guided_pc": ("guidance", _gauss, "mean_distance"),
-    "digne_bilateral": (None, None, None),
-    "zheng_rolling": ("euclidean", _gauss, "mean_distance"),
-    "yadav_vnvt": ("angle", lambda x, sigma: Kernel("box", sigma).weight(x), None),
-}
-POINT_METHODS = tuple(POINT_PRESET)
-
-
 @dataclass(frozen=True)
 class PointFilterSpec:
     method: str
-    sigma: float | str = "auto"       # "auto" only for li_bilateral
+    sigma: float | str = "auto"       # "auto" only where the method's row allows it
     sigma_d: float | str = "auto"
     k: int | None = 12                # kNN size; or use radius
     radius: float | None = None
@@ -45,10 +34,10 @@ class PointFilterSpec:
             raise ValueError(f"unknown method {self.method!r}; valid: {POINT_METHODS}")
         if self.k is None and self.radius is None:
             raise ValueError("set k or radius")
-        if self.sigma == "auto" and self.method not in ("li_bilateral", "digne_bilateral"):
-            raise ValueError("sigma='auto' is only defined for li_bilateral/digne_bilateral")
-        if not isinstance(self.sigma, str) and not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if self.sigma == "auto" and not PRESET[self.method].auto_sigma:
+            raise ValueError(f"sigma='auto' is not defined for {self.method}")
+        for name in ("sigma", "sigma_d", "radius"):
+            check_positive(name, getattr(self, name))
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
 
@@ -59,79 +48,44 @@ class PointFilterSpec:
 
     @classmethod
     def from_text(cls, text: str) -> "PointFilterSpec":
-        kv = parse_key_values(text)
-        def num(v):
-            return v if v == "auto" else float(v)
-        k = kv.get("k", "none")
-        r = kv.get("radius", "none")
-        return cls(method=kv["method"],
-                   sigma=num(kv.get("sigma", "auto")),
-                   sigma_d=num(kv.get("sigma_d", "auto")),
-                   k=None if k == "none" else int(k),
-                   radius=None if r == "none" else float(r),
-                   iterations=int(kv.get("iterations", 1)))
+        kv = parse_key_values(text, [f.name for f in fields(cls)])
+        kinds = {"method": str, "k": int, "iterations": int}
+        return cls(**{key: text_value(v, kinds.get(key, float)) for key, v in kv.items()})
 
 
 def filter_point_normals(cloud: PointCloud, spec: PointFilterSpec) -> np.ndarray:
-    """Weighted normal averaging per the method's row of POINT_PRESET, double-buffered."""
+    """The method's row of ``PRESET`` run by ``smooth_normals`` on the kNN or
+    radius graph, each point in its own neighbourhood. With sigma="auto"
+    (Li's filter), sigma is the standard deviation of the angles of all pairs
+    of the graph on the input normals, each point's zero angle with itself
+    included."""
     if cloud.normals is None:
         raise ValueError("cloud has no normals; estimate them first")
-    argument, weight, spatial_rule = POINT_PRESET[spec.method]
+    row = PRESET[spec.method]
     prev = cloud.normals.copy()
-    if argument is None or not len(prev):
+    if row.flavour is None or not len(prev):
         return prev
     k = None if spec.radius is not None else min(spec.k, len(cloud) - 1)
-    centers, neighbors, starts, counts = cloud.neighbor_graph(k=k, radius=spec.radius)
+    graph = centers, neighbors, starts, counts = cloud.neighbor_graph(k=k, radius=spec.radius)
     d = np.linalg.norm(cloud.points[neighbors] - cloud.points[centers], axis=1)
     spatial = 1.0
-    if spatial_rule is not None:
+    if row.spatial is not None:
         sd = spec.sigma_d
-        if sd == "auto" and spatial_rule == "half_radius":
+        if sd == "auto" and row.spatial == "half_radius":
             r = np.maximum.reduceat(d, starts)
             sd = np.where(r > 0, r, 1.0)[centers] / 2.0
         elif sd == "auto":
-            n_pos = np.bincount(centers, weights=d > 0, minlength=len(prev))
-            total = np.bincount(centers, weights=d, minlength=len(prev))
-            sd = np.where(n_pos > 0, total / np.maximum(n_pos, 1), 1.0)[centers]
+            sd = mean_positive_distance(d, centers, len(prev))
         spatial = _gauss(d, sd)
-
-    # Li's auto sigma: std of the angular variation, from the initial normals
     sigma = spec.sigma
     if sigma == "auto":
-        sigma = max(float(np.std(_angles(prev, neighbors, starts, counts))), 1e-6)
-
-    for _ in range(spec.iterations):
-        if argument == "angle":
-            x = _angles(prev, neighbors, starts, counts)
-        else:
-            # single-normal guidance: the distance-weighted mean normal
-            g = prev if argument == "euclidean" else \
-                _weighted_mean(prev, spatial, centers, neighbors)
-            x = np.linalg.norm(g[neighbors] - g[centers], axis=1)
-        prev = _weighted_mean(prev, weight(x, sigma) * spatial, centers, neighbors)
-    return prev
-
-
-def _angles(normals, neighbors, starts, counts):
-    """The angle between the normals of each pair. A point's dots are one
-    matrix-vector product, batched over the points with as many neighbours,
-    so they round as ``normals[row] @ normals[i]``: arccos near 1 would turn
-    another rounding of a point's dot with itself into an angle of 1e-8."""
-    dots = np.empty(len(neighbors))
-    for size in np.unique(counts):
-        rows = np.flatnonzero(counts == size)
-        pairs = starts[rows, None] + np.arange(size)
-        dots[pairs] = (normals[neighbors[pairs]] @ normals[rows, :, None])[:, :, 0]
-    return np.arccos(np.clip(dots, -1.0, 1.0))
-
-
-def _weighted_mean(normals, w, centers, neighbors):
-    """Per point, the unit sum of its neighbours' normals under weights w;
-    a point whose sum vanishes keeps its normal."""
-    acc = scatter_rows(centers, w[:, None] * normals[neighbors], len(normals))
-    nrm = np.sqrt(vector_dots(acc, acc))
-    ok = nrm > 1e-12
-    return np.where(ok[:, None], acc / np.where(ok, nrm, 1.0)[:, None], normals)
+        sigma = max(float(np.std(pair_angles(prev, neighbors, starts, counts))), 1e-6)
+    weight = (lambda x: _gauss(x, sigma)) if row.kind == "gaussian" else \
+        Kernel(row.kind, sigma, box_floor=row.floor).weight
+    # single-normal guidance: the distance-weighted mean normal
+    argument = pair_argument(row.argument, graph,
+                             lambda n: weighted_unit_mean(n, spatial, centers, neighbors)[0])
+    return smooth_normals(prev, spec.iterations, graph, argument, weight, spatial)[0]
 
 
 # Pairs per block of the position update (at least): 96 KiB per float
@@ -153,13 +107,12 @@ def update_point_positions(cloud: PointCloud, filtered_normals,
     The offset is the weighted mean of the plane-distances of neighbors,
     with a Gaussian spatial weight (sigma_d = r/3) and a Gaussian weight on
     the plane distance itself (sigma = r/3 by default, matching the
-    equal-radii heuristic). Returns (new points, empty-neighborhood count).
+    equal-radii heuristic). ``iterations`` steps are taken; a spec only
+    supplies its radius. Returns (new points, empty-neighborhood count).
     """
     n = np.asarray(filtered_normals, dtype=float)
-    if spec is not None:
-        iterations = spec.iterations
-        if spec.radius is not None:
-            radius = spec.radius
+    if spec is not None and spec.radius is not None:
+        radius = spec.radius
     if radius is None:
         radius = default_radius(cloud)
     pts = cloud.points.copy()
@@ -174,8 +127,7 @@ def _position_step(pts, n, radius):
     """One iteration over the point pairs within ``radius``, in blocks: the
     new points, and how many stay for want of a neighbour or of weight. The
     pairs are freed on return, before the next iteration queries its own."""
-    sigma_d = radius / 3.0
-    sigma = radius / 3.0
+    sigma = radius / 3.0  # of the spatial and the plane-distance Gaussian alike
     pairs = cKDTree(pts).query_pairs(radius, output_type="ndarray")
     num = np.zeros(len(pts))
     denom = np.zeros(len(pts))
@@ -184,7 +136,7 @@ def _position_step(pts, n, radius):
     for lo in range(0, len(pairs), block):
         i, j = pairs[lo:lo + block].T
         rel = pts[j] - pts[i]
-        near = _gauss(np.linalg.norm(rel, axis=1), sigma_d)
+        near = _gauss(np.linalg.norm(rel, axis=1), sigma)
         for c, r in ((i, rel), (j, -rel)):  # each pair moves both its points
             h = np.einsum("ij,ij->i", r, n[c])
             w = near * _gauss(np.abs(h), sigma)

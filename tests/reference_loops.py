@@ -7,8 +7,8 @@ normals, the five point filters, the position update and the noise spacing.
 
 This is the straightforward face-by-face (point-by-point) form of each
 computation. It is slow and kept only as a reference for the differential
-tests. Only the pair arguments and the kernels run the same way in both and
-are imported from the library.
+tests. Only the kernels run the same way in both and are imported from the
+library.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from scipy.spatial import cKDTree
 
 from denoisekit.kernels import Kernel
 from denoisekit.meshcore import NonManifoldError
-from denoisekit.meshfilter import _pair_arguments
 from denoisekit.pointcloud import RankDeficientNeighborhood
 
 
@@ -219,6 +218,24 @@ def _flat_neighbors(nbr_lists):
     counts = np.array([len(nb) for nb in nbr_lists], dtype=np.int64)
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
     return centers, flat, starts, counts
+
+
+def _pair_arguments(spec, mesh, prev, centers, flat, kappa_face=None, guidance=None):
+    """Per-pair filter argument x_ij for the flattened neighbor structure."""
+    if spec.argument == "euclidean":
+        return np.linalg.norm(prev[centers] - prev[flat], axis=1)
+    if spec.argument in ("angle", "angle_per_distance"):
+        ang = np.arccos(np.clip(np.einsum("ij,ij->i", prev[centers], prev[flat]), -1.0, 1.0))
+        if spec.argument == "angle":
+            return ang
+        d = np.linalg.norm(mesh.face_centroids[centers] - mesh.face_centroids[flat], axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(d > 0, ang / np.where(d > 0, d, 1.0), 0.0)
+    if spec.argument == "curvature_edge":
+        return kappa_face[flat] * mesh.avg_edge_length
+    if spec.argument == "guidance":
+        return np.linalg.norm(guidance[centers] - guidance[flat], axis=1)
+    raise AssertionError(spec.argument)
 
 
 def _substitute_nan(w, starts, counts):

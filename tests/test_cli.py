@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from denoisekit import load_mesh, load_xyz, make_plane, save_xyz, PointCloud
+from denoisekit import add_noise, load_mesh, load_xyz, make_cube, save_mesh, save_xyz, PointCloud
+from denoisekit import cli
 from denoisekit.cli import main
+from denoisekit.meshfilter import METHODS, POINT_METHODS
 
 
 def run(*argv):
@@ -169,6 +171,65 @@ def test_denoise_point_cloud(tmp_path):
     cloud = load_xyz(out)
     assert len(cloud) == len(pts)
     assert cloud.normals is not None
+
+
+def test_denoise_cloud_honours_vertex_iters(tmp_path):
+    """--vertex-iters sets the point-position iterations, apart from --iters
+    (the normal passes): the normals agree, the positions do not."""
+    rng = np.random.Generator(np.random.Philox(key=5))
+    p = rng.normal(size=(300, 3))
+    src = tmp_path / "sphere.xyz"
+    save_xyz(add_noise(PointCloud(p / np.linalg.norm(p, axis=1)[:, None]), 0.3, 42), src)
+    outs = []
+    for vertex_iters in ("1", "5"):
+        out = tmp_path / f"o{vertex_iters}.xyz"
+        assert run("denoise", "--input", str(src), "--method", "li-bilateral", "--sigma", "20",
+                   "--iters", "1", "--vertex-iters", vertex_iters, "--output", str(out)) == 0
+        outs.append(load_xyz(out))
+    assert np.array_equal(outs[0].normals, outs[1].normals)
+    assert np.max(np.abs(outs[0].points - outs[1].points)) > 1e-4
+
+
+@pytest.mark.parametrize("kind, flag, value, message", [
+    ("mesh", "--sigma-d", "0", "spatial_sigma must be finite and > 0"),
+    ("mesh", "--sigma-d", "-0.2", "spatial_sigma must be finite and > 0"),
+    ("cloud", "--sigma-d", "0", "sigma_d must be finite and > 0"),
+    ("cloud", "--radius", "0", "radius must be finite and > 0"),
+])
+def test_denoise_non_positive_spatial_scale(tmp_path, capsys, kind, flag, value, message):
+    """A zero spatial sigma or radius exits 1 and writes nothing, instead of
+    leaving every normal in place behind zero-weight sums."""
+    if kind == "mesh":
+        src, method, out = tmp_path / "noisy.obj", "zheng-bilateral", tmp_path / "o.obj"
+        save_mesh(add_noise(make_cube(6), 0.3, 42), src)
+    else:
+        src, method, out = tmp_path / "noisy.xyz", "li-bilateral", tmp_path / "o.xyz"
+        save_xyz(add_noise(PointCloud(make_cube(6).vertices), 0.3, 42), src)
+    code = run("denoise", "--input", str(src), "--method", method, flag, value,
+               "--iters", "3", "--output", str(out))
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_method_lists_are_pinned():
+    """The lists derived from the method table, spelled out: perfbench and
+    the rows of an experiment's summary.csv follow EXPERIMENT_METHODS."""
+    assert METHODS == (
+        "generic_unilateral", "generic_bilateral", "belyaev_ohtake", "yagou_mean",
+        "yagou_median", "yagou_weighted_median", "yadav_box_2017", "shen_fuzzy_median",
+        "tasdizen", "centin_signoroni", "zheng_bilateral", "zhang_guided",
+        "yadav_tukey_2018", "gradient_descent")
+    assert POINT_METHODS == ("li_bilateral", "zheng_guided_pc", "digne_bilateral",
+                             "zheng_rolling", "yadav_vnvt")
+    assert cli.EXPERIMENT_METHODS == (
+        "belyaev-ohtake", "yagou-mean", "yagou-median", "yagou-weighted-median",
+        "yadav-box-2017", "shen-fuzzy-median", "tasdizen", "centin-signoroni",
+        "zheng-bilateral", "zhang-guided", "yadav-tukey-2018")
+    assert cli.ANGLE_SIGMA_METHODS == {"belyaev-ohtake", "li-bilateral", "tasdizen",
+                                       "yadav-box-2017", "yadav-vnvt"}
+    doc = " ".join(cli.__doc__.split())
+    assert "(yadav-box-2017, tasdizen, belyaev-ohtake, li-bilateral, yadav-vnvt) take" in doc
 
 
 def test_metrics_stdout(cube_obj, capsys):

@@ -90,6 +90,23 @@ def test_from_text_bad_line():
         FilterSpec.from_text("method=generic_unilateral\nbogus\n")
 
 
+def test_from_text_rejects_unknown_key():
+    """A misspelt key is an error, not a silent default."""
+    text = preset("zheng_bilateral", iterations=20).to_text().replace("iterations=", "iteratons=")
+    with pytest.raises(ValueError, match="line 10: unknown key 'iteratons'"):
+        FilterSpec.from_text(text)
+
+
+@pytest.mark.parametrize("value", [0.0, -0.5, math.inf, math.nan, "0.5"])
+def test_spatial_sigma_must_be_finite_and_positive(value):
+    """Zero gave zero weights everywhere and a negative value acted as its
+    absolute value; only "auto", None or a finite number > 0 pass."""
+    with pytest.raises(ValueError, match="spatial_sigma must be finite and > 0"):
+        preset("zheng_bilateral", spatial_sigma=value)
+    for ok in ("auto", 0.2):
+        preset("zheng_bilateral", spatial_sigma=ok)
+
+
 # ----------------------------------------------------------------------
 # vector medians
 

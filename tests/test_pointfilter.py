@@ -57,6 +57,20 @@ def test_iterations_positive():
         PointFilterSpec("li_bilateral", iterations=0)
 
 
+@pytest.mark.parametrize("value", [0.0, -0.1, math.inf, math.nan])
+def test_sigma_d_must_be_finite_and_positive(value):
+    with pytest.raises(ValueError, match="sigma_d must be finite and > 0"):
+        PointFilterSpec("li_bilateral", sigma_d=value)
+    PointFilterSpec("li_bilateral", sigma_d=0.1)
+
+
+@pytest.mark.parametrize("value", [0.0, -0.1, math.inf, math.nan])
+def test_radius_must_be_finite_and_positive(value):
+    with pytest.raises(ValueError, match="radius must be finite and > 0"):
+        PointFilterSpec("li_bilateral", k=None, radius=value)
+    PointFilterSpec("li_bilateral", k=None, radius=0.1)
+
+
 @pytest.mark.parametrize("method", POINT_METHODS)
 def test_text_roundtrip(method):
     spec = PointFilterSpec(method, sigma=SIGMAS[method], k=8, iterations=2)
@@ -66,6 +80,13 @@ def test_text_roundtrip(method):
 def test_from_text_names_the_bad_line():
     with pytest.raises(ValueError, match="line 2: expected key=value"):
         PointFilterSpec.from_text("method=li_bilateral\nbogus\n")
+
+
+def test_from_text_rejects_unknown_key():
+    text = PointFilterSpec("li_bilateral", iterations=3).to_text().replace("iterations=",
+                                                                           "iteratons=")
+    with pytest.raises(ValueError, match="line 6: unknown key 'iteratons'"):
+        PointFilterSpec.from_text(text)
 
 
 # ----------------------------------------------------------------------
