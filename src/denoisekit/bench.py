@@ -195,8 +195,8 @@ def _noise_displacements(n: int, sigma: float, seed: int) -> np.ndarray:
 def add_noise(obj, sigma_factor: float, seed: int):
     """Return a noisy copy; amplitude is sigma_factor times the average edge
     length (meshes) or the mean nearest-neighbor spacing (clouds)."""
-    if sigma_factor < 0:
-        raise ValueError("sigma_factor must be >= 0")
+    if not 0 <= sigma_factor < math.inf:
+        raise ValueError(f"sigma_factor must be finite and >= 0, got {sigma_factor}")
     if isinstance(obj, TriMesh):
         sigma = sigma_factor * obj.avg_edge_length
         disp = _noise_displacements(len(obj.vertices), sigma, seed) if sigma_factor else 0.0

@@ -110,6 +110,8 @@ def _cmd_add_noise(args) -> int:
 
 
 def _cmd_denoise(args) -> int:
+    if args.report and not args.ground_truth:
+        raise CliError("--report needs --ground-truth")
     obj = _load_any(args.input)
     warnings = {}
     if isinstance(obj, PointCloud):
@@ -124,8 +126,6 @@ def _cmd_denoise(args) -> int:
         warnings["zero_weight_sums"] = field.zero_weight_warnings
     _save_any(out, args.output)
     if args.report:
-        if not args.ground_truth:
-            raise CliError("--report needs --ground-truth")
         gt = _load_any(args.ground_truth)
         report = bench.compare(gt, out, args.feature_threshold, warnings=warnings)
         Path(args.report).write_text(report.to_json() + "\n")

@@ -57,8 +57,8 @@ class Kernel:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}; valid: {KERNEL_KINDS}")
-        if not (self.sigma > 0):
-            raise ValueError(f"kernel sigma must be > 0, got {self.sigma}")
+        if not (0 < self.sigma < math.inf):
+            raise ValueError(f"kernel sigma must be finite and > 0, got {self.sigma}")
         if not (0.0 <= self.box_floor <= 1.0):
             raise ValueError(f"box_floor must be in [0, 1], got {self.box_floor}")
 

@@ -1,11 +1,14 @@
 """Triangle mesh container, OBJ/PLY IO and derived quantities.
 
 The mesh stores vertices and faces as numpy arrays and caches per-face
-normals, centroids and areas. Face neighbourhoods are one CSR graph per
-:class:`NeighborhoodSpec`, built on first use; the per-vertex and per-face
-adjacency lists are views built from the same arrays on first access. Face
-fields are rebuilt explicitly via :meth:`TriMesh.recompute_face_fields`
-after vertex edits.
+normals, centroids and areas. Every adjacency, the face graph per
+:class:`NeighborhoodSpec`, the vertex one-ring and the point graphs of
+``pointcloud``, is built on first use by one CSR builder, :func:`csr_graph`.
+Three list views remain, each a split of CSR rows: ``neighbor_lists`` and
+``face_adjacency_vertex``, which the benchmark's probes call, and
+``edge_faces``, which acceptance criterion 5 and the walkthrough demo use.
+Face fields are rebuilt explicitly via
+:meth:`TriMesh.recompute_face_fields` after vertex edits.
 """
 
 from __future__ import annotations
@@ -50,8 +53,9 @@ class NeighborhoodSpec:
     def __post_init__(self):
         if self.mode not in ("shared_vertex", "shared_edge", "radius"):
             raise ValueError(f"unknown neighborhood mode {self.mode!r}")
-        if self.mode == "radius" and not (self.radius and self.radius > 0):
-            raise ValueError("radius mode needs a positive radius")
+        if self.mode == "radius" and self.radius in (None, "auto"):
+            raise ValueError("radius mode needs a radius")
+        check_positive("radius", self.radius)
 
 
 class TriMesh:
@@ -73,7 +77,7 @@ class TriMesh:
         """Unique undirected edges, the edge of each half-edge, faces per edge.
 
         Half-edge ``k * F + f`` is side k (v0v1, v1v2, v2v0) of face f. The
-        neighbourhood graphs and list views are derived from these on first use.
+        neighbourhood graphs are derived from these on first use.
         """
         nv = len(self.vertices)
         f = self.faces
@@ -108,17 +112,10 @@ class TriMesh:
             keys = _group_pair_keys(self.faces.ravel(), np.repeat(face, 3), nf)
         else:
             keys = self._radius_pair_keys(spec.radius)
-        # key c * F + n encodes the pair (c, n); the self pairs are c * (F + 1)
+        # key c * F + n encodes the pair (c, n); the self pairs are c * (F + 1),
+        # the only keys that F + 1 divides
         keys = _distinct(np.concatenate([keys, face * (nf + 1)]))
-        centers, neighbors = np.divmod(keys, max(nf, 1))
-        if not spec.include_self:
-            other = centers != neighbors
-            centers, neighbors = centers[other], neighbors[other]
-        counts = np.bincount(centers, minlength=nf)
-        starts = np.cumsum(counts) - counts
-        for a in (centers, neighbors, starts, counts):
-            a.flags.writeable = False
-        return centers, neighbors, starts, counts
+        return csr_graph(keys if spec.include_self else keys[keys % (nf + 1) != 0], nf)
 
     def _radius_pair_keys(self, radius: float) -> np.ndarray:
         """Keys of the face pairs whose centroids lie within ``radius``."""
@@ -135,6 +132,14 @@ class TriMesh:
         i, j = i[near], j[near]
         return np.concatenate([i * nf + j, j * nf + i])
 
+    @cached_property
+    def vertex_graph(self):
+        """The one-ring of each vertex as read-only CSR arrays, laid out as
+        in :meth:`neighbor_graph`."""
+        nv = len(self.vertices)
+        a, b = self.edges[:, 0], self.edges[:, 1]
+        return csr_graph(_distinct(np.concatenate([a * nv + b, b * nv + a])), nv)
+
     # list views, built on first access
 
     @cached_property
@@ -150,35 +155,6 @@ class TriMesh:
         flat = self._edge_face_flat.tolist()
         ends = np.cumsum(self._edge_face_count).tolist()
         return [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
-
-    @cached_property
-    def vertex_faces(self) -> list[np.ndarray]:
-        """Sorted faces incident to each vertex."""
-        corners = self.faces.ravel()
-        faces = np.argsort(corners, kind="stable") // 3
-        return _split(faces, np.bincount(corners, minlength=len(self.vertices)))
-
-    @cached_property
-    def vertex_ring_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(vertices, ring)``: one entry per (vertex, one-ring vertex) pair,
-        in ascending vertex order and ascending ring order within a vertex."""
-        nv = len(self.vertices)
-        a, b = self.edges[:, 0], self.edges[:, 1]
-        pairs = np.divmod(_distinct(np.concatenate([a * nv + b, b * nv + a])), max(nv, 1))
-        for x in pairs:
-            x.flags.writeable = False
-        return pairs
-
-    @cached_property
-    def vertex_ring(self) -> list[np.ndarray]:
-        """Sorted one-ring vertices of each vertex."""
-        rows, ring = self.vertex_ring_pairs
-        return _split(ring, np.bincount(rows, minlength=len(self.vertices)))
-
-    @cached_property
-    def face_adjacency_edge(self) -> list[np.ndarray]:
-        """Sorted faces sharing an edge with each face (itself excluded)."""
-        return self.neighbor_lists(NeighborhoodSpec("shared_edge", include_self=False))
 
     @cached_property
     def face_adjacency_vertex(self) -> list[np.ndarray]:
@@ -218,14 +194,6 @@ class TriMesh:
 
     # ------------------------------------------------------------------
     # queries
-
-    def face_neighbors(self, face_index: int, spec: NeighborhoodSpec) -> np.ndarray:
-        """Sorted neighbor faces of ``face_index`` per the spec."""
-        if not (0 <= face_index < len(self.faces)):
-            raise IndexError(face_index)
-        _, neighbors, starts, counts = self.neighbor_graph(spec)
-        s = starts[face_index]
-        return neighbors[s:s + counts[face_index]]
 
     def neighbor_lists(self, spec: NeighborhoodSpec) -> list[np.ndarray]:
         _, neighbors, _, counts = self.neighbor_graph(spec)
@@ -286,6 +254,18 @@ class TriMesh:
 
     def copy(self) -> "TriMesh":
         return TriMesh(self.vertices.copy(), self.faces.copy(), validate=False)
+
+
+def csr_graph(keys: np.ndarray, n: int):
+    """The read-only CSR arrays ``(centers, neighbors, starts, counts)`` of
+    the sorted distinct pair keys ``c * n + j`` of ``n`` centers: center c's
+    neighbours are ``neighbors[starts[c]:starts[c] + counts[c]]``."""
+    centers, neighbors = np.divmod(keys, max(n, 1))
+    counts = np.bincount(centers, minlength=n)
+    graph = centers, neighbors, np.cumsum(counts) - counts, counts
+    for a in graph:
+        a.flags.writeable = False
+    return graph
 
 
 def _group_pair_keys(groups, members, nf: int) -> np.ndarray:

@@ -7,7 +7,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 from scipy.spatial import cKDTree
 
-from .meshcore import vector_dots
+from .meshcore import csr_graph, vector_dots
 
 
 class PointCloudError(Exception):
@@ -59,11 +59,7 @@ class PointCloud:
             else:
                 i, j = tree.query_pairs(radius, output_type="ndarray").T
                 keys = np.sort(np.concatenate([i * n + j, j * n + i, np.arange(n) * (n + 1)]))
-            centers, neighbors = np.divmod(keys, max(n, 1))
-            counts = np.bincount(centers, minlength=n)
-            graph = self._graphs[key] = (centers, neighbors, np.cumsum(counts) - counts, counts)
-            for a in graph:
-                a.flags.writeable = False
+            graph = self._graphs[key] = csr_graph(keys, n)
         return graph
 
     def _knn(self, tree: cKDTree, k: int) -> np.ndarray:

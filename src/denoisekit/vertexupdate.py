@@ -58,8 +58,7 @@ def laplacian_smooth(mesh: TriMesh, iterations: int, lam: float) -> np.ndarray:
     if not (0.0 <= lam < 1.0):
         raise ValueError("lambda must be in [0, 1)")
     v = mesh.vertices.copy()
-    rows, ring = mesh.vertex_ring_pairs
-    size = np.bincount(rows, minlength=len(v))
+    rows, ring, _, size = mesh.vertex_graph
     has_ring = (size > 0)[:, None]
     for _ in range(iterations):
         mean = scatter_rows(rows, v[ring], len(v)) / np.maximum(size, 1)[:, None]

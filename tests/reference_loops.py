@@ -27,7 +27,7 @@ from denoisekit.pointcloud import RankDeficientNeighborhood
 
 
 def build_topology(faces, n_vertices) -> dict:
-    """Edges, edge faces, vertex faces, vertex rings and face adjacencies."""
+    """Edges, edge faces, vertex rings and face adjacencies."""
     faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
     nf, nv = len(faces), n_vertices
     if nf:
@@ -46,7 +46,6 @@ def build_topology(faces, n_vertices) -> dict:
         vf[a].append(f)
         vf[b].append(f)
         vf[c].append(f)
-    vertex_faces = [np.array(sorted(fs), dtype=np.int64) for fs in vf]
 
     vv = [set() for _ in range(nv)]
     for a, b in edges:
@@ -68,7 +67,6 @@ def build_topology(faces, n_vertices) -> dict:
     return {
         "edges": edges,
         "edge_faces": edge_faces,
-        "vertex_faces": vertex_faces,
         "vertex_ring": vertex_ring,
         "face_adjacency_edge": [np.array(sorted(s), dtype=np.int64) for s in adj_edge],
         "face_adjacency_vertex": [np.array(sorted(s), dtype=np.int64) for s in adj_vert],

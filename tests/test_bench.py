@@ -113,6 +113,14 @@ def test_noise_negative_factor():
         add_noise(make_cube(2), -0.1, 0)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_noise_non_finite_factor(value):
+    """NaN or infinite noise wrote NaN or infinite coordinates."""
+    for obj in (make_cube(2), PointCloud(make_cube(2).vertices)):
+        with pytest.raises(ValueError, match="sigma_factor must be finite and >= 0"):
+            add_noise(obj, value, 0)
+
+
 # ----------------------------------------------------------------------
 # metrics
 

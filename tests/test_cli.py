@@ -39,6 +39,15 @@ def test_add_noise_zero_is_identity(cube_obj, tmp_path):
     assert np.array_equal(load_mesh(cube_obj).vertices, load_mesh(out).vertices)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_add_noise_non_finite_factor(cube_obj, tmp_path, capsys, value):
+    out = tmp_path / "noisy.obj"
+    assert run("add-noise", "--input", str(cube_obj), "--sigma-factor", value,
+               "--seed", "7", "--output", str(out)) == 1
+    assert "error: sigma_factor must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_add_noise_deterministic(cube_obj, tmp_path):
     a, b = tmp_path / "a.obj", tmp_path / "b.obj"
     for out in (a, b):
@@ -147,6 +156,7 @@ def test_denoise_report_needs_ground_truth(cube_obj, tmp_path):
                "--output", str(tmp_path / "o.obj"),
                "--report", str(tmp_path / "r.json"))
     assert code == 2
+    assert not (tmp_path / "o.obj").exists()
 
 
 def test_denoise_angle_sigma_in_degrees(cube_obj, tmp_path):
@@ -195,10 +205,12 @@ def test_denoise_cloud_honours_vertex_iters(tmp_path):
     ("mesh", "--sigma-d", "-0.2", "spatial_sigma must be finite and > 0"),
     ("cloud", "--sigma-d", "0", "sigma_d must be finite and > 0"),
     ("cloud", "--radius", "0", "radius must be finite and > 0"),
+    ("mesh", "--sigma", "inf", "kernel sigma must be finite and > 0"),
 ])
 def test_denoise_non_positive_spatial_scale(tmp_path, capsys, kind, flag, value, message):
-    """A zero spatial sigma or radius exits 1 and writes nothing, instead of
-    leaving every normal in place behind zero-weight sums."""
+    """A zero spatial sigma or radius, or an infinite kernel sigma, exits 1
+    and writes nothing, instead of leaving every normal in place behind
+    zero-weight sums."""
     if kind == "mesh":
         src, method, out = tmp_path / "noisy.obj", "zheng-bilateral", tmp_path / "o.obj"
         save_mesh(add_noise(make_cube(6), 0.3, 42), src)

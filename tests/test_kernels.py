@@ -35,10 +35,10 @@ def test_unknown_kind_rejected():
 
 
 def test_nonpositive_sigma_rejected():
-    with pytest.raises(ValueError):
-        Kernel("gaussian", 0.0)
-    with pytest.raises(ValueError):
-        Kernel("gaussian", -1.0)
+    """An infinite sigma gave every weight 0 and left the normals unchanged."""
+    for sigma in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="kernel sigma must be finite and > 0"):
+            Kernel("gaussian", sigma)
 
 
 def test_box_floor_range():

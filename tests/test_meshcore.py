@@ -162,27 +162,27 @@ def test_save_empty_mesh(tmp_path):
 def test_interior_face_shared_edge_neighbors(plane5):
     # pick a face whose three edges are all interior
     spec = NeighborhoodSpec("shared_edge", include_self=False)
-    counts = [len(plane5.face_neighbors(i, spec)) for i in range(len(plane5.faces))]
+    counts = plane5.neighbor_graph(spec)[3]
     assert max(counts) == 3
     vspec = NeighborhoodSpec("shared_vertex", include_self=False)
-    vcounts = [len(plane5.face_neighbors(i, vspec)) for i in range(len(plane5.faces))]
+    vcounts = plane5.neighbor_graph(vspec)[3]
     # faces fully away from the boundary see 12 vertex-ring neighbors
-    deep = [i for i, c in enumerate(vcounts) if c == 12]
-    assert deep
-    assert all(counts[i] == 3 for i in deep)
+    deep = np.flatnonzero(vcounts == 12)
+    assert len(deep)
+    assert np.all(counts[deep] == 3)
 
 
 def test_include_self_and_sorted(plane5):
     spec = NeighborhoodSpec("shared_vertex", include_self=True)
     for i in (0, 7, 15):
-        nb = plane5.face_neighbors(i, spec)
+        nb = plane5.neighbor_lists(spec)[i]
         assert i in nb
         assert np.all(np.diff(nb) > 0)
 
 
 def test_tiny_radius_neighborhood(plane5):
     spec = NeighborhoodSpec("radius", radius=1e-9, include_self=True)
-    assert plane5.face_neighbors(3, spec).tolist() == [3]
+    assert plane5.neighbor_lists(spec)[3].tolist() == [3]
 
 
 def test_neighborhood_symmetry(plane5):
@@ -199,6 +199,9 @@ def test_neighborhood_spec_validation():
         NeighborhoodSpec("geodesic")
     with pytest.raises(ValueError):
         NeighborhoodSpec("radius")
+    for radius in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="radius must be finite and > 0"):
+            NeighborhoodSpec("radius", radius=radius)
 
 
 # ----------------------------------------------------------------------

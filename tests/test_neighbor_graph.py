@@ -16,6 +16,7 @@ from denoisekit import (
     Kernel,
     NeighborhoodSpec,
     NonManifoldError,
+    PointCloud,
     TriMesh,
     add_noise,
     energy,
@@ -41,7 +42,6 @@ SHAPES = {
     "wedge": lambda: make_wedge(),
 }
 MEDIANS = ("yagou_median", "yagou_weighted_median", "shen_fuzzy_median")
-LIST_VIEWS = ("vertex_faces", "vertex_ring", "face_adjacency_edge", "face_adjacency_vertex")
 PRESET_SIGMAS = {"yadav_box_2017": math.radians(30.0),
                  "tasdizen": math.radians(30.0),
                  "belyaev_ohtake": 1.0}
@@ -73,21 +73,37 @@ def assert_same_lists(got, want):
         assert np.array_equal(a, b), (a, b)
 
 
+def assert_graph_holds(graph, n, rows):
+    """A CSR graph of n centers is well formed and holds the given rows."""
+    assert_csr_invariants(graph, n)
+    _, neighbors, _, counts = graph
+    assert np.array_equal(counts, [len(r) for r in rows])
+    assert np.array_equal(neighbors, np.concatenate([np.zeros(0, dtype=np.int64), *rows]))
+
+
+def assert_csr_invariants(graph, n):
+    """Row c of the graph is its c-th run of pairs, neighbours ascend within
+    a row, and no array can be written."""
+    centers, neighbors, starts, counts = graph
+    assert len(counts) == n
+    assert np.array_equal(centers, np.repeat(np.arange(n), counts))
+    assert np.array_equal(starts, np.cumsum(counts) - counts)
+    assert np.all(np.diff(neighbors)[centers[1:] == centers[:-1]] > 0)
+    assert np.all((0 <= neighbors) & (neighbors < n))
+    assert not any(a.flags.writeable for a in graph)
+
+
 def assert_topology_matches(mesh):
     topo = ref.build_topology(mesh.faces, len(mesh.vertices))
     assert np.array_equal(mesh.edges, topo["edges"])
     assert mesh.edge_faces == topo["edge_faces"]
-    for name in LIST_VIEWS:
-        assert_same_lists(getattr(mesh, name), topo[name])
+    assert_graph_holds(mesh.vertex_graph, len(mesh.vertices), topo["vertex_ring"])
+    assert_same_lists(mesh.face_adjacency_vertex, topo["face_adjacency_vertex"])
     assert mesh.is_edge_manifold() == all(len(fs) <= 2 for fs in topo["edge_faces"])
     for spec in all_specs(mesh):
         want = ref.neighbor_lists(mesh, spec)
         assert_same_lists(mesh.neighbor_lists(spec), want)
-        assert_same_lists([mesh.face_neighbors(i, spec) for i in range(len(mesh.faces))], want)
-        centers, neighbors, starts, counts = mesh.neighbor_graph(spec)
-        assert np.array_equal(counts, [len(w) for w in want])
-        assert np.array_equal(centers, np.repeat(np.arange(len(mesh.faces)), counts))
-        assert np.array_equal(starts, np.cumsum(counts) - counts)
+        assert_graph_holds(mesh.neighbor_graph(spec), len(mesh.faces), want)
     with np.errstate(invalid="ignore"):
         for threshold in (0.0, 30.0, 70.0):
             assert np.array_equal(mesh.dihedral_feature_edges(threshold),
@@ -166,7 +182,30 @@ def test_neighbor_graph_is_cached():
     for spec in all_specs(mesh):
         graph = mesh.neighbor_graph(spec)
         assert mesh.neighbor_graph(spec) is graph
-        assert not any(a.flags.writeable for a in graph)
+
+
+def csr_graphs(kind):
+    """(graph, number of centers) of one kind on a noisy plane with one
+    vertex on no face: its ring is empty, and as a point it is far from
+    every other."""
+    mesh = add_noise(make_plane(5), 0.3, 3)
+    mesh = TriMesh(np.vstack([mesh.vertices, [[9.0, 9.0, 9.0]]]), mesh.faces)
+    cloud = PointCloud(mesh.vertices)
+    if kind == "face":
+        return [(mesh.neighbor_graph(spec), len(mesh.faces)) for spec in all_specs(mesh)]
+    if kind == "vertex":
+        return [(mesh.vertex_graph, len(mesh.vertices))]
+    if kind == "point_knn":
+        return [(cloud.neighbor_graph(k=k), len(cloud)) for k in (1, 6)]
+    return [(cloud.neighbor_graph(radius=r), len(cloud)) for r in (0.05, 0.5)]
+
+
+@pytest.mark.parametrize("kind", ["face", "vertex", "point_knn", "point_radius"])
+def test_every_graph_is_well_formed_csr(kind):
+    """Face, vertex and point graphs all come from one builder and share
+    its layout."""
+    for graph, n in csr_graphs(kind):
+        assert_csr_invariants(graph, n)
 
 
 def test_radius_graph_follows_vertex_edits():
