@@ -97,6 +97,8 @@ def make_cube(n: int, scale: float = 1.0) -> TriMesh:
 
 def make_icosphere(level: int, scale: float = 1.0) -> TriMesh:
     """Unit icosahedron subdivided ``level`` times, projected to the sphere."""
+    if level < 0:
+        raise ValueError("level must be >= 0")
     phi = (1.0 + math.sqrt(5.0)) / 2.0
     verts = np.array([
         [-1, phi, 0], [1, phi, 0], [-1, -phi, 0], [1, -phi, 0],

@@ -4,10 +4,11 @@ Each kernel is a triple of an error norm ``rho``, its derivative (the
 influence function) ``psi`` and the per-neighbor weight ``g = psi(x)/x``.
 All functions are vectorized over numpy arrays and accept plain floats.
 
-The L1 and truncated-L1 kernels have no defined influence/weight at x = 0;
-those evaluations return NaN and callers are expected to substitute a
-convention of their own (the filters replace NaN by the largest finite
-weight in the neighborhood).
+Only ``g`` is written out per kind; ``psi`` is ``x * g``. The L1 and
+truncated-L1 kernels have no defined influence/weight at x = 0; those
+evaluations return NaN, and ``meshfilter._substitute_nan`` is the one fill:
+it gives them the largest other weight of the neighbourhood, in the mean and
+the weighted-median passes alike.
 """
 
 from __future__ import annotations
@@ -72,8 +73,9 @@ class Kernel:
         return _rho(self, np.asarray(x, dtype=float))
 
     def psi(self, x):
-        """Influence function rho'(x). NaN at x = 0 for the L1 family."""
-        return _psi(self, np.asarray(x, dtype=float))
+        """Influence function rho'(x) = x g(x). NaN at x = 0 for the L1 family."""
+        x = np.asarray(x, dtype=float)
+        return x * self.weight(x)
 
     def weight(self, x):
         """Anisotropic weight g(x) = psi(x)/x, with the analytic limit at 0."""
@@ -111,30 +113,6 @@ def _rho(k: Kernel, x):
         tail = 0.5 * s * s + 0.5 * s * s * np.log1p(np.where(x > s, t, 0.0) ** 2) \
             + s * s * np.arctan(np.where(x > s, t, 0.0))
         return np.where(x < s, 0.5 * x * x, tail)
-    raise AssertionError(k.kind)
-
-
-def _psi(k: Kernel, x):
-    s = k.sigma
-    if k.kind == "l2":
-        return 2.0 * x
-    if k.kind == "truncated_l2":
-        return np.where(x < math.sqrt(s), 2.0 * x, 0.0)
-    if k.kind == "l1":
-        return np.where(x > 0, 1.0, np.nan)
-    if k.kind == "truncated_l1":
-        return np.where(x > 0, np.where(x < s, 1.0, 0.0), np.nan)
-    if k.kind == "huber":
-        return np.where(x < s, x / s, 1.0)
-    if k.kind == "lorentzian":
-        return (x / s ** 2) / (1.0 + 0.5 * (x / s) ** 2)
-    if k.kind == "gaussian":
-        return (2.0 * x / s ** 2) * np.exp(-((x / s) ** 2))
-    if k.kind == "tukey":
-        w = (1.0 - (x / s) ** 2) ** 2
-        return np.where(x < s, 2.0 * x / s ** 2 * w, 0.0)
-    if k.kind in ("box", "centin_rational"):
-        return x * _weight(k, x)
     raise AssertionError(k.kind)
 
 
@@ -180,8 +158,8 @@ def sample_table(kernel: Kernel, x_max: float, n: int) -> list[KernelSample]:
     """Sample rho/psi/g on n equally spaced points of [0, x_max]."""
     if n < 2:
         raise ValueError("need at least 2 samples")
-    if not (x_max > 0):
-        raise ValueError("x_max must be positive")
+    if not (0 < x_max < math.inf):
+        raise ValueError(f"x_max must be finite and > 0, got {x_max}")
     xs = np.linspace(0.0, x_max, n)
     rho = kernel.rho(xs)
     psi = kernel.psi(xs)

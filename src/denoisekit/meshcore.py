@@ -234,6 +234,9 @@ class TriMesh:
 
     def dihedral_feature_edges(self, threshold_degrees: float) -> np.ndarray:
         """Edges whose adjacent-face normal angle >= threshold (interior only)."""
+        if not (0.0 <= threshold_degrees <= 180.0):
+            raise ValueError(f"feature threshold must be in [0, 180] degrees, "
+                             f"got {threshold_degrees}")
         counts = self._edge_face_count
         interior = np.flatnonzero(counts == 2)
         first = (np.cumsum(counts) - counts)[interior]
@@ -402,7 +405,8 @@ def convert_normal_args(value: float, kind: str) -> tuple[float, float, float]:
 
 def load_mesh(path) -> TriMesh:
     """Load an ASCII OBJ (v/f) or ASCII PLY triangle mesh with at least one face."""
-    text = open(path, "r", encoding="utf-8", errors="replace").read()
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        text = fh.read()
     mesh = _load_ply(text) if text.lstrip().startswith("ply") else _load_obj(text)
     if not len(mesh.faces):
         raise ParseError("no faces")

@@ -213,10 +213,11 @@ def _directional_median_index(cand):
 # helpers
 
 def _substitute_nan(w, centers, starts, counts):
-    """Replace NaN weights by the max finite weight in the same neighborhood.
+    """Replace NaN weights (the L1 family's g(0)) by the largest other weight
+    in the same neighborhood; the one fill of the mean and weighted-median passes.
 
-    A neighborhood with no finite weight at all (every argument was zero,
-    i.e. all normals coincide) falls back to uniform weights.
+    A neighborhood where that is not finite (every argument was zero, i.e.
+    all normals coincide) falls back to uniform weights.
     """
     nan = np.isnan(w)
     if not nan.any():
@@ -352,22 +353,28 @@ def _median_pass(flavour, kernel, prev, graph):
     """One pass of the median flavours, in batches of faces that have the
     same neighbourhood size. A face with no neighbour keeps its normal and
     counts as a warning, as in the averaging engine."""
-    _, neighbors, starts, counts = graph
+    centers, neighbors, starts, counts = graph
     new = prev.copy()
     warnings = int(np.count_nonzero(counts == 0))
+    w = None
+    if flavour == "weighted_median":
+        w = kernel.weight(np.linalg.norm(prev[centers] - prev[neighbors], axis=1))
+        w = _substitute_nan(w, centers, starts, counts)
     for k in np.unique(counts[counts > 0]):
         group = np.flatnonzero(counts == k)
         for rows in np.array_split(group, math.ceil(len(group) * k * k / _MEDIAN_BLOCK)):
-            cand = prev[neighbors[starts[rows, None] + np.arange(k)]]
-            new[rows], count = _median_batch(flavour, kernel, prev[rows], cand)
+            pairs = starts[rows, None] + np.arange(k)
+            new[rows], count = _median_batch(flavour, kernel, prev[rows], prev[neighbors[pairs]],
+                                             None if w is None else w[pairs])
             warnings += count
     return new, warnings
 
 
-def _median_batch(flavour, kernel, own, cand):
-    """New normals of m faces with normals ``own`` (m, 3) and neighbourhood
-    normals ``cand`` (m, k, 3), and the number of faces that kept their own
-    because the fuzzy median's weighted sum vanished."""
+def _median_batch(flavour, kernel, own, cand, w):
+    """New normals of m faces with normals ``own`` (m, 3), neighbourhood
+    normals ``cand`` (m, k, 3) and, for the weighted median, pair weights
+    ``w`` (m, k); and the number of faces that kept their own normal because
+    the fuzzy median's weighted sum vanished."""
     pick = np.arange(len(cand))
     if flavour == "fuzzy_median":
         nvd = cand[pick, _directional_median_index(cand)]
@@ -375,12 +382,6 @@ def _median_batch(flavour, kernel, own, cand):
         # the single-vector norm: the directional median's arccos near 1
         # would amplify a last-bit difference on the next pass
         return unit_rows((w[:, :, None] * cand).sum(axis=1), own)
-    w = None
-    if flavour == "weighted_median":
-        w = kernel.weight(np.linalg.norm(own[:, None] - cand, axis=2))
-        top = np.where(np.isfinite(w), w, -np.inf).max(axis=1)
-        fill = np.where(np.isfinite(top), top, 1.0)  # no finite weight: uniform
-        w = np.where(np.isnan(w), fill[:, None], w)
     return cand[pick, _vector_median_index(cand, w)], 0
 
 

@@ -17,6 +17,8 @@ def denoise_mesh(mesh: TriMesh, spec: FilterSpec, vertex_iterations: int = 30,
 
     Returns (denoised mesh, filtered NormalField).
     """
+    if vertex_iterations < 0:
+        raise ValueError(f"vertex_iterations must be >= 0, got {vertex_iterations}")
     field = filter_normals(mesh, spec)
     if vertex_iterations > 0:
         new_vertices = update_vertices(mesh, field.normals, vertex_iterations, step)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
+from scipy.sparse.csgraph import connected_components, depth_first_order, minimum_spanning_tree
 from scipy.spatial import cKDTree
 
 from .meshcore import csr_graph, vector_dots
@@ -122,26 +122,18 @@ def estimate_normals_pca(cloud: PointCloud, k: int,
     graph = csr_matrix((vals, (rows, cols)), shape=(n, n))
     graph = graph.maximum(graph.T)
     mst = minimum_spanning_tree(graph)
-    mst = mst.maximum(mst.T).tocsr()
 
-    # the orientation walk stays a loop: each flip depends on the one before
+    # a point's sign follows its tree parent's, so flip in depth-first order
     ncomp, labels = connected_components(graph, directed=False)
-    visited = np.zeros(n, dtype=bool)
     for comp in range(ncomp):
         members = np.flatnonzero(labels == comp)
         seed = members[np.argmax(pts[members, 2])]
         if normals[seed, 2] < 0:
             normals[seed] *= -1
-        stack = [int(seed)]
-        visited[seed] = True
-        while stack:
-            i = stack.pop()
-            for j in mst.indices[mst.indptr[i]:mst.indptr[i + 1]]:
-                if not visited[j]:
-                    if np.dot(normals[i], normals[j]) < 0:
-                        normals[j] *= -1
-                    visited[j] = True
-                    stack.append(int(j))
+        order, parent = depth_first_order(mst, seed, directed=False)
+        for j in order[1:]:
+            if np.dot(normals[parent[j]], normals[j]) < 0:
+                normals[j] *= -1
     return normals
 
 

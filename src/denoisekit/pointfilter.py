@@ -110,6 +110,8 @@ def update_point_positions(cloud: PointCloud, filtered_normals,
     equal-radii heuristic). ``iterations`` steps are taken; a spec only
     supplies its radius. Returns (new points, empty-neighborhood count).
     """
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
     n = np.asarray(filtered_normals, dtype=float)
     if spec is not None and spec.radius is not None:
         radius = spec.radius

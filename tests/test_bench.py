@@ -59,6 +59,8 @@ def test_make_shape_dispatch():
         make_cube(1)
     with pytest.raises(ValueError):
         make_plane(1)
+    with pytest.raises(ValueError, match="level must be >= 0"):
+        make_shape("icosphere", -1)  # was the 20-face level-0 sphere
 
 
 # ----------------------------------------------------------------------

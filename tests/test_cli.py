@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,6 +223,44 @@ def test_denoise_non_positive_spatial_scale(tmp_path, capsys, kind, flag, value,
     assert code == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _mesh_and_cloud(tmp_path):
+    mesh, cloud = tmp_path / "noisy.obj", tmp_path / "noisy.xyz"
+    save_mesh(add_noise(make_cube(4), 0.3, 42), mesh)
+    save_xyz(add_noise(PointCloud(make_cube(4).vertices), 0.3, 42), cloud)
+    return mesh, cloud
+
+
+@pytest.mark.parametrize("argv, written, message", [
+    (["denoise", "--input", "{mesh}", "--method", "zheng-bilateral", "--iters", "2",
+      "--vertex-iters", "-1", "--output", "{out}.obj"], "{out}.obj",
+     "vertex_iterations must be >= 0"),
+    (["denoise", "--input", "{cloud}", "--method", "li-bilateral", "--iters", "2",
+      "--vertex-iters", "-1", "--output", "{out}.xyz"], "{out}.xyz",
+     "iterations must be >= 0"),
+    (["experiment", "--preset", "plane", "--n", "4", "--noise", "0.2", "--seed", "1",
+      "--methods", "zheng-bilateral", "--iters", "2", "--vertex-iters", "-2",
+      "--out", "{out}"], "{out}/summary.csv", "vertex_iterations must be >= 0"),
+    (["kernel-table", "--kernel", "gaussian", "--xmax", "inf", "--out", "{out}.csv"],
+     "{out}.csv", "x_max must be finite and > 0"),
+    (["make-shape", "--kind", "icosphere", "--n", "-1", "--out", "{out}.obj"], "{out}.obj",
+     "level must be >= 0"),
+    (["denoise", "--input", "{mesh}", "--method", "zheng-bilateral", "--iters", "2",
+      "--vertex-iters", "2", "--output", "{out}.obj", "--ground-truth", "{mesh}",
+      "--feature-threshold", "nan", "--report", "{out}.json"], "{out}.json",
+     "feature threshold must be in [0, 180] degrees"),
+], ids=["mesh-vertex-iters", "cloud-vertex-iters", "experiment-vertex-iters", "table-xmax",
+        "icosphere-level", "feature-threshold"])
+def test_out_of_range_number_exits_1(tmp_path, capsys, argv, written, message):
+    """A negative iteration count or level, an infinite table range and a NaN
+    feature threshold each exit 1 instead of giving a silent result: no
+    update, a NaN row, the level-0 sphere or no feature edges."""
+    mesh, cloud = _mesh_and_cloud(tmp_path)
+    names = dict(mesh=mesh, cloud=cloud, out=tmp_path / "out")
+    assert run(*(a.format(**names) for a in argv)) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not Path(written.format(**names)).exists()
 
 
 def test_method_lists_are_pinned():

@@ -6,24 +6,19 @@ import pytest
 from denoisekit import KERNEL_KINDS, Kernel, sample_table, samples_to_csv
 from denoisekit.kernels import REDESCENDING_KINDS, UNDEFINED_AT_ZERO
 
-# piecewise breakpoints of each kind, in units of sigma (truncated_l2 breaks
-# at sqrt(sigma) which is sigma only when sigma == 1)
-BREAKPOINTS = {
-    "truncated_l2": (1.0,),
-    "truncated_l1": (1.0,),
-    "huber": (1.0,),
-    "tukey": (1.0,),
-    "box": (1.0,),
-    "centin_rational": (1.0,),
-}
+# the argument where each piecewise kind changes branch
+def breakpoint(kind, sigma):
+    if kind == "truncated_l2":
+        return math.sqrt(sigma)
+    if kind in ("truncated_l1", "huber", "tukey", "box", "centin_rational"):
+        return sigma
+    return None
 
 
-def grid(sigma=1.0, exclude_breaks=True, kind=None):
+def grid(sigma=1.0, kind=None):
     xs = np.arange(1, 61) * 0.05 * sigma
-    if exclude_breaks and kind in BREAKPOINTS:
-        for b in BREAKPOINTS[kind]:
-            xs = xs[np.abs(xs - b * sigma) > 1e-3]
-    return xs
+    b = breakpoint(kind, sigma)
+    return xs if b is None else xs[np.abs(xs - b) > 1e-3 * sigma]
 
 
 # ----------------------------------------------------------------------
@@ -155,13 +150,16 @@ def test_identity_g_times_x_equals_psi(kind, sigma):
 
 @pytest.mark.parametrize("kind", KERNEL_KINDS)
 def test_psi_is_derivative_of_rho(kind):
-    sigma = 1.0
-    k = Kernel(kind, sigma, box_floor=0.1 if kind == "box" else 0.0)
-    h = 1e-5
-    xs = grid(sigma, kind=kind)
-    num = (k.rho(xs + h) - k.rho(xs - h)) / (2.0 * h)
-    psi = k.psi(xs)
-    assert np.max(np.abs(psi - num)) < 1e-5
+    """The independent check of g, since psi is x * g: central differences
+    of rho at sigma from 0.05 to 20, away from the kind's own breakpoint,
+    with a step scaled by sigma."""
+    for sigma in (0.05, 0.2, 0.35, 1.0, 2.5, 7.0, 20.0):
+        k = Kernel(kind, sigma, box_floor=0.1 if kind == "box" else 0.0)
+        h = 1e-6 * sigma
+        xs = grid(sigma, kind=kind)
+        num = (k.rho(xs + h) - k.rho(xs - h)) / (2.0 * h)
+        psi = k.psi(xs)
+        assert np.max(np.abs(psi - num)) < 1e-7 * np.max(np.abs(psi)), sigma
 
 
 @pytest.mark.parametrize("kind", KERNEL_KINDS)
@@ -220,8 +218,9 @@ def test_sample_table_identity_rows():
 def test_sample_table_validation():
     with pytest.raises(ValueError):
         sample_table(Kernel("gaussian"), 4.0, 1)
-    with pytest.raises(ValueError):
-        sample_table(Kernel("gaussian"), 0.0, 10)
+    for x_max in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="x_max must be finite and > 0"):
+            sample_table(Kernel("gaussian"), x_max, 10)
 
 
 def test_csv_header_and_nan_token():

@@ -285,6 +285,9 @@ def test_convert_normal_args_validation():
 def test_cube_feature_edges(cube2):
     feats = cube2.dihedral_feature_edges(70.0)
     assert len(feats) == 12
+    for threshold in (-1.0, 180.5, math.nan):  # NaN found no edge at all
+        with pytest.raises(ValueError, match=r"feature threshold must be in \[0, 180\]"):
+            cube2.dihedral_feature_edges(threshold)
 
 
 def test_flat_grid_no_feature_edges(plane5):
