@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .meshcore import TriMesh, vector_dots
+from .meshcore import TriMesh, check_positive, vector_dots
 from .pointcloud import PointCloud
 
 
@@ -26,22 +26,22 @@ def _weld(vertices, faces, decimals=9):
     return out_v, out_f
 
 
+def _quads(rows: int, cols: int):
+    """Corners (a, b, c, d) of every quad of a row-major rows x cols vertex
+    grid, in row-major quad order: a = (j, i), b = (j, i + 1),
+    c = (j + 1, i + 1) and d = (j + 1, i)."""
+    a = (np.arange(rows - 1)[:, None] * cols + np.arange(cols - 1)).ravel()
+    return a, a + 1, a + cols + 1, a + cols
+
+
 def make_plane(n: int, scale: float = 1.0) -> TriMesh:
     """n x n vertex grid on z=0, diagonal-split quads; 2(n-1)^2 faces."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    xs = np.linspace(0.0, scale, n)
-    vv = np.array([[x, y, 0.0] for y in xs for x in xs])
-    faces = []
-    for j in range(n - 1):
-        for i in range(n - 1):
-            a = j * n + i
-            b = a + 1
-            c = a + n
-            d = c + 1
-            faces.append([a, b, d])
-            faces.append([a, d, c])
-    return TriMesh(vv, np.array(faces))
+    x, y = np.meshgrid(np.linspace(0.0, scale, n), np.linspace(0.0, scale, n))
+    a, b, c, d = _quads(n, n)
+    return TriMesh(np.stack([x.ravel(), y.ravel(), np.zeros(n * n)], axis=1),
+                   np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3))
 
 
 def _grid_face(origin, eu, ev, n, scale):
@@ -49,24 +49,15 @@ def _grid_face(origin, eu, ev, n, scale):
     origin = np.asarray(origin, dtype=float) * scale
     eu = np.asarray(eu, dtype=float) * scale
     ev = np.asarray(ev, dtype=float) * scale
-    verts = []
-    faces = []
-    def V(p):
-        verts.append(p)
-        return len(verts) - 1
     ts = np.linspace(0.0, 1.0, n)
-    grid = [[V(origin + u * eu + v * ev) for u in ts] for v in ts]
-    for j in range(n - 1):
-        for i in range(n - 1):
-            a = grid[j][i]
-            b = grid[j][i + 1]
-            c = grid[j + 1][i + 1]
-            d = grid[j + 1][i]
-            u0, u1 = ts[i], ts[i + 1]
-            v0, v1 = ts[j], ts[j + 1]
-            ctr = V(origin + 0.5 * (u0 + u1) * eu + 0.5 * (v0 + v1) * ev)
-            faces += [[a, b, ctr], [b, c, ctr], [c, d, ctr], [d, a, ctr]]
-    return np.array(verts), np.array(faces)
+    mid = 0.5 * (ts[:-1] + ts[1:])
+    # the n x n grid vertices, then one center per quad
+    grid, centers = np.meshgrid(ts, ts), np.meshgrid(mid, mid)
+    u, v = (np.concatenate([g.ravel(), h.ravel()])[:, None] for g, h in zip(grid, centers))
+    a, b, c, d = _quads(n, n)
+    ctr = n * n + np.arange(len(a))
+    faces = np.stack([a, b, ctr, b, c, ctr, c, d, ctr, d, a, ctr], axis=1)
+    return origin + u * eu + v * ev, faces.reshape(-1, 3)
 
 
 def make_cube(n: int, scale: float = 1.0) -> TriMesh:
@@ -83,15 +74,9 @@ def make_cube(n: int, scale: float = 1.0) -> TriMesh:
         ([0, 0, 0], [0, 0, 1], [0, 1, 0]),  # x=0, normal -x
         ([1, 0, 0], [0, 1, 0], [0, 0, 1]),  # x=1, normal +x
     ]
-    all_v = []
-    all_f = []
-    offset = 0
-    for origin, eu, ev in specs:
-        v, f = _grid_face(origin, eu, ev, n, scale)
-        all_v.append(v)
-        all_f.append(f + offset)
-        offset += len(v)
-    v, f = _weld(np.vstack(all_v), np.vstack(all_f))
+    verts, faces = zip(*(_grid_face(origin, eu, ev, n, scale) for origin, eu, ev in specs))
+    offsets = np.arange(6) * len(verts[0])  # every side has as many vertices
+    v, f = _weld(np.vstack(verts), np.vstack([f + k for f, k in zip(faces, offsets)]))
     return TriMesh(v, f)
 
 
@@ -113,23 +98,18 @@ def make_icosphere(level: int, scale: float = 1.0) -> TriMesh:
         [4, 9, 5], [2, 4, 11], [6, 2, 10], [8, 6, 7], [9, 8, 1],
     ])
     for _ in range(level):
-        new_faces = []
-        verts = list(verts)
-        midcache = {}
-        def mid(a, b):
-            key = (min(a, b), max(a, b))
-            if key not in midcache:
-                m = (np.asarray(verts[a]) + np.asarray(verts[b])) / 2.0
-                m /= np.linalg.norm(m)
-                verts.append(m)
-                midcache[key] = len(verts) - 1
-            return midcache[key]
-        for a, b, c in faces:
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            new_faces += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
-        faces = np.array(new_faces)
-        verts = np.array(verts)
-    return TriMesh(np.asarray(verts) * scale, faces)
+        a, b, c = faces.T
+        ends = np.sort(np.stack([a, b, b, c, c, a], axis=1).reshape(-1, 2), axis=1)
+        _, first, inv = np.unique(ends[:, 0] * len(verts) + ends[:, 1],
+                                  return_index=True, return_inverse=True)
+        # new vertices are numbered in the order their edges first occur
+        e = ends[np.sort(first)]
+        m = (verts[e[:, 0]] + verts[e[:, 1]]) / 2.0
+        ab, bc, ca = (len(verts) + np.argsort(np.argsort(first))[inv]).reshape(-1, 3).T
+        nrm = np.sqrt(vector_dots(m, m))  # np.linalg.norm of each midpoint
+        verts = np.vstack([verts, m / nrm[:, None]])
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
+    return TriMesh(verts * scale, faces)
 
 
 def make_wedge(scale: float = 1.0, n: int = 4) -> TriMesh:
@@ -142,34 +122,26 @@ def make_wedge(scale: float = 1.0, n: int = 4) -> TriMesh:
         [0.0, 0.0], [1.0, 0.0], [1.0, 0.6], [0.5, 1.0], [0.0, 0.6],
     ]) * scale
     m = len(profile)
-    depth = 1.2 * scale
-    ys = np.linspace(0.0, depth, n)
-    verts = []
-    for y in ys:
-        for x, z in profile:
-            verts.append([x, y, z])
-    verts = np.array(verts)
-    faces = []
-    # side walls between consecutive profile edges, quads split by diagonal
-    for j in range(n - 1):
-        for i in range(m):
-            a = j * m + i
-            b = j * m + (i + 1) % m
-            c = (j + 1) * m + (i + 1) % m
-            d = (j + 1) * m + i
-            faces += [[a, c, b], [a, d, c]]
-    # end caps (fan around the profile polygon)
-    for i in range(1, m - 1):
-        faces.append([0, i, i + 1])                             # y = 0 cap, -y out
-        base = (n - 1) * m
-        faces.append([base, base + i + 1, base + i])            # y = depth cap, +y out
-    return TriMesh(verts, np.array(faces))
+    ys = np.linspace(0.0, 1.2 * scale, n)
+    x, z = np.tile(profile, (n, 1)).T
+    # side walls between consecutive profile edges, quads split by diagonal;
+    # grid column m is profile vertex 0 again
+    ring = (np.arange(n)[:, None] * m + np.arange(m + 1) % m).ravel()
+    a, b, c, d = (ring[q] for q in _quads(n, m + 1))
+    # end caps, fans around the profile polygon: y = 0 (-y out), y = 1.2 scale (+y out)
+    i = np.arange(1, m - 1)
+    top = (n - 1) * m
+    caps = np.stack([0 * i, i, i + 1, top + 0 * i, top + i + 1, top + i], axis=1)
+    walls = np.stack([a, c, b, a, d, c], axis=1)
+    return TriMesh(np.stack([x, np.repeat(ys, m), z], axis=1),
+                   np.concatenate([walls.ravel(), caps.ravel()]))
 
 
 SHAPE_KINDS = ("cube", "plane", "icosphere", "wedge")
 
 
 def make_shape(kind: str, n: int = 4, scale: float = 1.0) -> TriMesh:
+    check_positive("scale", scale)
     if kind == "cube":
         return make_cube(n, scale)
     if kind == "plane":
@@ -177,7 +149,7 @@ def make_shape(kind: str, n: int = 4, scale: float = 1.0) -> TriMesh:
     if kind == "icosphere":
         return make_icosphere(n, scale)
     if kind in ("wedge", "fandisk-like"):
-        return make_wedge(scale, max(n, 2))
+        return make_wedge(scale, n)
     raise ValueError(f"unknown shape {kind!r}; valid: {SHAPE_KINDS}")
 
 

@@ -124,10 +124,11 @@ def _cmd_denoise(args) -> int:
         out, field = denoise_mesh(obj, spec, vertex_iterations=args.vertex_iters,
                                   step=args.step)
         warnings["zero_weight_sums"] = field.zero_weight_warnings
-    _save_any(out, args.output)
-    if args.report:
+    if args.report:  # scored before the first write, so a failure writes nothing
         gt = _load_any(args.ground_truth)
         report = bench.compare(gt, out, args.feature_threshold, warnings=warnings)
+    _save_any(out, args.output)
+    if args.report:
         Path(args.report).write_text(report.to_json() + "\n")
     return 0
 
@@ -159,24 +160,28 @@ def _cmd_experiment(args) -> int:
         sigma_d="auto", neighborhood=args.neighborhood, radius=None,
         iters=args.iters, step_lambda=0.05, kernel="gaussian", box_floor=0.0)))
         for m in methods]
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     kind = "wedge" if args.preset == "fandisk-like" else args.preset
     truth = bench.make_shape(kind, n=args.n, scale=1.0)
     noisy = bench.add_noise(truth, args.noise, args.seed)
-    save_mesh(truth, outdir / "ground_truth.obj")
-    save_mesh(noisy, outdir / "noisy.obj")
     rows = ["method," + ",".join(bench.MetricsReport.CSV_FIELDS)]
     noisy_report = bench.compare(truth, noisy, args.feature_threshold)
     rows.append("noisy," + noisy_report.to_csv_row())
+    results = []
     for m, spec in specs:
         out, field = denoise_mesh(noisy, spec, vertex_iterations=args.vertex_iters,
                                   step=args.step)
         report = bench.compare(truth, out, args.feature_threshold,
                                warnings={"zero_weight_sums": field.zero_weight_warnings})
+        results.append((m, out, report))
+        rows.append(f"{m}," + report.to_csv_row())
+    # every run is scored before the first write, so a failure writes nothing
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    save_mesh(truth, outdir / "ground_truth.obj")
+    save_mesh(noisy, outdir / "noisy.obj")
+    for m, out, report in results:
         (outdir / f"{m}.json").write_text(report.to_json() + "\n")
         save_mesh(out, outdir / f"{m}.obj")
-        rows.append(f"{m}," + report.to_csv_row())
     (outdir / "summary.csv").write_text("\n".join(rows) + "\n")
     return 0
 

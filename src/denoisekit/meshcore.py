@@ -181,7 +181,7 @@ class TriMesh:
             else:
                 self.avg_edge_length = 0.0
             if validate:
-                bad = np.flatnonzero(self.face_areas < 1e-14 * max(self.avg_edge_length, 1e-300) ** 2)
+                bad = np.flatnonzero(self.face_areas <= 1e-14 * self.avg_edge_length ** 2)
                 if len(bad):
                     raise DegenerateFaceError(f"degenerate faces: {bad.tolist()}")
             with np.errstate(invalid="ignore", divide="ignore"):
@@ -254,9 +254,6 @@ class TriMesh:
             return 0.0
         return float(np.einsum("ij,ij->i", v[f[:, 0]],
                                np.cross(v[f[:, 1]], v[f[:, 2]])).sum() / 6.0)
-
-    def copy(self) -> "TriMesh":
-        return TriMesh(self.vertices.copy(), self.faces.copy(), validate=False)
 
 
 def csr_graph(keys: np.ndarray, n: int):
@@ -499,7 +496,5 @@ def _load_ply(text: str) -> TriMesh:
 def save_mesh(mesh: TriMesh, path) -> None:
     """Write ASCII OBJ with 9 significant digits and 1-based faces."""
     with open(path, "w", encoding="utf-8") as fh:
-        for v in mesh.vertices:
-            fh.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
-        for f in mesh.faces:
-            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+        fh.write("v %.9g %.9g %.9g\n" * len(mesh.vertices) % tuple(mesh.vertices.ravel().tolist()))
+        fh.write("f %d %d %d\n" * len(mesh.faces) % tuple((mesh.faces + 1).ravel().tolist()))

@@ -1,9 +1,10 @@
 """Per-element loop implementations that the vectorised library is checked
 against: mesh topology, neighbourhoods, curvature, dihedral feature edges,
 guidance normals, the filter engine with per-pass spatial weights, the
-vector medians and the median pass, the vertex update, Laplacian smoothing
-and the vertex weld; for point clouds the kNN and radius queries, PCA
-normals, the five point filters, the position update and the noise spacing.
+vector medians and the median pass, the vertex update, Laplacian smoothing,
+the vertex weld and the synthetic shapes; for point clouds the kNN and
+radius queries, PCA normals, the five point filters, the position update and
+the noise spacing.
 
 This is the straightforward face-by-face (point-by-point) form of each
 computation. It is slow and kept only as a reference for the differential
@@ -367,6 +368,132 @@ def weld(vertices, faces, decimals=9):
         if first[g] < 0:
             first[g] = i
     return v[first], inv[np.asarray(faces, dtype=np.int64)]
+
+
+# ----------------------------------------------------------------------
+# synthetic shapes: one quad (or face, or edge midpoint) at a time; each
+# returns the (vertices, faces) arrays of the library's builder
+
+def make_plane(n, scale=1.0):
+    xs = np.linspace(0.0, scale, n)
+    vv = np.array([[x, y, 0.0] for y in xs for x in xs])
+    faces = []
+    for j in range(n - 1):
+        for i in range(n - 1):
+            a = j * n + i
+            b = a + 1
+            c = a + n
+            d = c + 1
+            faces.append([a, b, d])
+            faces.append([a, d, c])
+    return vv, np.array(faces)
+
+
+def grid_face(origin, eu, ev, n, scale):
+    origin = np.asarray(origin, dtype=float) * scale
+    eu = np.asarray(eu, dtype=float) * scale
+    ev = np.asarray(ev, dtype=float) * scale
+    verts = []
+    faces = []
+    def V(p):
+        verts.append(p)
+        return len(verts) - 1
+    ts = np.linspace(0.0, 1.0, n)
+    grid = [[V(origin + u * eu + v * ev) for u in ts] for v in ts]
+    for j in range(n - 1):
+        for i in range(n - 1):
+            a = grid[j][i]
+            b = grid[j][i + 1]
+            c = grid[j + 1][i + 1]
+            d = grid[j + 1][i]
+            u0, u1 = ts[i], ts[i + 1]
+            v0, v1 = ts[j], ts[j + 1]
+            ctr = V(origin + 0.5 * (u0 + u1) * eu + 0.5 * (v0 + v1) * ev)
+            faces += [[a, b, ctr], [b, c, ctr], [c, d, ctr], [d, a, ctr]]
+    return np.array(verts), np.array(faces)
+
+
+CUBE_SIDES = [  # (origin, eu, ev) with eu x ev outward
+    ([0, 0, 0], [0, 1, 0], [1, 0, 0]),
+    ([0, 0, 1], [1, 0, 0], [0, 1, 0]),
+    ([0, 0, 0], [1, 0, 0], [0, 0, 1]),
+    ([0, 1, 0], [0, 0, 1], [1, 0, 0]),
+    ([0, 0, 0], [0, 0, 1], [0, 1, 0]),
+    ([1, 0, 0], [0, 1, 0], [0, 0, 1]),
+]
+
+
+def make_cube(n, scale=1.0):
+    all_v = []
+    all_f = []
+    offset = 0
+    for origin, eu, ev in CUBE_SIDES:
+        v, f = grid_face(origin, eu, ev, n, scale)
+        all_v.append(v)
+        all_f.append(f + offset)
+        offset += len(v)
+    return weld(np.vstack(all_v), np.vstack(all_f))
+
+
+def make_icosphere(level, scale=1.0):
+    phi = (1.0 + math.sqrt(5.0)) / 2.0
+    verts = np.array([
+        [-1, phi, 0], [1, phi, 0], [-1, -phi, 0], [1, -phi, 0],
+        [0, -1, phi], [0, 1, phi], [0, -1, -phi], [0, 1, -phi],
+        [phi, 0, -1], [phi, 0, 1], [-phi, 0, -1], [-phi, 0, 1],
+    ], dtype=float)
+    verts /= np.linalg.norm(verts, axis=1)[:, None]
+    faces = np.array([
+        [0, 11, 5], [0, 5, 1], [0, 1, 7], [0, 7, 10], [0, 10, 11],
+        [1, 5, 9], [5, 11, 4], [11, 10, 2], [10, 7, 6], [7, 1, 8],
+        [3, 9, 4], [3, 4, 2], [3, 2, 6], [3, 6, 8], [3, 8, 9],
+        [4, 9, 5], [2, 4, 11], [6, 2, 10], [8, 6, 7], [9, 8, 1],
+    ])
+    for _ in range(level):
+        new_faces = []
+        verts = list(verts)
+        midcache = {}
+        def mid(a, b):
+            key = (min(a, b), max(a, b))
+            if key not in midcache:
+                m = (np.asarray(verts[a]) + np.asarray(verts[b])) / 2.0
+                m /= np.linalg.norm(m)
+                verts.append(m)
+                midcache[key] = len(verts) - 1
+            return midcache[key]
+        for a, b, c in faces:
+            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+            new_faces += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
+        faces = np.array(new_faces)
+        verts = np.array(verts)
+    return np.asarray(verts) * scale, faces
+
+
+def make_wedge(scale=1.0, n=4):
+    profile = np.array([
+        [0.0, 0.0], [1.0, 0.0], [1.0, 0.6], [0.5, 1.0], [0.0, 0.6],
+    ]) * scale
+    m = len(profile)
+    depth = 1.2 * scale
+    ys = np.linspace(0.0, depth, n)
+    verts = []
+    for y in ys:
+        for x, z in profile:
+            verts.append([x, y, z])
+    verts = np.array(verts)
+    faces = []
+    for j in range(n - 1):
+        for i in range(m):
+            a = j * m + i
+            b = j * m + (i + 1) % m
+            c = (j + 1) * m + (i + 1) % m
+            d = (j + 1) * m + i
+            faces += [[a, c, b], [a, d, c]]
+    for i in range(1, m - 1):
+        faces.append([0, i, i + 1])
+        base = (n - 1) * m
+        faces.append([base, base + i + 1, base + i])
+    return verts, np.array(faces)
 
 
 # ----------------------------------------------------------------------

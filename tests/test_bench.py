@@ -16,7 +16,9 @@ from denoisekit import (
     make_shape,
     make_wedge,
 )
+from denoisekit.bench import _grid_face
 from conftest import rotation_matrix
+import reference_loops as ref
 
 
 # ----------------------------------------------------------------------
@@ -61,6 +63,29 @@ def test_make_shape_dispatch():
         make_plane(1)
     with pytest.raises(ValueError, match="level must be >= 0"):
         make_shape("icosphere", -1)  # was the 20-face level-0 sphere
+    for n in (1, -3):  # was the n = 2 wedge
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            make_shape("wedge", n)
+    for scale in (-1.0, 0.0, math.inf, math.nan):  # -1 was an inside-out cube
+        with pytest.raises(ValueError, match="scale must be finite and > 0"):
+            make_shape("cube", 3, scale)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.3])
+def test_shapes_equal_reference(scale):
+    """The array builders give the loop builders' exact vertices and faces."""
+    cases = [(make_plane(n, scale), ref.make_plane(n, scale)) for n in (2, 3, 4, 10, 30)]
+    cases += [(make_wedge(scale, n), ref.make_wedge(scale, n)) for n in (2, 3, 4, 10, 30)]
+    cases += [(make_cube(n, scale), ref.make_cube(n, scale)) for n in (2, 3, 10, 30)]
+    cases += [(make_icosphere(level, scale), ref.make_icosphere(level, scale))
+              for level in range(5)]
+    for mesh, (vertices, faces) in cases:
+        assert np.array_equal(mesh.vertices, vertices)
+        assert np.array_equal(mesh.faces, faces)
+    for n in (2, 3, 4, 10, 30):
+        for side in ref.CUBE_SIDES:
+            for got, want in zip(_grid_face(*side, n, scale), ref.grid_face(*side, n, scale)):
+                assert np.array_equal(got, want)
 
 
 # ----------------------------------------------------------------------

@@ -232,35 +232,60 @@ def _mesh_and_cloud(tmp_path):
     return mesh, cloud
 
 
-@pytest.mark.parametrize("argv, written, message", [
+@pytest.mark.parametrize("argv, message", [
     (["denoise", "--input", "{mesh}", "--method", "zheng-bilateral", "--iters", "2",
-      "--vertex-iters", "-1", "--output", "{out}.obj"], "{out}.obj",
-     "vertex_iterations must be >= 0"),
+      "--vertex-iters", "-1", "--output", "{out}.obj"], "vertex_iterations must be >= 0"),
     (["denoise", "--input", "{cloud}", "--method", "li-bilateral", "--iters", "2",
-      "--vertex-iters", "-1", "--output", "{out}.xyz"], "{out}.xyz",
-     "iterations must be >= 0"),
+      "--vertex-iters", "-1", "--output", "{out}.xyz"], "iterations must be >= 0"),
     (["experiment", "--preset", "plane", "--n", "4", "--noise", "0.2", "--seed", "1",
       "--methods", "zheng-bilateral", "--iters", "2", "--vertex-iters", "-2",
-      "--out", "{out}"], "{out}/summary.csv", "vertex_iterations must be >= 0"),
+      "--out", "{out}"], "vertex_iterations must be >= 0"),
+    (["experiment", "--preset", "plane", "--n", "4", "--noise", "0.2", "--seed", "1",
+      "--methods", "zheng-bilateral", "--iters", "2", "--vertex-iters", "2",
+      "--feature-threshold", "200", "--out", "{out}"],
+     "feature threshold must be in [0, 180] degrees"),
     (["kernel-table", "--kernel", "gaussian", "--xmax", "inf", "--out", "{out}.csv"],
-     "{out}.csv", "x_max must be finite and > 0"),
-    (["make-shape", "--kind", "icosphere", "--n", "-1", "--out", "{out}.obj"], "{out}.obj",
+     "x_max must be finite and > 0"),
+    (["make-shape", "--kind", "icosphere", "--n", "-1", "--out", "{out}.obj"],
      "level must be >= 0"),
+    (["make-shape", "--kind", "wedge", "--n", "1", "--out", "{out}.obj"], "n must be >= 2"),
+    (["make-shape", "--kind", "wedge", "--n", "-3", "--out", "{out}.obj"], "n must be >= 2"),
+    (["make-shape", "--kind", "cube", "--scale", "-1", "--out", "{out}.obj"],
+     "scale must be finite and > 0"),
+    (["make-shape", "--kind", "cube", "--n", "3", "--scale", "0", "--out", "{out}.obj"],
+     "scale must be finite and > 0"),
+    (["make-shape", "--kind", "plane", "--scale", "1e-200", "--out", "{out}.obj"],
+     "degenerate faces"),
     (["denoise", "--input", "{mesh}", "--method", "zheng-bilateral", "--iters", "2",
       "--vertex-iters", "2", "--output", "{out}.obj", "--ground-truth", "{mesh}",
-      "--feature-threshold", "nan", "--report", "{out}.json"], "{out}.json",
+      "--feature-threshold", "nan", "--report", "{out}.json"],
      "feature threshold must be in [0, 180] degrees"),
-], ids=["mesh-vertex-iters", "cloud-vertex-iters", "experiment-vertex-iters", "table-xmax",
-        "icosphere-level", "feature-threshold"])
-def test_out_of_range_number_exits_1(tmp_path, capsys, argv, written, message):
-    """A negative iteration count or level, an infinite table range and a NaN
-    feature threshold each exit 1 instead of giving a silent result: no
-    update, a NaN row, the level-0 sphere or no feature edges."""
+], ids=["mesh-vertex-iters", "cloud-vertex-iters", "experiment-vertex-iters",
+        "experiment-feature-threshold", "table-xmax", "icosphere-level", "wedge-n-1",
+        "wedge-n-negative", "cube-scale-negative", "cube-scale-0", "plane-scale-1e-200",
+        "feature-threshold"])
+def test_out_of_range_number_exits_1(tmp_path, capsys, argv, message):
+    """A negative iteration count, level or scale, too few vertices per edge,
+    a scale whose faces underflow, an infinite table range and a feature
+    threshold outside [0, 180] each exit 1 and write no file, instead of
+    giving a silent result: no update, a NaN row, a smaller or inside-out
+    shape, zero normals or no feature edges."""
     mesh, cloud = _mesh_and_cloud(tmp_path)
     names = dict(mesh=mesh, cloud=cloud, out=tmp_path / "out")
+    before = sorted(tmp_path.rglob("*"))
     assert run(*(a.format(**names) for a in argv)) == 1
     assert f"error: {message}" in capsys.readouterr().err
-    assert not Path(written.format(**names)).exists()
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_collapsed_face_exits_1(tmp_path, capsys):
+    """A face whose three vertices coincide was accepted and denoised."""
+    src = tmp_path / "point.obj"
+    src.write_text("v 1 2 3\nv 1 2 3\nv 1 2 3\nf 1 2 3\n")
+    assert run("denoise", "--input", str(src), "--method", "zheng-bilateral",
+               "--output", str(tmp_path / "o.obj")) == 1
+    assert "error: degenerate faces: [0]" in capsys.readouterr().err
+    assert not (tmp_path / "o.obj").exists()
 
 
 def test_method_lists_are_pinned():

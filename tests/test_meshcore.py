@@ -123,6 +123,20 @@ def test_degenerate_face_rejected():
         TriMesh([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 1, 2]])
 
 
+@pytest.mark.parametrize("build", [
+    load_mesh,
+    lambda p: TriMesh(make_cube(3).vertices * 0.0, make_cube(3).faces),
+    lambda p: make_plane(3, 1e-200),
+], ids=["coincident-obj", "cube-scale-0", "plane-scale-1e-200"])
+def test_collapsed_faces_rejected(tmp_path, build):
+    """Faces whose edges all have length 0, or whose areas underflow to 0,
+    passed validation: the bound on the area was 0 as well."""
+    p = tmp_path / "point.obj"
+    p.write_text("v 1 2 3\nv 1 2 3\nv 1 2 3\nf 1 2 3\n")
+    with pytest.raises(DegenerateFaceError, match="degenerate faces"):
+        build(p)
+
+
 def test_face_index_out_of_range():
     with pytest.raises(Exception):
         TriMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 5]])
@@ -138,6 +152,20 @@ def test_roundtrip_triangle(tmp_path):
     m2 = load_mesh(p)
     assert np.array_equal(m.faces, m2.faces)
     assert np.max(np.abs(m.vertices - m2.vertices)) < 1e-8
+
+
+def test_saved_bytes_pinned(tmp_path):
+    """The exact text of 9 significant digits, including non-finite values,
+    negative zero and the smallest subnormal."""
+    v = [[math.nan, math.inf, -0.0], [5e-324, 0.1 + 0.2, 123456789.123456789],
+         [-2.5e17, 1.0, 2.0]]
+    p = tmp_path / "t.obj"
+    with np.errstate(invalid="ignore"):
+        save_mesh(TriMesh(v, [[0, 1, 2], [2, 1, 0]], validate=False), p)
+    assert p.read_bytes() == (b"v nan inf -0\n"
+                              b"v 4.94065646e-324 0.3 123456789\n"
+                              b"v -2.5e+17 1 2\n"
+                              b"f 1 2 3\nf 3 2 1\n")
 
 
 def test_roundtrip_cube(tmp_path):
