@@ -14,8 +14,10 @@ Face fields are rebuilt explicitly via
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -63,7 +65,7 @@ class TriMesh:
         self.vertices = np.asarray(vertices, dtype=float).reshape(-1, 3)
         self.faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
         if validate:
-            if len(self.faces) and (self.faces.min() < 0 or self.faces.max() >= len(self.vertices)):
+            if not ((self.faces >= 0) & (self.faces < len(self.vertices))).all():
                 raise MeshError("face index out of range")
             if not np.isfinite(self.vertices).all():
                 raise MeshError("non-finite vertex coordinates")
@@ -152,9 +154,7 @@ class TriMesh:
     @cached_property
     def edge_faces(self) -> list[list[int]]:
         """Sorted faces on each edge of ``edges``."""
-        flat = self._edge_face_flat.tolist()
-        ends = np.cumsum(self._edge_face_count).tolist()
-        return [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
+        return [r.tolist() for r in _split(self._edge_face_flat, self._edge_face_count)]
 
     @cached_property
     def face_adjacency_vertex(self) -> list[np.ndarray]:
@@ -175,11 +175,8 @@ class TriMesh:
             double_area = np.linalg.norm(cross, axis=1)
             self.face_areas = 0.5 * double_area
             self.face_centroids = (p0 + p1 + p2) / 3.0
-            if len(self.edges):
-                d = v[self.edges[:, 0]] - v[self.edges[:, 1]]
-                self.avg_edge_length = float(np.mean(np.linalg.norm(d, axis=1)))
-            else:
-                self.avg_edge_length = 0.0
+            d = v[self.edges[:, 0]] - v[self.edges[:, 1]]  # faces have edges
+            self.avg_edge_length = float(np.mean(np.linalg.norm(d, axis=1)))
             if validate:
                 bad = np.flatnonzero(self.face_areas <= 1e-14 * self.avg_edge_length ** 2)
                 if len(bad):
@@ -250,8 +247,6 @@ class TriMesh:
         """Signed volume; meaningful for closed orientable meshes."""
         v = self.vertices
         f = self.faces
-        if not len(f):
-            return 0.0
         return float(np.einsum("ij,ij->i", v[f[:, 0]],
                                np.cross(v[f[:, 1]], v[f[:, 2]])).sum() / 6.0)
 
@@ -276,9 +271,7 @@ def _group_pair_keys(groups, members, nf: int) -> np.ndarray:
     size = np.bincount(groups)
     first = np.cumsum(size) - size
     rep = size[groups]  # each member pairs with every member of its group
-    offset = np.arange(rep.sum()) - np.repeat(np.cumsum(rep) - rep, rep)
-    partner = members[np.repeat(first[groups], rep) + offset]
-    return np.repeat(members, rep) * nf + partner
+    return np.repeat(members, rep) * nf + members[_runs(first[groups], rep)]
 
 
 def scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
@@ -404,93 +397,99 @@ def load_mesh(path) -> TriMesh:
     """Load an ASCII OBJ (v/f) or ASCII PLY triangle mesh with at least one face."""
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         text = fh.read()
-    mesh = _load_ply(text) if text.lstrip().startswith("ply") else _load_obj(text)
+    # the reader returns arrays, so its tokens are freed before the topology
+    mesh = TriMesh(*(_load_ply if text.lstrip().startswith("ply") else _load_obj)(text))
     if not len(mesh.faces):
         raise ParseError("no faces")
     return mesh
 
 
-def _load_obj(text: str) -> TriMesh:
-    vertices = []
-    faces = []
-    for ln, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        tag = parts[0]
-        if tag == "v":
-            if len(parts) < 4:
-                raise ParseError(f"line {ln}: vertex with <3 coordinates")
-            try:
-                vertices.append([float(parts[1]), float(parts[2]), float(parts[3])])
-            except ValueError:
-                raise ParseError(f"line {ln}: bad vertex coordinate")
-        elif tag == "f":
-            if len(parts) < 4:
-                raise ParseError(f"line {ln}: face with <3 vertices")
-            try:
-                idx = [int(p.split("/")[0]) for p in parts[1:]]
-            except ValueError:
-                raise ParseError(f"line {ln}: bad face index")
-            idx = [i - 1 if i > 0 else len(vertices) + i for i in idx]
-            for a, b in zip(idx[1:-1], idx[2:]):  # fan-triangulate
-                faces.append([idx[0], a, b])
-        # other records (vn, vt, o, g, s, mtllib, usemtl) are ignored
-    return TriMesh(np.array(vertices, dtype=float).reshape(-1, 3),
-                   np.array(faces, dtype=np.int64).reshape(-1, 3))
+def token_table(rows: list[list[str]]):
+    """All tokens of ``rows`` and the line, first token and width of each non-blank row."""
+    width = np.fromiter(map(len, rows), np.int64, len(rows))
+    tokens = np.fromiter(chain.from_iterable(rows), object, int(width.sum()))
+    row = np.flatnonzero(width)
+    return tokens, row + 1, (np.cumsum(width) - width)[row], width[row]
 
 
-def _load_ply(text: str) -> TriMesh:
-    lines = text.splitlines()
-    i = 0
-    n_vertex = n_face = 0
-    vertex_props = []
-    in_header = True
-    current_element = None
-    while i < len(lines):
-        line = lines[i].strip()
-        i += 1
-        if not in_header:
-            break
-        if line.startswith("format"):
-            if "ascii" not in line:
-                raise ParseError("only ASCII PLY is supported")
-        elif line.startswith("element vertex"):
-            n_vertex = int(line.split()[2])
-            current_element = "vertex"
-        elif line.startswith("element face"):
-            n_face = int(line.split()[2])
-            current_element = "face"
-        elif line.startswith("property") and current_element == "vertex":
-            vertex_props.append(line.split()[-1])
-        elif line == "end_header":
-            in_header = False
-            break
-    if in_header:
-        raise ParseError("PLY header without end_header")
-    body = [ln.strip() for ln in lines[i:] if ln.strip()]
+def parse_numbers(tokens, lines, dtype, what: str, error=ParseError) -> np.ndarray:
+    """``tokens`` as ``float`` or ``int`` would convert them; a bad one names its line."""
     try:
-        xi, yi, zi = (vertex_props.index(p) for p in ("x", "y", "z"))
-    except ValueError:
+        return np.array(tokens, dtype=dtype)
+    except (ValueError, OverflowError):
+        for token, line in zip(tokens, lines):  # only on error: find the first bad one
+            try:
+                np.array(token, dtype=dtype)
+            except (ValueError, OverflowError):
+                raise error(f"line {line}: {what}") from None
+        raise
+
+
+def fail_at(lines, what: str, error=ParseError) -> None:
+    """Raise ``error`` naming the first of ``lines``, if there is one."""
+    if len(lines):
+        raise error(f"line {lines[0]}: {what}")
+
+
+def _runs(first, counts) -> np.ndarray:
+    """The ranges ``first[i] + range(counts[i])``, concatenated."""
+    return np.arange(np.sum(counts)) + np.repeat(first - np.cumsum(counts) + counts, counts)
+
+
+def fan(corners, counts) -> np.ndarray:
+    """Fan triangles ``(c_0, c_k, c_k+1)`` of polygons stored as runs of corners."""
+    first = np.cumsum(counts) - counts
+    k = _runs(first + 1, counts - 2)
+    return corners[np.stack([np.repeat(first, counts - 2), k, k + 1], axis=1)]
+
+
+def _load_obj(text: str):
+    """``v`` and ``f`` records (others are ignored); a corner ``a``, ``a/b``,
+    ``a//c`` or ``a/b/c`` is vertex a, 1-based, or counted back if a < 0. Widths
+    are checked before numbers: of several bad lines, the first may not be named."""
+    tokens, lines, start, width = token_table([s.split("#", 1)[0].split()
+                                               for s in text.splitlines()])
+    v, f = (tokens[start] == tag for tag in ("v", "f"))
+    fail_at(lines[v & (width < 4)], "vertex with <3 coordinates")
+    fail_at(lines[f & (width < 4)], "face with <3 vertices")
+    xyz = parse_numbers(tokens[start[v, None] + [1, 2, 3]].ravel(), np.repeat(lines[v], 3),
+                        float, "bad vertex coordinate")
+    n = width[f] - 1
+    at = np.repeat(lines[f], n)  # the line of each corner
+    # keep each corner's vertex index: "a/b/c" -> "a", while "/b" stays bad
+    corners = re.sub(r"(?<=[^ /])/\S*", "", " ".join(tokens[_runs(start[f] + 1, n)]))
+    idx = parse_numbers(corners.split(), at, np.int64, "bad face index")
+    fail_at(at[idx == 0], "bad face index")
+    return xyz, fan(np.where(idx > 0, idx - 1, np.searchsorted(lines[v], at) + idx), n)
+
+
+def _load_ply(text: str):
+    rows = [s.split() for s in text.splitlines()]
+    end = rows.index(["end_header"]) + 1 if ["end_header"] in rows else None
+    count, props, element = {"vertex": 0, "face": 0}, [], None
+    for words in rows[:end]:
+        if words[:1] == ["format"] and words[1:2] != ["ascii"]:
+            raise ParseError("only ASCII PLY is supported")
+        if words[:1] == ["element"]:
+            element, count[words[1]] = words[1], int(words[2])
+        elif words[:1] == ["property"] and element == "vertex":
+            props.append(words[-1])
+    if end is None:
+        raise ParseError("PLY header without end_header")
+    if not {"x", "y", "z"} <= set(props):
         raise ParseError("PLY vertex element lacks x/y/z properties")
-    vertices = []
-    for ln in body[:n_vertex]:
-        parts = ln.split()
-        vertices.append([float(parts[xi]), float(parts[yi]), float(parts[zi])])
-    faces = []
-    for ln in body[n_vertex:n_vertex + n_face]:
-        parts = ln.split()
-        cnt = int(parts[0])
-        if cnt < 3:
-            raise ParseError("face with <3 vertices")
-        idx = [int(p) for p in parts[1:1 + cnt]]
-        for a, b in zip(idx[1:-1], idx[2:]):
-            faces.append([idx[0], a, b])
-    if len(vertices) != n_vertex:
-        raise ParseError("PLY vertex count mismatch")
-    return TriMesh(np.array(vertices, dtype=float).reshape(-1, 3),
-                   np.array(faces, dtype=np.int64).reshape(-1, 3))
+    tokens, lines, start, width = token_table(rows)
+    body, nv, nf = np.flatnonzero(lines > end), count["vertex"], count["face"]
+    if len(body) < nv + nf:
+        raise ParseError(f"PLY declares {nv} vertices and {nf} faces but has {len(body)} rows")
+    v, f = body[:nv], body[nv:nv + nf]
+    fail_at(lines[v][width[v] < len(props)], f"vertex row with fewer than {len(props)} values")
+    xyz = parse_numbers(tokens[start[v, None] + [props.index(p) for p in "xyz"]].ravel(),
+                        np.repeat(lines[v], 3), float, "bad vertex coordinate")
+    n = parse_numbers(tokens[start[f]], lines[f], np.int64, "bad face count")
+    fail_at(lines[f][(n < 3) | (width[f] <= n)], "face with <3 vertices or fewer than its count")
+    return xyz, fan(parse_numbers(tokens[_runs(start[f] + 1, n)], np.repeat(lines[f], n),
+                                  np.int64, "bad face index"), n)
 
 
 def save_mesh(mesh: TriMesh, path) -> None:

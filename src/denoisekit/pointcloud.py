@@ -7,7 +7,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, depth_first_order, minimum_spanning_tree
 from scipy.spatial import cKDTree
 
-from .meshcore import csr_graph, vector_dots
+from .meshcore import csr_graph, fail_at, parse_numbers, token_table, vector_dots
 
 
 class PointCloudError(Exception):
@@ -141,26 +141,18 @@ def estimate_normals_pca(cloud: PointCloud, k: int,
 # XYZ text IO: "x y z [nx ny nz]" per line
 
 def load_xyz(path) -> PointCloud:
-    """Load an ``.xyz`` file with at least one point."""
-    pts, nrm = [], []
+    """Load an ``.xyz`` file with at least one point. Column counts are checked
+    before numbers: of several bad lines, the first may not be named."""
     with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) not in (3, 6):
-                raise PointCloudError(f"line {ln}: expected 3 or 6 columns")
-            vals = [float(p) for p in parts]
-            pts.append(vals[:3])
-            if len(vals) == 6:
-                nrm.append(vals[3:])
-    if not pts:
+        tokens, lines, _, width = token_table([s.split("#", 1)[0].split() for s in fh])
+    fail_at(lines[(width != 3) & (width != 6)], "expected 3 or 6 columns", PointCloudError)
+    if not len(lines):
         raise PointCloudError("no points")
-    if nrm and len(nrm) != len(pts):
+    if width.min() != width.max():
         raise PointCloudError("some lines carry normals, some do not")
-    return PointCloud(np.array(pts).reshape(-1, 3),
-                      np.array(nrm).reshape(-1, 3) if nrm else None)
+    values = parse_numbers(tokens, np.repeat(lines, width), float, "bad coordinate",
+                           PointCloudError).reshape(len(lines), -1)
+    return PointCloud(values[:, :3].copy(), values[:, 3:].copy() if width[0] == 6 else None)
 
 
 def save_xyz(cloud: PointCloud, path) -> None:

@@ -4,12 +4,13 @@ guidance normals, the filter engine with per-pass spatial weights, the
 vector medians and the median pass, the vertex update, Laplacian smoothing,
 the vertex weld and the synthetic shapes; for point clouds the kNN and
 radius queries, PCA normals, the five point filters, the position update and
-the noise spacing.
+the noise spacing; and the OBJ, ASCII PLY and XYZ readers, one line at a
+time.
 
 This is the straightforward face-by-face (point-by-point) form of each
 computation. It is slow and kept only as a reference for the differential
 tests. Only the kernels run the same way in both and are imported from the
-library.
+library; the readers build the library's mesh and cloud containers.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 from scipy.spatial import cKDTree
 
 from denoisekit.kernels import Kernel
-from denoisekit.meshcore import NonManifoldError
-from denoisekit.pointcloud import RankDeficientNeighborhood
+from denoisekit.meshcore import NonManifoldError, ParseError, TriMesh
+from denoisekit.pointcloud import PointCloud, PointCloudError, RankDeficientNeighborhood
 
 
 def build_topology(faces, n_vertices) -> dict:
@@ -554,7 +555,8 @@ def estimate_normals_pca(cloud, k, orient_to=None) -> np.ndarray:
         group = np.vstack([pts[i], pts[idx]])
         center = group.mean(axis=0)
         q = group - center
-        if np.max(np.linalg.norm(group - group[0], axis=1)) < 1e-12 * max(cloud.bbox_diagonal, 1e-300):
+        spread = np.max(np.linalg.norm(group - group[0], axis=1))
+        if spread < 1e-12 * max(cloud.bbox_diagonal, 1e-300):
             raise RankDeficientNeighborhood(f"degenerate neighborhood around point {i}")
         cov = q.T @ q
         w, vec = np.linalg.eigh(cov)
@@ -707,3 +709,112 @@ def noise_spacing(points) -> float:
     d = np.array([np.linalg.norm(points[knn(tree, i, 1)[0]] - points[i])
                   for i in range(len(points))])
     return float(d.mean())
+
+
+# ----------------------------------------------------------------------
+# file readers: one line, one float() or int() per token and one append per
+# vertex, face or point
+
+def load_obj(text: str) -> TriMesh:
+    vertices = []
+    faces = []
+    for ln, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        tag = parts[0]
+        if tag == "v":
+            if len(parts) < 4:
+                raise ParseError(f"line {ln}: vertex with <3 coordinates")
+            try:
+                vertices.append([float(parts[1]), float(parts[2]), float(parts[3])])
+            except ValueError:
+                raise ParseError(f"line {ln}: bad vertex coordinate")
+        elif tag == "f":
+            if len(parts) < 4:
+                raise ParseError(f"line {ln}: face with <3 vertices")
+            try:
+                idx = [int(p.split("/")[0]) for p in parts[1:]]
+            except ValueError:
+                raise ParseError(f"line {ln}: bad face index")
+            idx = [i - 1 if i > 0 else len(vertices) + i for i in idx]
+            for a, b in zip(idx[1:-1], idx[2:]):  # fan-triangulate
+                faces.append([idx[0], a, b])
+        # other records (vn, vt, o, g, s, mtllib, usemtl) are ignored
+    return TriMesh(np.array(vertices, dtype=float).reshape(-1, 3),
+                   np.array(faces, dtype=np.int64).reshape(-1, 3))
+
+
+def load_ply(text: str) -> TriMesh:
+    lines = text.splitlines()
+    i = 0
+    n_vertex = n_face = 0
+    vertex_props = []
+    in_header = True
+    current_element = None
+    while i < len(lines):
+        line = lines[i].strip()
+        i += 1
+        if not in_header:
+            break
+        if line.startswith("format"):
+            if "ascii" not in line:
+                raise ParseError("only ASCII PLY is supported")
+        elif line.startswith("element vertex"):
+            n_vertex = int(line.split()[2])
+            current_element = "vertex"
+        elif line.startswith("element face"):
+            n_face = int(line.split()[2])
+            current_element = "face"
+        elif line.startswith("property") and current_element == "vertex":
+            vertex_props.append(line.split()[-1])
+        elif line == "end_header":
+            in_header = False
+            break
+    if in_header:
+        raise ParseError("PLY header without end_header")
+    body = [ln.strip() for ln in lines[i:] if ln.strip()]
+    try:
+        xi, yi, zi = (vertex_props.index(p) for p in ("x", "y", "z"))
+    except ValueError:
+        raise ParseError("PLY vertex element lacks x/y/z properties")
+    vertices = []
+    for ln in body[:n_vertex]:
+        parts = ln.split()
+        vertices.append([float(parts[xi]), float(parts[yi]), float(parts[zi])])
+    faces = []
+    for ln in body[n_vertex:n_vertex + n_face]:
+        parts = ln.split()
+        cnt = int(parts[0])
+        if cnt < 3:
+            raise ParseError("face with <3 vertices")
+        idx = [int(p) for p in parts[1:1 + cnt]]
+        for a, b in zip(idx[1:-1], idx[2:]):
+            faces.append([idx[0], a, b])
+    if len(vertices) != n_vertex:
+        raise ParseError("PLY vertex count mismatch")
+    return TriMesh(np.array(vertices, dtype=float).reshape(-1, 3),
+                   np.array(faces, dtype=np.int64).reshape(-1, 3))
+
+
+def load_xyz(path) -> PointCloud:
+    pts, nrm = [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for ln, line in enumerate(fh, start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) not in (3, 6):
+                raise PointCloudError(f"line {ln}: expected 3 or 6 columns")
+            vals = [float(p) for p in parts]
+            pts.append(vals[:3])
+            if len(vals) == 6:
+                nrm.append(vals[3:])
+    if not pts:
+        raise PointCloudError("no points")
+    if nrm and len(nrm) != len(pts):
+        raise PointCloudError("some lines carry normals, some do not")
+    return PointCloud(np.array(pts).reshape(-1, 3),
+                      np.array(nrm).reshape(-1, 3) if nrm else None)

@@ -128,6 +128,36 @@ def test_denoise_empty_input(tmp_path, capsys, name, text, message):
     assert not out.exists()
 
 
+PLY_4_2 = ("ply\nformat ascii 1.0\nelement vertex 4\nproperty float x\nproperty float y\n"
+           "property float z\nelement face 2\nproperty list uchar int vertex_indices\n"
+           "end_header\n0 0 0\n1 0 0\n{v2}\n1 1 0\n3 0 1 2\n{f1}")
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("zero.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 0 1 2\nv 1 1 0\n", "line 4: bad face index"),
+    ("short-vertex.ply", PLY_4_2.format(v2="0 1", f1="3 1 3 2\n"),
+     "line 12: vertex row with fewer than 3 values"),
+    ("missing-face.ply", PLY_4_2.format(v2="0 1 0", f1=""),
+     "PLY declares 4 vertices and 2 faces but has 5 rows"),
+    ("short-face.ply", PLY_4_2.format(v2="0 1 0", f1="3 1 3\n"),
+     "line 15: face with <3 vertices or fewer than its count"),
+    ("bad-index.ply", PLY_4_2.format(v2="0 1 0", f1="3 1 3 x\n"), "line 15: bad face index"),
+    ("bad-number.xyz", "0 0 0\n1 x 0\n", "line 2: bad coordinate"),
+], ids=["zero-obj", "short-vertex-ply", "missing-face-ply", "short-face-ply", "bad-index-ply",
+        "bad-number-xyz"])
+def test_denoise_malformed_input(tmp_path, capsys, name, text, message):
+    """A malformed OBJ, PLY or XYZ file exits 1, names the fault and writes
+    nothing."""
+    bad = tmp_path / name
+    bad.write_text(text)
+    out = tmp_path / ("o" + bad.suffix)
+    code = run("denoise", "--input", str(bad), "--method", "li-bilateral"
+               if bad.suffix == ".xyz" else "zheng-bilateral", "--output", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_denoise_mesh_with_report(cube_obj, tmp_path):
     noisy = tmp_path / "noisy.obj"
     assert run("add-noise", "--input", str(cube_obj), "--sigma-factor", "0.3",

@@ -100,6 +100,57 @@ def test_negative_obj_indices(tmp_path):
     assert m.faces.tolist() == [[0, 1, 2]]
 
 
+def test_obj_index_zero_rejected(tmp_path):
+    """OBJ indices are 1-based or negative: 0 is no vertex, even when a later
+    ``v`` line would make it one counted back from the vertices read so far."""
+    p = tmp_path / "zero.obj"
+    p.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 0 1 2\nv 1 1 0\n")
+    with pytest.raises(ParseError, match="^line 4: bad face index$"):
+        load_mesh(p)
+
+
+PLY_HEADER = ("ply\nformat ascii 1.0\nelement vertex 4\nproperty float x\n"
+              "property float y\nproperty float z\nelement face 2\n"
+              "property list uchar int vertex_indices\nend_header\n")
+PLY_ROWS = ["0 0 0", "1 0 0", "0 1 0", "1 1 0", "3 0 1 2", "3 1 3 2"]
+
+
+def ply_text(rows):
+    return PLY_HEADER + "".join(r + "\n" for r in rows)
+
+
+def test_load_ply_polygon_and_extra_columns(tmp_path):
+    """A quad is fan-triangulated; values past a row's count are ignored."""
+    p = tmp_path / "q.ply"
+    p.write_text(ply_text(PLY_ROWS[:4] + ["4 0 1 3 2", "3 1 3 2 255"]))
+    assert load_mesh(p).faces.tolist() == [[0, 1, 3], [0, 3, 2], [1, 3, 2]]
+
+
+@pytest.mark.parametrize("row, value, message", [
+    (2, "0 1", "line 12: vertex row with fewer than 3 values"),
+    (2, "0 y 0", "line 12: bad vertex coordinate"),
+    (5, "3 1 3", "line 15: face with <3 vertices or fewer than its count"),
+    (5, "2 1 3", "line 15: face with <3 vertices or fewer than its count"),
+    (5, "3 1 3 x", "line 15: bad face index"),
+    (5, "x 1 3 2", "line 15: bad face count"),
+    (5, None, "PLY declares 4 vertices and 2 faces but has 5 rows"),
+    (3, None, "PLY declares 4 vertices and 2 faces but has 5 rows"),
+], ids=["short-vertex", "bad-coordinate", "short-face", "two-corners", "bad-index",
+        "bad-count", "missing-face", "missing-vertex"])
+def test_malformed_ply_rows(tmp_path, row, value, message):
+    """A good 4-vertex, 2-face PLY with one row changed (or dropped) fails
+    with a ParseError naming the line, or the counts when rows are missing."""
+    rows = list(PLY_ROWS)
+    if value is None:
+        del rows[row]
+    else:
+        rows[row] = value
+    p = tmp_path / "bad.ply"
+    p.write_text(ply_text(rows))
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        load_mesh(p)
+
+
 def test_load_ascii_ply(tmp_path):
     p = tmp_path / "t.ply"
     p.write_text(

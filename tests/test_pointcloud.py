@@ -179,6 +179,13 @@ def test_xyz_bad_columns(tmp_path):
         load_xyz(p)
 
 
+def test_xyz_bad_number_names_line(tmp_path):
+    p = tmp_path / "bad.xyz"
+    p.write_text("0 0 0\n1 x 0\n")
+    with pytest.raises(PointCloudError, match="^line 2: bad coordinate$"):
+        load_xyz(p)
+
+
 def test_xyz_mixed_normals(tmp_path):
     p = tmp_path / "bad.xyz"
     p.write_text("1 2 3\n1 2 3 0 0 1\n")
