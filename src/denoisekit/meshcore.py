@@ -20,6 +20,7 @@ from functools import cached_property
 from itertools import chain
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 
@@ -222,8 +223,8 @@ class TriMesh:
         cot = np.einsum("fcx,fcx->fc", u, w) / np.maximum(
             np.linalg.norm(np.cross(u, w), axis=2), 1e-300)
         pull = cot[:, :, None] * (v[k] - v[j])
-        acc = scatter_rows(np.stack([j, k], axis=2).ravel(),
-                           np.stack([pull, -pull], axis=2).reshape(-1, 3), nv)
+        acc = graph_sum(index_graph(np.stack([j, k], axis=2).ravel(), nv), np.ones(6 * len(f)),
+                        np.stack([pull, -pull], axis=2).reshape(-1, 3))
         kappa = np.linalg.norm(acc, axis=1) / np.maximum(4.0 * ring_area / 3.0, 1e-300)
         kappa[boundary] = 0.0
         kappa[ring_area == 0] = 0.0
@@ -274,11 +275,21 @@ def _group_pair_keys(groups, members, nf: int) -> np.ndarray:
     return np.repeat(members, rep) * nf + members[_runs(first[groups], rep)]
 
 
-def scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """``out[index[p]] += rows[p]`` into ``n`` zero rows, adding in the order
-    of p (one ``np.bincount`` per column)."""
-    return np.stack([np.bincount(index, weights=rows[:, x], minlength=n)
-                     for x in range(rows.shape[1])], axis=1)
+def index_graph(index: np.ndarray, n: int):
+    """The CSR graph of ``n`` centers in which center c holds the positions p
+    with ``index[p] == c``, ascending: one sort of the distinct keys
+    ``index[p] * len(index) + p``, which is faster than a stable argsort."""
+    order = np.sort(index * len(index) + np.arange(len(index))) % max(len(index), 1)
+    counts = np.bincount(index, minlength=n)
+    return index[order], order, np.cumsum(counts) - counts, counts
+
+
+def graph_sum(graph, w, rows) -> np.ndarray:
+    """Per center of a CSR graph, ``sum_p w[p] * rows[neighbors[p]]`` over its
+    pairs p, added in their order from zero as by ``np.add.at``: one sparse product."""
+    _, neighbors, starts, counts = graph
+    return csr_matrix((w, neighbors, np.append(starts, len(neighbors))),
+                      shape=(len(counts), len(rows))) @ rows
 
 
 def vector_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -297,11 +308,10 @@ def unit_rows(rows: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarray, int]:
             int(np.count_nonzero(~ok)))
 
 
-def weighted_unit_mean(normals, w, centers, neighbors) -> tuple[np.ndarray, int]:
+def weighted_unit_mean(normals, w, graph) -> tuple[np.ndarray, int]:
     """Per center, the unit sum of its neighbours' normals under the pair
     weights ``w``; one whose sum vanishes keeps its normal (counted)."""
-    return unit_rows(scatter_rows(centers, w[:, None] * normals[neighbors], len(normals)),
-                     normals)
+    return unit_rows(graph_sum(graph, w, normals), normals)
 
 
 def pair_angles(normals, neighbors, starts, counts) -> np.ndarray:
@@ -467,10 +477,12 @@ def _load_ply(text: str):
     rows = [s.split() for s in text.splitlines()]
     end = rows.index(["end_header"]) + 1 if ["end_header"] in rows else None
     count, props, element = {"vertex": 0, "face": 0}, [], None
-    for words in rows[:end]:
+    for line, words in enumerate(rows[:end], start=1):
         if words[:1] == ["format"] and words[1:2] != ["ascii"]:
             raise ParseError("only ASCII PLY is supported")
         if words[:1] == ["element"]:
+            if len(words) < 3 or not words[2].isdecimal():
+                raise ParseError(f"line {line}: element without a name and a count >= 0")
             element, count[words[1]] = words[1], int(words[2])
         elif words[:1] == ["property"] and element == "vertex":
             props.append(words[-1])

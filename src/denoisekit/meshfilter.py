@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kernels import Kernel
-from .meshcore import (NeighborhoodSpec, TriMesh, check_positive, mean_positive_distance,
-                       pair_angles, parse_key_values, scatter_rows, text_value,
+from .meshcore import (NeighborhoodSpec, TriMesh, check_positive, csr_graph, graph_sum,
+                       mean_positive_distance, pair_angles, parse_key_values, text_value,
                        unit_rows, weighted_unit_mean)
 
 # A row per named filter: its domain ("mesh": FilterSpec, "points":
@@ -237,31 +237,19 @@ def _pair_arguments(spec, mesh, graph):
         kappa_face = mesh.vertex_mean_curvature()[mesh.faces].mean(axis=1)
         x = kappa_face[neighbors] * mesh.avg_edge_length
         return lambda normals: x
-    if spec.argument == "angle":
-        return lambda normals: _face_angles(normals, centers, neighbors)
     if spec.argument == "angle_per_distance":
         d = np.linalg.norm(mesh.face_centroids[centers] - mesh.face_centroids[neighbors], axis=1)
-        pos = d > 0
-        return lambda normals: np.where(
-            pos, _face_angles(normals, centers, neighbors) / np.where(pos, d, 1.0), 0.0)
+        angle, pos = pair_argument("angle", graph), d > 0
+        return lambda normals: np.where(pos, angle(normals) / np.where(pos, d, 1.0), 0.0)
     return pair_argument(spec.argument, graph, lambda normals: guidance_normals(
         mesh, spec.neighborhood, spec.guidance_threshold, normals=normals))
 
 
-def _face_angles(normals, centers, neighbors):
-    """The angle of each face pair from the elementwise dot. Not
-    ``pair_angles``: its matrix-vector product rounds the dot of a triangle
-    with its reversed copy to 1 ulp above -1, which arccos turns into
-    pi - 1.5e-8, and that moves the box kernel's energy by 1e-8."""
-    dots = np.einsum("ij,ij->i", normals[centers], normals[neighbors])
-    return np.arccos(np.clip(dots, -1.0, 1.0))
-
-
 def pair_argument(argument, graph, guide=None):
-    """A point filter's argument, as a function of the normals: the angle
-    between the normals of each pair of the CSR graph, or the distance
+    """A face or point filter's argument, as a function of the normals: the
+    angle between the normals of each pair of the CSR graph, or the distance
     between them ("euclidean") or between their guidance normals
-    ``guide(normals)`` ("guidance"); the face filters take the last two."""
+    ``guide(normals)`` ("guidance")."""
     centers, neighbors, starts, counts = graph
     if argument == "angle":
         return lambda normals: pair_angles(normals, neighbors, starts, counts)
@@ -303,7 +291,8 @@ def guidance_normals(mesh: TriMesh, neighborhood: NeighborhoodSpec,
     centers, flat, _, _ = mesh.neighbor_graph(replace(neighborhood, include_self=True))
     dots = np.clip(np.einsum("ij,ij->i", prev[centers], prev[flat]), -1.0, 1.0)
     near = dots > math.cos(angle_threshold)
-    return weighted_unit_mean(prev, mesh.face_areas[flat[near]], centers[near], flat[near])[0]
+    graph = csr_graph(centers[near] * len(prev) + flat[near], len(prev))
+    return weighted_unit_mean(prev, mesh.face_areas[graph[1]], graph)[0]
 
 
 # ----------------------------------------------------------------------
@@ -318,7 +307,7 @@ def smooth_normals(normals, iterations, graph, argument, weight, spatial):
     warnings = 0
     for _ in range(iterations):
         w = _substitute_nan(weight(argument(normals)), centers, starts, counts) * spatial
-        normals, kept = weighted_unit_mean(normals, w, centers, neighbors)
+        normals, kept = weighted_unit_mean(normals, w, graph)
         warnings += kept
     return normals, warnings
 
@@ -390,15 +379,14 @@ def filter_gradient_descent(mesh: TriMesh, spec: FilterSpec, initial=None) -> No
     if not spec.range_kernel.differentiable:
         raise ValueError("gradient descent needs a differentiable kernel")
     prev = np.array(mesh.face_normals if initial is None else initial, dtype=float)
-    centers, flat, _, _ = mesh.neighbor_graph(spec.neighborhood)
+    centers, flat, starts, counts = mesh.neighbor_graph(spec.neighborhood)
+    pairs = centers, np.arange(len(flat)), starts, counts  # neighbour p: row p of diff
     for _ in range(spec.iterations):
         diff = prev[flat] - prev[centers]
         x = np.linalg.norm(diff, axis=1)
         # psi(x) * unit direction == g(x) * (n_j - n_i); exactly 0 when coincident
-        g = spec.range_kernel.weight(x)
-        contrib = np.where((x > 0)[:, None], g[:, None] * diff, 0.0)
-        step = scatter_rows(centers, contrib, len(prev))
-        prev = unit_rows(prev + spec.step_lambda * step, prev)[0]
+        g = np.where(x > 0, spec.range_kernel.weight(x), 0.0)
+        prev = unit_rows(prev + spec.step_lambda * graph_sum(pairs, g, diff), prev)[0]
     return NormalField(prev, iterations=spec.iterations)
 
 

@@ -84,7 +84,7 @@ def filter_point_normals(cloud: PointCloud, spec: PointFilterSpec) -> np.ndarray
         Kernel(row.kind, sigma, box_floor=row.floor).weight
     # single-normal guidance: the distance-weighted mean normal
     argument = pair_argument(row.argument, graph,
-                             lambda n: weighted_unit_mean(n, spatial, centers, neighbors)[0])
+                             lambda n: weighted_unit_mean(n, spatial, graph)[0])
     return smooth_normals(prev, spec.iterations, graph, argument, weight, spatial)[0]
 
 

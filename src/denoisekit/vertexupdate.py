@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .meshcore import TriMesh, scatter_rows
+from .meshcore import TriMesh, graph_sum, index_graph
 
 
 def update_vertices(mesh: TriMesh, filtered_normals, iterations: int,
@@ -23,17 +23,16 @@ def update_vertices(mesh: TriMesh, filtered_normals, iterations: int,
     n = np.asarray(filtered_normals, dtype=float)
     v = mesh.vertices.copy()
     faces = mesh.faces
-    nv = len(v)
     # corner-major: corner 0 of every face, then corner 1, then corner 2
     vid = faces.T.ravel()
-    deg = np.bincount(vid, minlength=nv).astype(float)
+    corners = _, order, _, count = index_graph(vid, len(v))
     n3 = np.tile(n, (3, 1))
     for _ in range(iterations):
         centroids = (v[faces[:, 0]] + v[faces[:, 1]] + v[faces[:, 2]]) / 3.0
         offset = np.einsum("ij,ij->i", n3, np.tile(centroids, (3, 1)) - v[vid])
-        disp = scatter_rows(vid, offset[:, None] * n3, nv)
+        disp = graph_sum(corners, offset[order], n3)
         with np.errstate(invalid="ignore"):
-            v = v + step * disp / np.maximum(deg, 1.0)[:, None]
+            v = v + step * disp / np.maximum(count, 1)[:, None]
     return v
 
 
@@ -58,9 +57,9 @@ def laplacian_smooth(mesh: TriMesh, iterations: int, lam: float) -> np.ndarray:
     if not (0.0 <= lam < 1.0):
         raise ValueError("lambda must be in [0, 1)")
     v = mesh.vertices.copy()
-    rows, ring, _, size = mesh.vertex_graph
-    has_ring = (size > 0)[:, None]
+    graph = _, ring, _, size = mesh.vertex_graph
+    ones, has_ring = np.ones(len(ring)), (size > 0)[:, None]
     for _ in range(iterations):
-        mean = scatter_rows(rows, v[ring], len(v)) / np.maximum(size, 1)[:, None]
+        mean = graph_sum(graph, ones, v) / np.maximum(size, 1)[:, None]
         v = np.where(has_ring, v + lam * (mean - v), v)
     return v

@@ -1,8 +1,9 @@
 """Per-element loop implementations that the vectorised library is checked
 against: mesh topology, neighbourhoods, curvature, dihedral feature edges,
 guidance normals, the filter engine with per-pass spatial weights, the
-vector medians and the median pass, the vertex update, Laplacian smoothing,
-the vertex weld and the synthetic shapes; for point clouds the kNN and
+vector medians and the median pass, the vertex update, the neighbourhood
+sum (``np.add.at``), Laplacian smoothing, the vertex weld and the synthetic
+shapes; for point clouds the kNN and
 radius queries, PCA normals, the five point filters, the position update and
 the noise spacing; and the OBJ, ASCII PLY and XYZ readers, one line at a
 time.
@@ -225,7 +226,10 @@ def _pair_arguments(spec, mesh, prev, centers, flat, kappa_face=None, guidance=N
     if spec.argument == "euclidean":
         return np.linalg.norm(prev[centers] - prev[flat], axis=1)
     if spec.argument in ("angle", "angle_per_distance"):
-        ang = np.arccos(np.clip(np.einsum("ij,ij->i", prev[centers], prev[flat]), -1.0, 1.0))
+        ang = np.empty(len(flat))
+        for i in range(len(prev)):  # a face's dots as one product, like the point filters
+            pairs = np.flatnonzero(centers == i)
+            ang[pairs] = np.arccos(np.clip(prev[flat[pairs]] @ prev[i], -1.0, 1.0))
         if spec.argument == "angle":
             return ang
         d = np.linalg.norm(mesh.face_centroids[centers] - mesh.face_centroids[flat], axis=1)
@@ -346,6 +350,13 @@ def update_vertices(mesh, filtered_normals, iterations, step=1.0) -> np.ndarray:
         with np.errstate(invalid="ignore"):
             v = v + step * disp / np.maximum(deg, 1.0)[:, None]
     return v
+
+
+def scatter_sum(index, w, rows, n) -> np.ndarray:
+    """``out[index[p]] += w[p] * rows[p]`` into ``n`` zero rows, in the order of p."""
+    out = np.zeros((n, rows.shape[1]))
+    np.add.at(out, index, w[:, None] * rows)
+    return out
 
 
 def laplacian_smooth(mesh, iterations, lam) -> np.ndarray:

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from denoisekit import add_noise, load_mesh, load_xyz, make_cube, save_mesh, save_xyz, PointCloud
+from denoisekit import (NonManifoldError, PointCloud, TriMesh, add_noise, load_mesh, load_xyz,
+                        make_cube, save_mesh, save_xyz, update_vertices)
 from denoisekit import cli
 from denoisekit.cli import main
 from denoisekit.meshfilter import METHODS, POINT_METHODS
@@ -125,6 +126,22 @@ def test_denoise_empty_input(tmp_path, capsys, name, text, message):
                if bad.suffix == ".xyz" else "zheng-bilateral", "--output", str(out))
     assert code == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_denoise_duplicated_face(tmp_path, capsys):
+    """A face listed twice on a closed mesh gives each of its edges a third
+    face: the vertex update raises NonManifoldError, and ``denoise`` exits 1."""
+    cube = make_cube(2)
+    mesh = TriMesh(cube.vertices, np.vstack([cube.faces, cube.faces[:1]]))
+    with pytest.raises(NonManifoldError):
+        update_vertices(mesh, mesh.face_normals, 1)
+    save_mesh(mesh, tmp_path / "dup.obj")
+    out = tmp_path / "o.obj"
+    code = run("denoise", "--input", str(tmp_path / "dup.obj"), "--method", "zheng-bilateral",
+               "--output", str(out))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: non-manifold edges: ")
     assert not out.exists()
 
 

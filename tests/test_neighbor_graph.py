@@ -6,8 +6,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import reference_loops as ref
 from denoisekit import (
@@ -32,6 +33,7 @@ from denoisekit import (
 from denoisekit import meshfilter
 from denoisekit.bench import _weld
 from denoisekit.kernels import KERNEL_KINDS
+from denoisekit.meshcore import graph_sum, index_graph
 from denoisekit.meshfilter import METHODS
 
 TOLERANCE = 1e-12
@@ -332,6 +334,16 @@ def test_update_vertices_equals_reference():
                           ref.update_vertices(mesh, normals, 7, 0.5))
 
 
+def test_update_vertices_keeps_vertex_on_no_face():
+    """A vertex on no face has no corner to move it: it stays put, and the
+    rest match the reference bit for bit."""
+    mesh = add_noise(make_cube(4), 0.3, 11)
+    mesh = TriMesh(np.vstack([mesh.vertices, [[9.0, 9.0, 9.0]]]), mesh.faces)
+    got = update_vertices(mesh, mesh.face_normals, 5)
+    assert np.array_equal(got, ref.update_vertices(mesh, mesh.face_normals, 5))
+    assert np.array_equal(got[-1], mesh.vertices[-1])
+
+
 @pytest.mark.parametrize("shape", ["icosphere", "plane"])
 def test_laplacian_smooth_equals_reference(shape):
     """The plane's boundary vertices have shorter rings than its interior;
@@ -382,9 +394,50 @@ def test_random_mesh_topology_matches_reference(mesh):
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(small_meshes(validate=True), st.sampled_from(["shared_edge", "shared_vertex", "radius"]),
        st.booleans())
+# a triangle and its reversed copy: their normals' dot rounds to 1 ulp above -1,
+# and arccos turns a reference that rounds it otherwise into 1.5e-8
+@example(TriMesh([[0, 3, -2], [2, 1, -3], [-1, 3, 0]], [[0, 1, 2], [0, 2, 1]]),
+         "shared_vertex", True)
 def test_random_mesh_filters_match_reference(mesh, mode, include_self):
     nb = NeighborhoodSpec(mode, radius=2.5 if mode == "radius" else None,
                           include_self=include_self)
     with np.errstate(invalid="ignore", divide="ignore"):
         assert_filters_match(mesh, METHODS, neighborhood=nb, iterations=2)
         assert_medians_match(mesh, nb)
+
+
+# ----------------------------------------------------------------------
+# the neighbourhood sum
+
+FINITE = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def sums(draw):
+    """(index, neighbors, w, rows, n): up to 40 terms on n centers, some of
+    which get none. Term p adds ``w[p] * rows[neighbors[p]]`` to center
+    ``index[p]``; the index is in any order, and rows repeat."""
+    n, m, r = draw(st.integers(1, 8)), draw(st.integers(0, 40)), draw(st.integers(1, 6))
+    index = draw(hnp.arrays(np.int64, m, elements=st.integers(0, n - 1)))
+    neighbors = draw(hnp.arrays(np.int64, m, elements=st.integers(0, r - 1)))
+    w = draw(hnp.arrays(float, m, elements=FINITE))
+    rows = draw(hnp.arrays(float, (r, draw(st.integers(1, 3))), elements=FINITE))
+    return index, neighbors, w, rows, n
+
+
+@settings(max_examples=100, deadline=None)
+@given(sums())
+def test_graph_sum_matches_add_at(case):
+    """Each center adds its terms in the order of its pairs, bit for bit as
+    ``np.add.at`` does: on a CSR graph with sorted centers, and on the graph
+    of an unsorted index, whose pairs keep the index's order."""
+    index, neighbors, w, rows, n = case
+    centers = np.sort(index)
+    counts = np.bincount(centers, minlength=n)
+    graph = centers, neighbors, np.cumsum(counts) - counts, counts
+    assert np.array_equal(graph_sum(graph, w, rows),
+                          ref.scatter_sum(centers, w, rows[neighbors], n))
+    terms = rows[neighbors]
+    graph = index_graph(index, n)
+    assert np.array_equal(graph_sum(graph, w[graph[1]], terms),
+                          ref.scatter_sum(index, w, terms, n))

@@ -13,11 +13,13 @@ because they check widths before numbers; that is not tested.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_loops as ref
 from denoisekit import ParseError, load_mesh, load_xyz
+from denoisekit.cli import main
 from denoisekit.pointcloud import PointCloudError
 
 FORMATS = st.sampled_from(["{!r}", "{:.6f}", "{:.3e}", "{:+.4g}"])
@@ -163,6 +165,25 @@ def test_ply_matches_reference(tmp_path_factory, text):
     want = outcome(ref.load_ply, path.read_text(encoding="utf-8"))
     assert not failed(want), want
     assert_same(outcome(load_mesh, path), want)
+
+
+@pytest.mark.parametrize("element", ["element vertex", "element vertex 3.5",
+                                     "element vertex -1"],
+                         ids=["no-count", "fractional-count", "negative-count"])
+def test_ply_bad_element_count(tmp_path, capsys, element):
+    """An element line needs a name and a count >= 0: anything else is a
+    ParseError naming its header line, and ``denoise`` exits 1."""
+    path = tmp_path / "bad.ply"
+    path.write_text(f"ply\nformat ascii 1.0\n{element}\nproperty float x\nproperty float y\n"
+                    "property float z\nelement face 1\n"
+                    "property list uchar int vertex_indices\nend_header\n"
+                    "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+    message = "line 3: element without a name and a count >= 0"
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        load_mesh(path)
+    code = main(["denoise", "--input", str(path), "--method", "zheng-bilateral",
+                 "--output", str(tmp_path / "out.obj")])
+    assert code == 1 and capsys.readouterr().err == f"error: {message}\n"
 
 
 @st.composite
