@@ -230,6 +230,8 @@ def compare(ground_truth, candidate, feature_threshold_deg: float = 70.0,
     ``candidate_normals`` overrides the candidate's own face normals (to score
     a filtered normal field before any vertex update).
     """
+    if {type(ground_truth), type(candidate)} not in ({TriMesh}, {PointCloud}):
+        raise ValueError("ground truth and candidate must be both meshes or both point clouds")
     if isinstance(ground_truth, TriMesh):
         if ground_truth.faces.shape != candidate.faces.shape or \
                 np.any(ground_truth.faces != candidate.faces):
@@ -239,7 +241,7 @@ def compare(ground_truth, candidate, feature_threshold_deg: float = 70.0,
         vdist = np.linalg.norm(ground_truth.vertices - candidate.vertices, axis=1)
         vb, va = ground_truth.volume(), candidate.volume()
         features = len(candidate.dihedral_feature_edges(feature_threshold_deg))
-    elif isinstance(ground_truth, PointCloud):
+    else:
         if len(ground_truth) != len(candidate):
             raise ValueError("clouds must share cardinality")
         if ground_truth.normals is not None and candidate.normals is not None:
@@ -249,8 +251,6 @@ def compare(ground_truth, candidate, feature_threshold_deg: float = 70.0,
         vdist = np.linalg.norm(ground_truth.points - candidate.points, axis=1)
         vb = va = 0.0  # a cloud has no volume
         features = 0
-    else:
-        raise TypeError(type(ground_truth).__name__)
     return MetricsReport(
         mean_angular_error_deg=float(errs.mean()) if len(errs) else 0.0,
         max_angular_error_deg=float(errs.max()) if len(errs) else 0.0,

@@ -131,7 +131,7 @@ class TriMesh:
         # slightly larger ball, then keep those numpy puts within the radius
         pairs = cKDTree(c[finite]).query_pairs(radius * (1.0 + 1e-9), output_type="ndarray")
         i, j = finite[pairs[:, 0]], finite[pairs[:, 1]]
-        near = np.linalg.norm(c[j] - c[i], axis=1) <= radius
+        near = pair_distances(c, j, i) <= radius
         i, j = i[near], j[near]
         return np.concatenate([i * nf + j, j * nf + i])
 
@@ -176,8 +176,8 @@ class TriMesh:
             double_area = np.linalg.norm(cross, axis=1)
             self.face_areas = 0.5 * double_area
             self.face_centroids = (p0 + p1 + p2) / 3.0
-            d = v[self.edges[:, 0]] - v[self.edges[:, 1]]  # faces have edges
-            self.avg_edge_length = float(np.mean(np.linalg.norm(d, axis=1)))
+            edge_lengths = pair_distances(v, *self.edges.T)  # faces have edges
+            self.avg_edge_length = float(np.mean(edge_lengths))
             if validate:
                 bad = np.flatnonzero(self.face_areas <= 1e-14 * self.avg_edge_length ** 2)
                 if len(bad):
@@ -325,6 +325,12 @@ def pair_angles(normals, neighbors, starts, counts) -> np.ndarray:
         pairs = starts[rows, None] + np.arange(size)
         dots[pairs] = (normals[neighbors[pairs]] @ normals[rows, :, None])[:, :, 0]
     return np.arccos(np.clip(dots, -1.0, 1.0))
+
+
+def pair_distances(rows, i, j) -> np.ndarray:
+    """``np.linalg.norm(rows[i] - rows[j], axis=-1)`` bit for bit, for indices that broadcast:
+    the squared column differences are added from zero in column order, as that norm does."""
+    return np.sqrt(sum(np.square(col[i] - col[j]) for col in rows.T))
 
 
 def mean_positive_distance(d, centers, n: int) -> np.ndarray:

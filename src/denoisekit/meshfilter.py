@@ -19,16 +19,16 @@ import numpy as np
 
 from .kernels import Kernel
 from .meshcore import (NeighborhoodSpec, TriMesh, check_positive, csr_graph, graph_sum,
-                       mean_positive_distance, pair_angles, parse_key_values, text_value,
-                       unit_rows, weighted_unit_mean)
+                       mean_positive_distance, pair_angles, pair_distances, parse_key_values,
+                       text_value, unit_rows, weighted_unit_mean)
 
 # A row per named filter: its domain ("mesh": FilterSpec, "points":
 # PointFilterSpec); the pinned kernel kind and its box floor and the pinned
 # argument (None: the spec's own); the spatial factor ("gaussian" makes a
 # mesh filter bilateral; "area"; a point filter's "auto" sigma_d rule,
 # "half_radius" or "mean_distance"); the flavour (None leaves the normals
-# alone); whether sigma="auto" is allowed. Point rows weigh with exp(-x²/σ²),
-# the "gaussian" kernel's g times σ²/2.
+# alone); whether sigma="auto" is allowed. Every row weighs its pairs with
+# its kernel's g.
 Method = namedtuple("Method", "domain kind floor argument spatial flavour auto_sigma")
 PRESET = {name: Method(*row) for name, row in {
     "generic_unilateral": ("mesh", None, 0.0, None, None, "mean", False),
@@ -172,7 +172,7 @@ def vector_median(normals, weights=None) -> tuple[np.ndarray, int]:
     if len(normals) == 0:
         raise ValueError("empty set")
     w = None if weights is None else np.asarray(weights, dtype=float)[None]
-    idx = int(_vector_median_index(normals[None], w)[0])
+    idx = int(_vector_median_index(normals, np.arange(len(normals))[None], w)[0])
     return normals[idx], idx
 
 
@@ -185,17 +185,11 @@ def vector_directional_median(normals) -> tuple[np.ndarray, int]:
     return normals[idx], idx
 
 
-def _vector_median_index(cand, weights=None):
-    """Per row of ``cand`` (m, k, d): the position of the member minimizing
-    the sum of Euclidean distances to all members, each distance to member b
-    scaled by ``weights[:, b]``. Ties go to the lowest position."""
-    m, k, d = cand.shape
-    dist = np.zeros((m, k, k))
-    diff = np.empty_like(dist)
-    for c in range(d):  # adds in the order of np.linalg.norm
-        np.subtract(cand[:, :, None, c], cand[:, None, :, c], out=diff)
-        dist += np.square(diff, out=diff)
-    np.sqrt(dist, out=dist)
+def _vector_median_index(normals, members, weights=None):
+    """Per row of ``members`` (m, k) of rows of ``normals``: the position of
+    the member minimizing the sum of Euclidean distances to all members, each
+    distance to member b scaled by ``weights[:, b]``. Ties go to the lowest position."""
+    dist = pair_distances(normals, members[:, :, None], members[:, None, :])
     if weights is not None:
         dist *= weights[:, None, :]
     return np.argmin(dist.sum(axis=2), axis=1)
@@ -238,7 +232,7 @@ def _pair_arguments(spec, mesh, graph):
         x = kappa_face[neighbors] * mesh.avg_edge_length
         return lambda normals: x
     if spec.argument == "angle_per_distance":
-        d = np.linalg.norm(mesh.face_centroids[centers] - mesh.face_centroids[neighbors], axis=1)
+        d = pair_distances(mesh.face_centroids, centers, neighbors)
         angle, pos = pair_argument("angle", graph), d > 0
         return lambda normals: np.where(pos, angle(normals) / np.where(pos, d, 1.0), 0.0)
     return pair_argument(spec.argument, graph, lambda normals: guidance_normals(
@@ -253,11 +247,9 @@ def pair_argument(argument, graph, guide=None):
     centers, neighbors, starts, counts = graph
     if argument == "angle":
         return lambda normals: pair_angles(normals, neighbors, starts, counts)
-
-    def distances(normals):
-        g = guide(normals) if argument == "guidance" else normals
-        return np.linalg.norm(g[centers] - g[neighbors], axis=1)
-    return distances
+    if argument == "guidance":
+        return lambda normals: pair_distances(guide(normals), centers, neighbors)
+    return lambda normals: pair_distances(normals, centers, neighbors)
 
 
 def _spatial_weights(spec, mesh, graph):
@@ -272,7 +264,7 @@ def _spatial_weights(spec, mesh, graph):
         return mesh.face_areas[neighbors]
     if spec.spatial_sigma is None:
         return np.ones(len(neighbors))
-    d = np.linalg.norm(mesh.face_centroids[centers] - mesh.face_centroids[neighbors], axis=1)
+    d = pair_distances(mesh.face_centroids, centers, neighbors)
     sd = spec.spatial_sigma
     if sd == "auto" and spec.sigma_d_global:
         pos = d > 0
@@ -347,31 +339,32 @@ def _median_pass(flavour, kernel, prev, graph):
     warnings = int(np.count_nonzero(counts == 0))
     w = None
     if flavour == "weighted_median":
-        w = kernel.weight(np.linalg.norm(prev[centers] - prev[neighbors], axis=1))
+        w = kernel.weight(pair_distances(prev, centers, neighbors))
         w = _substitute_nan(w, centers, starts, counts)
     for k in np.unique(counts[counts > 0]):
         group = np.flatnonzero(counts == k)
         for rows in np.array_split(group, math.ceil(len(group) * k * k / _MEDIAN_BLOCK)):
             pairs = starts[rows, None] + np.arange(k)
-            new[rows], count = _median_batch(flavour, kernel, prev[rows], prev[neighbors[pairs]],
+            new[rows], count = _median_batch(flavour, kernel, prev, rows, neighbors[pairs],
                                              None if w is None else w[pairs])
             warnings += count
     return new, warnings
 
 
-def _median_batch(flavour, kernel, own, cand, w):
-    """New normals of m faces with normals ``own`` (m, 3), neighbourhood
-    normals ``cand`` (m, k, 3) and, for the weighted median, pair weights
-    ``w`` (m, k); and the number of faces that kept their own normal because
-    the fuzzy median's weighted sum vanished."""
-    pick = np.arange(len(cand))
+def _median_batch(flavour, kernel, prev, rows, members, w):
+    """New normals of the m faces ``rows`` with neighbourhoods ``members``
+    (m, k), both indices into the normals ``prev``, and, for the weighted
+    median, pair weights ``w`` (m, k); and the number of faces that kept
+    their own normal because the fuzzy median's weighted sum vanished."""
+    pick = np.arange(len(members))
     if flavour == "fuzzy_median":
-        nvd = cand[pick, _directional_median_index(cand)]
-        w = kernel.weight(np.linalg.norm(cand - nvd[:, None], axis=2))
+        cand = prev[members]
+        nvd = members[pick, _directional_median_index(cand)]
+        w = kernel.weight(pair_distances(prev, members, nvd[:, None]))
         # the single-vector norm: the directional median's arccos near 1
         # would amplify a last-bit difference on the next pass
-        return unit_rows((w[:, :, None] * cand).sum(axis=1), own)
-    return cand[pick, _vector_median_index(cand, w)], 0
+        return unit_rows((w[:, :, None] * cand).sum(axis=1), prev[rows])
+    return prev[members[pick, _vector_median_index(prev, members, w)]], 0
 
 
 def filter_gradient_descent(mesh: TriMesh, spec: FilterSpec, initial=None) -> NormalField:

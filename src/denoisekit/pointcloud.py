@@ -7,7 +7,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, depth_first_order, minimum_spanning_tree
 from scipy.spatial import cKDTree
 
-from .meshcore import csr_graph, fail_at, parse_numbers, token_table, vector_dots
+from .meshcore import csr_graph, fail_at, pair_distances, parse_numbers, token_table, vector_dots
 
 
 class PointCloudError(Exception):
@@ -71,7 +71,7 @@ class PointCloud:
         if len(tie):
             ball = tree.query_ball_point(self.points[tie], reach[tie], return_length=True)
             cand = tree.query(self.points[tie], k=ball.max())[1]
-            d = np.linalg.norm(self.points[cand] - self.points[tie, None], axis=2)
+            d = pair_distances(self.points, cand, tie[:, None])
             d[cand == tie[:, None]] = -1.0  # the point itself first
             rows[tie, :k + 1] = np.take_along_axis(cand, np.lexsort((cand, d))[:, :k + 1], axis=1)
         return rows[:, :k + 1]
@@ -100,7 +100,7 @@ def estimate_normals_pca(cloud: PointCloud, k: int,
     pts = cloud.points
     centers, neighbors, _, _ = cloud.neighbor_graph(k=k)
     rows = neighbors.reshape(n, k + 1)
-    d = np.linalg.norm(pts[rows] - pts[:, None], axis=2)
+    d = pair_distances(pts, rows, np.arange(n)[:, None])
     flat = np.flatnonzero(d.max(axis=1) < 1e-12 * max(cloud.bbox_diagonal, 1e-300))
     if len(flat):
         raise RankDeficientNeighborhood(f"degenerate neighborhood around point {flat[0]}")

@@ -10,13 +10,14 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .kernels import Kernel
-from .meshcore import (check_positive, mean_positive_distance, pair_angles, parse_key_values,
-                       text_value, weighted_unit_mean)
+from .meshcore import (check_positive, mean_positive_distance, pair_angles, pair_distances,
+                       parse_key_values, text_value, weighted_unit_mean)
 from .meshfilter import POINT_METHODS, PRESET, pair_argument, smooth_normals
 from .pointcloud import PointCloud
 
 
 def _gauss(x, sigma):
+    """The spatial and plane-distance weight exp(-x²/σ²), of peak 1: not a kernel's g."""
     return np.exp(-(x * x) / (sigma * sigma))
 
 
@@ -67,7 +68,7 @@ def filter_point_normals(cloud: PointCloud, spec: PointFilterSpec) -> np.ndarray
         return prev
     k = None if spec.radius is not None else min(spec.k, len(cloud) - 1)
     graph = centers, neighbors, starts, counts = cloud.neighbor_graph(k=k, radius=spec.radius)
-    d = np.linalg.norm(cloud.points[neighbors] - cloud.points[centers], axis=1)
+    d = pair_distances(cloud.points, neighbors, centers)
     spatial = 1.0
     if row.spatial is not None:
         sd = spec.sigma_d
@@ -80,8 +81,7 @@ def filter_point_normals(cloud: PointCloud, spec: PointFilterSpec) -> np.ndarray
     sigma = spec.sigma
     if sigma == "auto":
         sigma = max(float(np.std(pair_angles(prev, neighbors, starts, counts))), 1e-6)
-    weight = (lambda x: _gauss(x, sigma)) if row.kind == "gaussian" else \
-        Kernel(row.kind, sigma, box_floor=row.floor).weight
+    weight = Kernel(row.kind, sigma, box_floor=row.floor).weight
     # single-normal guidance: the distance-weighted mean normal
     argument = pair_argument(row.argument, graph,
                              lambda n: weighted_unit_mean(n, spatial, graph)[0])

@@ -664,15 +664,15 @@ def filter_point_normals(cloud, spec) -> np.ndarray:
                 x = np.arccos(np.clip(prev[idx] @ prev[i], -1.0, 1.0))
                 r = d.max() if d.max() > 0 else 1.0
                 sd = spec.sigma_d if spec.sigma_d != "auto" else r / 2.0
-                w = _gauss(x, sigma) * _gauss(d, sd)
+                w = Kernel("gaussian", sigma).weight(x) * _gauss(d, sd)
             elif spec.method == "zheng_guided_pc":
                 x = np.linalg.norm(guidance[idx] - guidance[i], axis=1)
                 sd = _auto_sd(spec, d)
-                w = _gauss(x, sigma) * _gauss(d, sd)
+                w = Kernel("gaussian", sigma).weight(x) * _gauss(d, sd)
             elif spec.method == "zheng_rolling":
                 x = np.linalg.norm(prev[idx] - prev[i], axis=1)
                 sd = _auto_sd(spec, d)
-                w = _gauss(x, sigma) * _gauss(d, sd)
+                w = Kernel("gaussian", sigma).weight(x) * _gauss(d, sd)
             elif spec.method == "yadav_vnvt":
                 x = np.arccos(np.clip(prev[idx] @ prev[i], -1.0, 1.0))
                 w = Kernel("box", sigma, box_floor=0.0).weight(x)

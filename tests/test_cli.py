@@ -199,6 +199,24 @@ def run_metrics(cand, gt, tmp_path):
     return out.read_text()
 
 
+@pytest.mark.parametrize("cloud_is_truth", [False, True])
+def test_mesh_scored_against_cloud_exits_1(cube_obj, tmp_path, capsys, cloud_is_truth):
+    """A mesh scored against a point cloud, either way round, by ``metrics`` and by
+    ``denoise --report``, exits 1 with a message and writes no file."""
+    cloud = tmp_path / "cube.xyz"
+    save_xyz(PointCloud(load_mesh(cube_obj).vertices), cloud)
+    source, truth = (cube_obj, cloud) if cloud_is_truth else (cloud, cube_obj)
+    method = "zheng-bilateral" if cloud_is_truth else "li-bilateral"
+    out, report = tmp_path / f"out{source.suffix}", tmp_path / "r.json"
+    assert run("metrics", "--input", str(source), "--ground-truth", str(truth),
+               "--out", str(report)) == 1
+    assert run("denoise", "--input", str(source), "--method", method, "--output", str(out),
+               "--ground-truth", str(truth), "--report", str(report)) == 1
+    message = "error: ground truth and candidate must be both meshes or both point clouds"
+    assert capsys.readouterr().err.count(message) == 2
+    assert not out.exists() and not report.exists()
+
+
 def test_denoise_report_needs_ground_truth(cube_obj, tmp_path):
     code = run("denoise", "--input", str(cube_obj), "--method", "zheng-bilateral",
                "--output", str(tmp_path / "o.obj"),

@@ -33,7 +33,7 @@ from denoisekit import (
 from denoisekit import meshfilter
 from denoisekit.bench import _weld
 from denoisekit.kernels import KERNEL_KINDS
-from denoisekit.meshcore import graph_sum, index_graph
+from denoisekit.meshcore import graph_sum, index_graph, pair_distances
 from denoisekit.meshfilter import METHODS
 
 TOLERANCE = 1e-12
@@ -441,3 +441,40 @@ def test_graph_sum_matches_add_at(case):
     graph = index_graph(index, n)
     assert np.array_equal(graph_sum(graph, w[graph[1]], terms),
                           ref.scatter_sum(index, w, terms, n))
+
+
+# ----------------------------------------------------------------------
+# the pair distance
+
+# two-decimal coordinates, whose squares often round apart in another order of
+# addition; and any finite coordinates, with squares that overflow or go
+# subnormal and with signed zeros
+COORDINATES = (st.integers(-999, 999).map(lambda c: c / 100), st.one_of(
+    FINITE, st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(
+        [0.0, -0.0, 5e-324, -2.2e-308, 1e-160, -3e-170, 1e155, -1e200, 1.7e308, -1.7e308])))
+
+
+@st.composite
+def distance_cases(draw):
+    """(rows, i, j): up to 6 rows of 3 coordinates, and index arrays of two
+    shapes that broadcast, such as (m, k, 1) and (m, 1, k); some are empty,
+    and indices repeat."""
+    n = draw(st.integers(1, 6))
+    rows = draw(hnp.arrays(float, (n, 3), elements=draw(st.sampled_from(COORDINATES))))
+    shapes = draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=4))
+    i, j = (draw(hnp.arrays(np.int64, shape, elements=st.integers(0, n - 1)))
+            for shape in shapes.input_shapes)
+    return rows, i, j
+
+
+@settings(max_examples=200, deadline=None)
+@given(distance_cases())
+# a pair whose squares an einsum, or x + (y + z), adds to another rounding
+@example((np.array([[-0.11, -0.45, 0.78], [0.19, -1.63, -1.2]]), np.array([0]), np.array([1])))
+def test_pair_distances_match_norm(case):
+    """Bit for bit the norm of the gathered differences, in its shape."""
+    rows, i, j = case
+    with np.errstate(over="ignore"):
+        got, want = pair_distances(rows, i, j), np.linalg.norm(rows[i] - rows[j], axis=-1)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
