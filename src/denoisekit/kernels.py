@@ -62,6 +62,13 @@ class Kernel:
             raise ValueError(f"kernel sigma must be finite and > 0, got {self.sigma}")
         if not (0.0 <= self.box_floor <= 1.0):
             raise ValueError(f"box_floor must be in [0, 1], got {self.box_floor}")
+        try:  # a tiny sigma overflows g(0) = 2/sigma^2, or sigma^2 underflows to 0
+            with np.errstate(all="ignore"):
+                finite = np.isfinite(self.weight([0.0, self.sigma])).all()
+        except ZeroDivisionError:
+            finite = False
+        if not (finite or self.kind in UNDEFINED_AT_ZERO):
+            raise ValueError(f"kernel sigma {self.sigma!r} is too small: its weight is not finite")
 
     @property
     def differentiable(self) -> bool:

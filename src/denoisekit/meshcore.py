@@ -223,8 +223,8 @@ class TriMesh:
         cot = np.einsum("fcx,fcx->fc", u, w) / np.maximum(
             np.linalg.norm(np.cross(u, w), axis=2), 1e-300)
         pull = cot[:, :, None] * (v[k] - v[j])
-        acc = graph_sum(index_graph(np.stack([j, k], axis=2).ravel(), nv), np.ones(6 * len(f)),
-                        np.stack([pull, -pull], axis=2).reshape(-1, 3))
+        acc = graph_sum(index_graph(np.stack([j, k], axis=2).ravel(), nv), 6 * len(f))(
+            1.0, np.stack([pull, -pull], axis=2).reshape(-1, 3))
         kappa = np.linalg.norm(acc, axis=1) / np.maximum(4.0 * ring_area / 3.0, 1e-300)
         kappa[boundary] = 0.0
         kappa[ring_area == 0] = 0.0
@@ -284,12 +284,39 @@ def index_graph(index: np.ndarray, n: int):
     return index[order], order, np.cumsum(counts) - counts, counts
 
 
-def graph_sum(graph, w, rows) -> np.ndarray:
-    """Per center of a CSR graph, ``sum_p w[p] * rows[neighbors[p]]`` over its
-    pairs p, added in their order from zero as by ``np.add.at``: one sparse product."""
+def graph_sum(graph, n_rows: int):
+    """The sum over a CSR graph's pairs, as a function ``(w, rows)`` of
+    ``n_rows`` rows giving per center ``sum_p w[p] * rows[neighbors[p]]``, added
+    in pair order from zero as by ``np.add.at``: one sparse product, built
+    once, whose data each call replaces by the weights (broadcast to the pairs)."""
     _, neighbors, starts, counts = graph
-    return csr_matrix((w, neighbors, np.append(starts, len(neighbors))),
-                      shape=(len(counts), len(rows))) @ rows
+    op = csr_matrix((np.zeros(len(neighbors)), neighbors, np.append(starts, len(neighbors))),
+                    shape=(len(counts), n_rows))
+
+    def total(w, rows):
+        op.data = np.ascontiguousarray(np.broadcast_to(w, neighbors.shape), dtype=float)
+        return op @ rows
+    return total
+
+
+def pair_slots(graph):
+    """``(slot, i, j)``: one slot per distinct unordered pair of a CSR graph,
+    pair p being slot ``slot[p]``'s pair ``(i, j)`` or its reverse. The pairs
+    (c, n) with c <= n take the first slots, in the order of their keys
+    ``c * N + n``; one with c > n takes its mirror's slot, found by one search
+    of those keys, or a slot of its own if it has none (a one-way kNN pair)."""
+    centers, neighbors, _, counts = graph
+    ahead = centers <= neighbors
+    keys = centers[ahead] * len(counts) + neighbors[ahead]
+    back = np.flatnonzero(~ahead)
+    mirror = neighbors[back] * len(counts) + centers[back]
+    at = np.searchsorted(keys, mirror)
+    lone = np.append(keys, -1)[at] != mirror
+    slot = np.empty(len(neighbors), dtype=np.intp)
+    slot[ahead] = np.arange(len(keys))
+    slot[back] = np.where(lone, len(keys) + np.cumsum(lone) - 1, at)
+    first = np.concatenate([np.flatnonzero(ahead), back[lone]])  # the pair of each slot
+    return slot, centers[first], neighbors[first]
 
 
 def vector_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -306,12 +333,6 @@ def unit_rows(rows: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarray, int]:
     ok = nrm > 1e-12
     return (np.where(ok[:, None], rows / np.where(ok, nrm, 1.0)[:, None], fallback),
             int(np.count_nonzero(~ok)))
-
-
-def weighted_unit_mean(normals, w, graph) -> tuple[np.ndarray, int]:
-    """Per center, the unit sum of its neighbours' normals under the pair
-    weights ``w``; one whose sum vanishes keeps its normal (counted)."""
-    return unit_rows(graph_sum(graph, w, normals), normals)
 
 
 def pair_angles(normals, neighbors, starts, counts) -> np.ndarray:

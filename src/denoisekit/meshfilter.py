@@ -19,8 +19,8 @@ import numpy as np
 
 from .kernels import Kernel
 from .meshcore import (NeighborhoodSpec, TriMesh, check_positive, csr_graph, graph_sum,
-                       mean_positive_distance, pair_angles, pair_distances, parse_key_values,
-                       text_value, unit_rows, weighted_unit_mean)
+                       mean_positive_distance, pair_angles, pair_distances, pair_slots,
+                       parse_key_values, text_value, unit_rows)
 
 # A row per named filter: its domain ("mesh": FilterSpec, "points":
 # PointFilterSpec); the pinned kernel kind and its box floor and the pinned
@@ -224,32 +224,34 @@ def _substitute_nan(w, centers, starts, counts):
 
 
 def _pair_arguments(spec, mesh, graph):
-    """The per-pair argument x_ij of ``spec`` on the face graph, as a
-    function of the normals; what does not depend on them is computed once."""
+    """The argument ``(x, slot)`` of ``spec`` on the face graph, as in
+    :func:`pair_argument`; what does not depend on the normals is computed once."""
     centers, neighbors, _, _ = graph
     if spec.argument == "curvature_edge":
         kappa_face = mesh.vertex_mean_curvature()[mesh.faces].mean(axis=1)
         x = kappa_face[neighbors] * mesh.avg_edge_length
-        return lambda normals: x
+        return (lambda normals: x), ...
     if spec.argument == "angle_per_distance":
         d = pair_distances(mesh.face_centroids, centers, neighbors)
-        angle, pos = pair_argument("angle", graph), d > 0
-        return lambda normals: np.where(pos, angle(normals) / np.where(pos, d, 1.0), 0.0)
+        (angle, _), pos = pair_argument("angle", graph), d > 0
+        return (lambda normals: np.where(pos, angle(normals) / np.where(pos, d, 1.0), 0.0)), ...
     return pair_argument(spec.argument, graph, lambda normals: guidance_normals(
         mesh, spec.neighborhood, spec.guidance_threshold, normals=normals))
 
 
 def pair_argument(argument, graph, guide=None):
-    """A face or point filter's argument, as a function of the normals: the
-    angle between the normals of each pair of the CSR graph, or the distance
-    between them ("euclidean") or between their guidance normals
-    ``guide(normals)`` ("guidance")."""
-    centers, neighbors, starts, counts = graph
+    """A face or point filter's argument as ``(x, slot)``: pair p of the CSR
+    graph takes ``x(normals)[slot[p]]``. It is the angle between the normals
+    of a pair, taken per pair (``slot`` is ``...``), or the distance between
+    them ("euclidean") or their guidance normals ``guide(normals)``
+    ("guidance"), which is symmetric and so taken once per :func:`pair_slots` slot."""
+    _, neighbors, starts, counts = graph
     if argument == "angle":
-        return lambda normals: pair_angles(normals, neighbors, starts, counts)
+        return (lambda normals: pair_angles(normals, neighbors, starts, counts)), ...
+    slot, i, j = pair_slots(graph)
     if argument == "guidance":
-        return lambda normals: pair_distances(guide(normals), centers, neighbors)
-    return lambda normals: pair_distances(normals, centers, neighbors)
+        return (lambda normals: pair_distances(guide(normals), i, j)), slot
+    return (lambda normals: pair_distances(normals, i, j)), slot
 
 
 def _spatial_weights(spec, mesh, graph):
@@ -284,22 +286,24 @@ def guidance_normals(mesh: TriMesh, neighborhood: NeighborhoodSpec,
     dots = np.clip(np.einsum("ij,ij->i", prev[centers], prev[flat]), -1.0, 1.0)
     near = dots > math.cos(angle_threshold)
     graph = csr_graph(centers[near] * len(prev) + flat[near], len(prev))
-    return weighted_unit_mean(prev, mesh.face_areas[graph[1]], graph)[0]
+    return unit_rows(graph_sum(graph, len(prev))(mesh.face_areas[graph[1]], prev), prev)[0]
 
 
 # ----------------------------------------------------------------------
 # the filters
 
 def smooth_normals(normals, iterations, graph, argument, weight, spatial):
-    """The M-smoother of every mean-flavoured face and point filter: passes of
-    ``weighted_unit_mean`` under the range weight ``weight(argument(normals))``
-    (NaN filled per neighbourhood) times ``spatial``. Returns (normals,
-    vanished sums over all passes)."""
-    centers, neighbors, starts, counts = graph
+    """The M-smoother of every mean-flavoured face and point filter: each pass
+    takes a normal to the unit sum of its neighbours' normals under the weight
+    ``weight(x)[slot]`` of the argument ``(x, slot)``, NaN filled per neighbourhood,
+    times ``spatial``. Returns (normals, sums that vanished and kept their normal)."""
+    centers, _, starts, counts = graph
+    x, slot = argument
+    total = graph_sum(graph, len(normals))
     warnings = 0
     for _ in range(iterations):
-        w = _substitute_nan(weight(argument(normals)), centers, starts, counts) * spatial
-        normals, kept = weighted_unit_mean(normals, w, graph)
+        w = _substitute_nan(weight(x(normals))[slot], centers, starts, counts) * spatial
+        normals, kept = unit_rows(total(w, normals), normals)
         warnings += kept
     return normals, warnings
 
@@ -373,18 +377,19 @@ def filter_gradient_descent(mesh: TriMesh, spec: FilterSpec, initial=None) -> No
         raise ValueError("gradient descent needs a differentiable kernel")
     prev = np.array(mesh.face_normals if initial is None else initial, dtype=float)
     centers, flat, starts, counts = mesh.neighbor_graph(spec.neighborhood)
-    pairs = centers, np.arange(len(flat)), starts, counts  # neighbour p: row p of diff
+    total = graph_sum((centers, np.arange(len(flat)), starts, counts), len(flat))  # p: diff[p]
     for _ in range(spec.iterations):
         diff = prev[flat] - prev[centers]
         x = np.linalg.norm(diff, axis=1)
         # psi(x) * unit direction == g(x) * (n_j - n_i); exactly 0 when coincident
         g = np.where(x > 0, spec.range_kernel.weight(x), 0.0)
-        prev = unit_rows(prev + spec.step_lambda * graph_sum(pairs, g, diff), prev)[0]
+        prev = unit_rows(prev + spec.step_lambda * total(g, diff), prev)[0]
     return NormalField(prev, iterations=spec.iterations)
 
 
 def energy(mesh: TriMesh, normals, spec: FilterSpec) -> float:
     """The robust energy of a normal field under the spec's kernel/weights."""
     graph = mesh.neighbor_graph(spec.neighborhood)
-    x = _pair_arguments(spec, mesh, graph)(np.asarray(normals, dtype=float))
+    x, slot = _pair_arguments(spec, mesh, graph)
+    x = x(np.asarray(normals, dtype=float))[slot]
     return float(np.sum(spec.range_kernel.rho(x) * _spatial_weights(spec, mesh, graph)))

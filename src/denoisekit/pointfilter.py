@@ -10,8 +10,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .kernels import Kernel
-from .meshcore import (check_positive, mean_positive_distance, pair_angles, pair_distances,
-                       parse_key_values, text_value, weighted_unit_mean)
+from .meshcore import (check_positive, graph_sum, mean_positive_distance, pair_angles,
+                       pair_distances, parse_key_values, text_value, unit_rows)
 from .meshfilter import POINT_METHODS, PRESET, pair_argument, smooth_normals
 from .pointcloud import PointCloud
 
@@ -83,8 +83,9 @@ def filter_point_normals(cloud: PointCloud, spec: PointFilterSpec) -> np.ndarray
         sigma = max(float(np.std(pair_angles(prev, neighbors, starts, counts))), 1e-6)
     weight = Kernel(row.kind, sigma, box_floor=row.floor).weight
     # single-normal guidance: the distance-weighted mean normal
+    total = graph_sum(graph, len(prev))
     argument = pair_argument(row.argument, graph,
-                             lambda n: weighted_unit_mean(n, spatial, graph)[0])
+                             lambda n: unit_rows(total(spatial, n), n)[0])
     return smooth_normals(prev, spec.iterations, graph, argument, weight, spatial)[0]
 
 

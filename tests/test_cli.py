@@ -290,6 +290,30 @@ def test_denoise_non_positive_spatial_scale(tmp_path, capsys, kind, flag, value,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, method, sigma", [
+    ("mesh", "zheng-bilateral", "1e-160"),
+    ("mesh", "yadav-tukey-2018", "1e-170"),
+    ("cloud", "zheng-rolling", "1e-160"),
+])
+def test_denoise_overflowing_kernel_sigma_exits_1(tmp_path, capsys, kind, method, sigma):
+    """A sigma whose peak kernel weight overflows exits 1 with a message and
+    writes nothing. The mesh rows wrote an OBJ of NaN vertices (inf * 0 in
+    the Gaussian) or ended in a ZeroDivisionError traceback."""
+    if kind == "mesh":
+        src, out = tmp_path / "noisy.obj", tmp_path / "o.obj"
+        save_mesh(add_noise(make_cube(4), 0.3, 42), src)
+    else:
+        rng = np.random.Generator(np.random.Philox(key=5))
+        p = rng.normal(size=(300, 3))
+        src, out = tmp_path / "noisy.xyz", tmp_path / "o.xyz"
+        save_xyz(add_noise(PointCloud(p / np.linalg.norm(p, axis=1)[:, None]), 0.3, 42), src)
+    code = run("denoise", "--input", str(src), "--method", method, "--sigma", sigma,
+               "--output", str(out))
+    assert code == 1
+    assert f"error: kernel sigma {sigma} is too small" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _mesh_and_cloud(tmp_path):
     mesh, cloud = tmp_path / "noisy.obj", tmp_path / "noisy.xyz"
     save_mesh(add_noise(make_cube(4), 0.3, 42), mesh)

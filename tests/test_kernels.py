@@ -36,6 +36,40 @@ def test_nonpositive_sigma_rejected():
             Kernel("gaussian", sigma)
 
 
+@pytest.mark.parametrize("kind, sigma", [
+    ("gaussian", 1e-160), ("tukey", 1e-160), ("lorentzian", 1e-160),  # 2/s^2 or 1/s^2 is inf
+    ("gaussian", 1e-170), ("tukey", 1e-300), ("lorentzian", 5e-324),  # s^2 underflows to 0
+    ("centin_rational", 1e-170),  # g(s) = s^2 / (0 + s^2) is 0/0
+    ("huber", 5e-324),  # 1/s is inf
+])
+def test_sigma_with_non_finite_weight_rejected(kind, sigma):
+    """A sigma whose peak weight g(0) overflows gave NaN weights
+    (inf * exp(-inf)) and a NaN mesh, or raised ZeroDivisionError."""
+    with pytest.raises(ValueError, match="is too small: its weight is not finite"):
+        Kernel(kind, sigma)
+
+
+# the smallest sigma each kind accepts: 2/s^2, 1/s^2 and 1/s stay finite and s^2 > 0
+SMALLEST_SIGMA = {"gaussian": 1.1e-154, "tukey": 1.1e-154, "lorentzian": 7.5e-155,
+                  "centin_rational": 2.3e-162, "huber": 5.6e-309}
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_smallest_accepted_sigma_gives_finite_weights(kind):
+    """Just above the bound every weight is finite; a kind without one takes
+    any sigma. The L1 family's g is 1/x below sigma whatever sigma is, NaN at
+    0 and inf at 5e-324, so it is checked from 1e-150 on."""
+    sigma = SMALLEST_SIGMA.get(kind, 5e-324)
+    k = Kernel(kind, sigma)
+    xs = np.array([0.0, sigma, 1.5 * sigma, 1e-150, 1e-3, 1.0, 2.0, 1e300])
+    with np.errstate(over="ignore"):
+        w = k.weight(xs[3:] if kind in UNDEFINED_AT_ZERO else xs)
+    assert np.isfinite(w).all()
+    if kind in SMALLEST_SIGMA:
+        with pytest.raises(ValueError, match="is too small"):
+            Kernel(kind, sigma / 2)
+
+
 def test_box_floor_range():
     with pytest.raises(ValueError):
         Kernel("box", 1.0, box_floor=-0.1)

@@ -33,7 +33,7 @@ from denoisekit import (
 from denoisekit import meshfilter
 from denoisekit.bench import _weld
 from denoisekit.kernels import KERNEL_KINDS
-from denoisekit.meshcore import graph_sum, index_graph, pair_distances
+from denoisekit.meshcore import csr_graph, graph_sum, index_graph, pair_distances, pair_slots
 from denoisekit.meshfilter import METHODS
 
 TOLERANCE = 1e-12
@@ -430,16 +430,18 @@ def sums(draw):
 def test_graph_sum_matches_add_at(case):
     """Each center adds its terms in the order of its pairs, bit for bit as
     ``np.add.at`` does: on a CSR graph with sorted centers, and on the graph
-    of an unsorted index, whose pairs keep the index's order."""
+    of an unsorted index, whose pairs keep the index's order. The sum is
+    built once: a second call with other weights holds only those."""
     index, neighbors, w, rows, n = case
     centers = np.sort(index)
     counts = np.bincount(centers, minlength=n)
-    graph = centers, neighbors, np.cumsum(counts) - counts, counts
-    assert np.array_equal(graph_sum(graph, w, rows),
-                          ref.scatter_sum(centers, w, rows[neighbors], n))
+    total = graph_sum((centers, neighbors, np.cumsum(counts) - counts, counts), len(rows))
+    for weights in (w, w[::-1]):
+        assert np.array_equal(total(weights, rows),
+                              ref.scatter_sum(centers, weights, rows[neighbors], n))
     terms = rows[neighbors]
     graph = index_graph(index, n)
-    assert np.array_equal(graph_sum(graph, w[graph[1]], terms),
+    assert np.array_equal(graph_sum(graph, len(terms))(w[graph[1]], terms),
                           ref.scatter_sum(index, w, terms, n))
 
 
@@ -478,3 +480,82 @@ def test_pair_distances_match_norm(case):
         got, want = pair_distances(rows, i, j), np.linalg.norm(rows[i] - rows[j], axis=-1)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+# any float but NaN, with inf, subnormal values and both zeros drawn often
+EXTREME = st.one_of(st.floats(allow_nan=False), st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308, 1e-160, 1e155, 1.7e308]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(float, st.tuples(st.integers(1, 6), st.just(3)), elements=EXTREME),
+       st.data())
+def test_pair_distances_are_symmetric(rows, data):
+    """``x_ij == x_ji`` bit for bit, as IEEE subtraction gives
+    ``fl(a - b) == -fl(b - a)``: what lets a filter take each distance once
+    per unordered pair. Two infinities of one sign give NaN both ways."""
+    i, j = (data.draw(hnp.arrays(np.int64, 5, elements=st.integers(0, len(rows) - 1)))
+            for _ in range(2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ij, ji = pair_distances(rows, i, j), pair_distances(rows, j, i)
+    assert np.array_equal(ij.view(np.uint64), ji.view(np.uint64))
+
+
+# ----------------------------------------------------------------------
+# the slots of the unordered pairs
+
+@st.composite
+def pair_graphs(draw):
+    """A CSR graph, of one of three kinds: drawn neighbour sets on n centers,
+    where a row may be empty, hold its center, or name a center that does not
+    name it back; the kNN graph of a drawn point set (points may coincide),
+    whose pairs are often one-way; or a radius graph of a small mesh with one
+    face far from the rest, which is isolated or holds only itself."""
+    kind = draw(st.sampled_from(["drawn", "knn", "radius"]))
+    if kind == "drawn":
+        n = draw(st.integers(1, 8))
+        rows = [sorted(draw(st.sets(st.integers(0, n - 1)))) for _ in range(n)]
+        keys = [c * n + j for c, row in enumerate(rows) for j in row]
+        return csr_graph(np.array(keys, dtype=np.int64), n)
+    if kind == "knn":
+        n = draw(st.integers(2, 12))
+        points = draw(hnp.arrays(float, (n, 3), elements=st.integers(-2, 2).map(float)))
+        return PointCloud(points).neighbor_graph(k=draw(st.integers(1, n - 1)))
+    mesh = draw(small_meshes(validate=True))
+    far = len(mesh.vertices) + np.arange(3)
+    mesh = TriMesh(np.vstack([mesh.vertices, [[99, 0, 0], [100, 0, 0], [99, 1, 0]]]),
+                   np.vstack([mesh.faces, far]))
+    return mesh.neighbor_graph(NeighborhoodSpec("radius", radius=draw(st.sampled_from([0.5, 2.5])),
+                                                include_self=draw(st.booleans())))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(pair_graphs())
+def test_pair_slots_hold_each_unordered_pair_once(graph):
+    """Every pair's slot holds the pair or its reverse, and every distinct
+    unordered pair of the graph has exactly one slot."""
+    centers, neighbors, _, _ = graph
+    slot, i, j = pair_slots(graph)
+    assert len(slot) == len(centers)
+    a, b = i[slot], j[slot]
+    assert np.all(((a == centers) & (b == neighbors)) | ((a == neighbors) & (b == centers)))
+    want = {(min(c, n), max(c, n)) for c, n in zip(centers.tolist(), neighbors.tolist())}
+    assert sorted(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist())) == sorted(want)
+    assert np.array_equal(np.unique(slot), np.arange(len(i)))
+
+
+def test_update_vertices_with_negative_zero_corners_equals_reference():
+    """Faces whose three corners share a -0.0 coordinate: the corner sum
+    0 + v0 + v1 + v2 is +0.0 where (v0 + v1) + v2 is -0.0, and neither moves
+    an offset, since c - v is +0.0 both ways. Bit for bit, zeros' signs too."""
+    mesh = make_cube(2)
+    vertices = np.where(mesh.vertices == 0.0, -0.0, mesh.vertices)
+    mesh = TriMesh(vertices, mesh.faces)
+    corners = mesh.vertices[mesh.faces]  # (F, corner, xyz)
+    assert np.any(np.all(np.signbit(corners) & (corners == 0.0), axis=1))
+    # the mesh's own normals give zero offsets; step 0 keeps a vertex's -0.0
+    for normals in (mesh.face_normals, add_noise(mesh, 0.3, 4).face_normals):
+        for step in (1.0, 0.0):
+            got = update_vertices(mesh, normals, 3, step)
+            want = ref.update_vertices(mesh, normals, 3, step)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), step
