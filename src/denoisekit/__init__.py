@@ -12,7 +12,6 @@ from .meshcore import (
     NonManifoldError,
     ParseError,
     TriMesh,
-    convert_normal_args,
     load_mesh,
     save_mesh,
 )

@@ -223,12 +223,10 @@ def angular_errors_deg(gt_normals, cand_normals) -> np.ndarray:
 
 
 def compare(ground_truth, candidate, feature_threshold_deg: float = 70.0,
-            candidate_normals=None, warnings=None) -> MetricsReport:
+            warnings=None) -> MetricsReport:
     """Quality metrics of a candidate against its ground truth.
 
     Meshes must share connectivity; clouds must share cardinality.
-    ``candidate_normals`` overrides the candidate's own face normals (to score
-    a filtered normal field before any vertex update).
     """
     if {type(ground_truth), type(candidate)} not in ({TriMesh}, {PointCloud}):
         raise ValueError("ground truth and candidate must be both meshes or both point clouds")
@@ -236,8 +234,7 @@ def compare(ground_truth, candidate, feature_threshold_deg: float = 70.0,
         if ground_truth.faces.shape != candidate.faces.shape or \
                 np.any(ground_truth.faces != candidate.faces):
             raise ValueError("meshes must share connectivity")
-        nc = candidate.face_normals if candidate_normals is None else candidate_normals
-        errs = angular_errors_deg(ground_truth.face_normals, nc)
+        errs = angular_errors_deg(ground_truth.face_normals, candidate.face_normals)
         vdist = np.linalg.norm(ground_truth.vertices - candidate.vertices, axis=1)
         vb, va = ground_truth.volume(), candidate.volume()
         features = len(candidate.dihedral_feature_edges(feature_threshold_deg))

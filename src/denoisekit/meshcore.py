@@ -329,7 +329,14 @@ def unit_rows(rows: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarray, int]:
     """``rows`` scaled to unit length, each by the norm ``np.linalg.norm``
     takes for one vector; a row of norm 1e-12 or less is replaced by that row
     of ``fallback``. Returns (unit rows, number replaced)."""
-    nrm = np.sqrt(vector_dots(rows, rows))
+    with np.errstate(over="ignore"):
+        nrm = np.sqrt(vector_dots(rows, rows))
+    big = np.isinf(nrm)
+    if big.any():  # finite rows whose squares overflow: measure them scaled down
+        big &= np.isfinite(rows).all(axis=1)
+        rows = rows.copy()
+        rows[big] /= np.abs(rows[big]).max(axis=1)[:, None]
+        nrm[big] = np.sqrt(vector_dots(rows[big], rows[big]))
     ok = nrm > 1e-12
     return (np.where(ok[:, None], rows / np.where(ok, nrm, 1.0)[:, None], fallback),
             int(np.count_nonzero(~ok)))
@@ -405,26 +412,6 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
 def _split(values: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
     """Consecutive rows of ``values`` with the given lengths."""
     return np.split(values, np.cumsum(counts)[:-1]) if len(counts) else []
-
-
-def convert_normal_args(value: float, kind: str) -> tuple[float, float, float]:
-    """Return (euclidean distance, angle, arccos-dot) from any one of them.
-
-    kind: "distance" (||n_i - n_j|| in [0, 2]), "angle" or "arccos_dot"
-    (both radians in [0, pi]). For unit normals angle == arccos-dot.
-    """
-    if kind == "distance":
-        if not (0.0 <= value <= 2.0):
-            raise ValueError(f"normal distance must be in [0, 2], got {value}")
-        angle = math.acos(min(1.0, max(-1.0, 1.0 - value * value / 2.0)))
-    elif kind in ("angle", "arccos_dot"):
-        if not (0.0 <= value <= math.pi):
-            raise ValueError(f"angle must be in [0, pi], got {value}")
-        angle = value
-    else:
-        raise ValueError(f"unknown representation {kind!r}")
-    distance = math.sqrt(max(0.0, 2.0 - 2.0 * math.cos(angle)))
-    return distance, angle, angle
 
 
 # ----------------------------------------------------------------------

@@ -19,8 +19,8 @@ import numpy as np
 
 from .kernels import Kernel
 from .meshcore import (NeighborhoodSpec, TriMesh, check_positive, csr_graph, graph_sum,
-                       mean_positive_distance, pair_angles, pair_distances, pair_slots,
-                       parse_key_values, text_value, unit_rows)
+                       index_graph, mean_positive_distance, pair_angles, pair_distances,
+                       pair_slots, parse_key_values, text_value, unit_rows)
 
 # A row per named filter: its domain ("mesh": FilterSpec, "points":
 # PointFilterSpec); the pinned kernel kind and its box floor and the pinned
@@ -70,7 +70,6 @@ class FilterSpec:
     range_kernel: Kernel
     neighborhood: NeighborhoodSpec = NeighborhoodSpec("shared_vertex", include_self=True)
     spatial_sigma: float | str | None = None  # number, "auto", or None (unilateral)
-    sigma_d_global: bool = False              # "auto" as global mean instead of per-face
     iterations: int = 1
     step_lambda: float = 1.0                  # gradient flavour only
     argument: str = "euclidean"
@@ -115,19 +114,17 @@ class FilterSpec:
         return cls(method=method, range_kernel=kernel, **kw)
 
     # ---- flat key=value serialization -------------------------------
-    TEXT_KEYS = ("method", "kernel", "sigma", "box_floor", "sigma_d", "sigma_d_global",
-                 "neighborhood", "radius", "include_self", "iterations", "lambda",
-                 "argument", "guidance_threshold_deg")
+    TEXT_KEYS = ("method", "kernel", "sigma", "box_floor", "sigma_d", "neighborhood",
+                 "radius", "include_self", "iterations", "lambda", "argument",
+                 "guidance_threshold")
 
     def to_text(self) -> str:
         nb, kernel = self.neighborhood, self.range_kernel
         values = (self.method, kernel.kind, repr(kernel.sigma), repr(kernel.box_floor),
-                  "none" if self.spatial_sigma is None else str(self.spatial_sigma),
-                  str(self.sigma_d_global).lower(), nb.mode,
+                  "none" if self.spatial_sigma is None else str(self.spatial_sigma), nb.mode,
                   "none" if nb.radius is None else repr(nb.radius),
                   str(nb.include_self).lower(), str(self.iterations),
-                  repr(self.step_lambda), self.argument,
-                  repr(math.degrees(self.guidance_threshold)))
+                  repr(self.step_lambda), self.argument, repr(self.guidance_threshold))
         return "".join(f"{k}={v}\n" for k, v in zip(self.TEXT_KEYS, values))
 
     @classmethod
@@ -143,11 +140,10 @@ class FilterSpec:
             range_kernel=kernel,
             neighborhood=nb,
             spatial_sigma=text_value(kv.get("sigma_d", "none")),
-            sigma_d_global=kv.get("sigma_d_global", "false") == "true",
             iterations=int(kv.get("iterations", 1)),
             step_lambda=float(kv.get("lambda", 1.0)),
             argument=kv.get("argument", "euclidean"),
-            guidance_threshold=math.radians(float(kv.get("guidance_threshold_deg", 60.0))),
+            guidance_threshold=float(kv.get("guidance_threshold", math.radians(60.0))),
         )
 
 
@@ -156,7 +152,6 @@ class NormalField:
     """Per-face unit normals after filtering, plus bookkeeping."""
 
     normals: np.ndarray
-    iterations: int = 0
     zero_weight_warnings: int = 0
 
 
@@ -268,10 +263,7 @@ def _spatial_weights(spec, mesh, graph):
         return np.ones(len(neighbors))
     d = pair_distances(mesh.face_centroids, centers, neighbors)
     sd = spec.spatial_sigma
-    if sd == "auto" and spec.sigma_d_global:
-        pos = d > 0
-        sd = d[pos].mean() if pos.any() else 1.0
-    elif sd == "auto":  # per face: the mean of its positive centroid distances
+    if sd == "auto":  # per face: the mean of its positive centroid distances
         sd = mean_positive_distance(d, centers, len(mesh.faces))
     return np.exp(-(d * d) / (2.0 * sd * sd))
 
@@ -325,7 +317,7 @@ def filter_normals(mesh: TriMesh, spec: FilterSpec, initial=None) -> NormalField
         for _ in range(spec.iterations):
             prev, count = _median_pass(flavour, spec.range_kernel, prev, graph)
             warnings += count
-    return NormalField(prev, iterations=spec.iterations, zero_weight_warnings=warnings)
+    return NormalField(prev, zero_weight_warnings=warnings)
 
 
 # Entries of one (m, k, k) array in the median pass: 512 KiB, so a batch
@@ -376,15 +368,15 @@ def filter_gradient_descent(mesh: TriMesh, spec: FilterSpec, initial=None) -> No
     if not spec.range_kernel.differentiable:
         raise ValueError("gradient descent needs a differentiable kernel")
     prev = np.array(mesh.face_normals if initial is None else initial, dtype=float)
-    centers, flat, starts, counts = mesh.neighbor_graph(spec.neighborhood)
-    total = graph_sum((centers, np.arange(len(flat)), starts, counts), len(flat))  # p: diff[p]
+    centers, flat, _, _ = mesh.neighbor_graph(spec.neighborhood)
+    total = graph_sum(index_graph(centers, len(prev)), len(flat))  # centers sorted: diff[p]
     for _ in range(spec.iterations):
         diff = prev[flat] - prev[centers]
         x = np.linalg.norm(diff, axis=1)
         # psi(x) * unit direction == g(x) * (n_j - n_i); exactly 0 when coincident
         g = np.where(x > 0, spec.range_kernel.weight(x), 0.0)
         prev = unit_rows(prev + spec.step_lambda * total(g, diff), prev)[0]
-    return NormalField(prev, iterations=spec.iterations)
+    return NormalField(prev)
 
 
 def energy(mesh: TriMesh, normals, spec: FilterSpec) -> float:

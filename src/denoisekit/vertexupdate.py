@@ -22,37 +22,31 @@ def update_vertices(mesh: TriMesh, filtered_normals, iterations: int,
     mesh.require_edge_manifold()
     n = np.asarray(filtered_normals, dtype=float)
     v = mesh.vertices.copy()
-    faces = mesh.faces
-    nf = len(faces)
-    # each face's corner sum 0 + v0 + v1 + v2, one fixed product: only a -0.0
-    # it turns +0.0 tells it from (v0 + v1) + v2, and that moves no offset
-    corner_sum = graph_sum((None, faces.ravel(), 3 * np.arange(nf), np.full(nf, 3)), len(v))
     # corner-major (corner 0 of every face, then 1, then 2); take gathers
     # whole rows several times faster than v[vid]
-    vid = faces.T.copy()
+    vid = mesh.faces.T.copy()
     corners = _, order, _, count = index_graph(vid.ravel(), len(v))
-    scatter = graph_sum(corners, 3 * nf)
+    scatter = graph_sum(corners, vid.size)
     n3 = np.tile(n, (3, 1))
     for _ in range(iterations):
-        centroids = corner_sum(1.0, v) / 3.0
-        offset = np.einsum("ij,ij->i", n3, (centroids - v.take(vid, axis=0)).reshape(-1, 3))
-        disp = scatter(offset[order], n3)
+        disp = scatter(_plane_offsets(v, vid, n3)[order], n3)
         with np.errstate(invalid="ignore"):
             v = v + step * disp / np.maximum(count, 1)[:, None]
     return v
 
 
+def _plane_offsets(v, vid, n3):
+    """Per corner of the (3, F) corner indices ``vid``: ``n . (c - v)`` with its face's normal
+    (a row of ``n3``) and centroid c, the gathered corners' ((v0 + v1) + v2) / 3."""
+    corners = v.take(vid, axis=0)
+    return np.einsum("ij,ij->i", n3, (corners.sum(axis=0) / 3.0 - corners).reshape(-1, 3))
+
+
 def orthogonality_residual(vertices, faces, normals) -> float:
     """Sum of squared normal-offsets of vertices from incident-face centroids."""
-    v = np.asarray(vertices, dtype=float)
-    n = np.asarray(normals, dtype=float)
-    centroids = (v[faces[:, 0]] + v[faces[:, 1]] + v[faces[:, 2]]) / 3.0
-    total = 0.0
-    for corner in range(3):
-        vid = faces[:, corner]
-        offset = np.einsum("ij,ij->i", n, centroids - v[vid])
-        total += float(np.sum(offset * offset))
-    return total
+    n3 = np.tile(np.asarray(normals, dtype=float), (3, 1))
+    offset = _plane_offsets(np.asarray(vertices, dtype=float), np.asarray(faces).T, n3)
+    return float(np.sum(offset * offset))
 
 
 def laplacian_smooth(mesh: TriMesh, iterations: int, lam: float) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Per-element loop implementations that the vectorised library is checked
 against: mesh topology, neighbourhoods, curvature, dihedral feature edges,
 guidance normals, the filter engine with per-pass spatial weights, the
-vector medians and the median pass, the vertex update, the neighbourhood
+vector medians and the median pass, the vertex update and its
+orthogonality residual, the neighbourhood
 sum (``np.add.at``), Laplacian smoothing, the vertex weld and the synthetic
 shapes; for point clouds the kNN and
 radius queries, PCA normals, the five point filters, the position update and
@@ -265,15 +266,11 @@ def spatial_weights(spec, mesh, centers, flat, starts, counts):
         return np.ones(len(flat))
     d = np.linalg.norm(mesh.face_centroids[centers] - mesh.face_centroids[flat], axis=1)
     if spec.spatial_sigma == "auto":
-        if spec.sigma_d_global:
-            pos = d[d > 0]
-            sd = np.full(len(flat), pos.mean() if len(pos) else 1.0)
-        else:
-            sd = np.empty(len(flat))
-            for s, c in zip(starts, counts):
-                seg = d[s:s + c]
-                pos = seg[seg > 0]
-                sd[s:s + c] = pos.mean() if len(pos) else 1.0
+        sd = np.empty(len(flat))
+        for s, c in zip(starts, counts):
+            seg = d[s:s + c]
+            pos = seg[seg > 0]
+            sd[s:s + c] = pos.mean() if len(pos) else 1.0
     else:
         sd = np.full(len(flat), float(spec.spatial_sigma))
     return np.exp(-(d * d) / (2.0 * sd * sd))
@@ -350,6 +347,19 @@ def update_vertices(mesh, filtered_normals, iterations, step=1.0) -> np.ndarray:
         with np.errstate(invalid="ignore"):
             v = v + step * disp / np.maximum(deg, 1.0)[:, None]
     return v
+
+
+def orthogonality_residual(vertices, faces, normals) -> float:
+    """Squared normal offsets of the corners from their face centroids,
+    summed corner by corner."""
+    v = np.asarray(vertices, dtype=float)
+    n = np.asarray(normals, dtype=float)
+    centroids = (v[faces[:, 0]] + v[faces[:, 1]] + v[faces[:, 2]]) / 3.0
+    total = 0.0
+    for corner in range(3):
+        offset = np.einsum("ij,ij->i", n, centroids - v[faces[:, corner]])
+        total += float(np.sum(offset * offset))
+    return total
 
 
 def scatter_sum(index, w, rows, n) -> np.ndarray:

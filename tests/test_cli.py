@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +313,25 @@ def test_denoise_overflowing_kernel_sigma_exits_1(tmp_path, capsys, kind, method
     assert code == 1
     assert f"error: kernel sigma {sigma} is too small" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_denoise_tiny_finite_sigma_keeps_normals(tmp_path):
+    """A Gaussian sigma of 1e-100 has a finite peak weight near 2e200, so the
+    weighted normal sums' squares overflow. They were measured as infinite and
+    every normal vanished; now the run matches sigma 1e-60, with no vanished sum."""
+    src = tmp_path / "noisy.obj"
+    save_mesh(add_noise(make_cube(4), 0.3, 42), src)
+    outputs = []
+    for sigma in ("1e-100", "1e-60"):
+        out, report = tmp_path / f"{sigma}.obj", tmp_path / f"{sigma}.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("denoise", "--input", str(src), "--method", "zheng-bilateral",
+                       "--sigma", sigma, "--output", str(out), "--ground-truth", str(src),
+                       "--report", str(report)) == 0
+        assert json.loads(report.read_text())["warnings"]["zero_weight_sums"] == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def _mesh_and_cloud(tmp_path):

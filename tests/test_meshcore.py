@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,13 +10,13 @@ from denoisekit import (
     NonManifoldError,
     ParseError,
     TriMesh,
-    convert_normal_args,
     load_mesh,
     make_cube,
     make_icosphere,
     make_plane,
     save_mesh,
 )
+from denoisekit.meshcore import unit_rows
 from conftest import rotation_matrix
 
 TRI_OBJ = """\
@@ -303,6 +304,22 @@ def test_normals_unit(cube2):
     assert np.max(np.abs(np.linalg.norm(cube2.face_normals, axis=1) - 1.0)) < 1e-9
 
 
+def test_unit_rows_rescales_rows_whose_squares_overflow():
+    """A finite row whose squared norm overflows is measured scaled by its
+    largest entry; it was replaced as a vanished row. Other rows keep their bits."""
+    rows = np.array([[1e200, 1e200, 0.0], [0.3, -0.4, 1.2], [0.0, 0.0, 0.0]])
+    fallback = np.array([[0.0, 0.0, 1.0]] * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, replaced = unit_rows(rows[:1], fallback[:1])
+        assert replaced == 0
+        assert np.allclose(got, [[math.sqrt(0.5), math.sqrt(0.5), 0.0]], rtol=1e-15, atol=0)
+        mixed, replaced = unit_rows(rows, fallback)
+    assert replaced == 1
+    assert np.array_equal(mixed[0], got[0])
+    assert np.array_equal(mixed[1:], unit_rows(rows[1:], fallback[1:])[0])
+
+
 def test_recompute_deterministic(cube2):
     n1 = cube2.face_normals.copy()
     cube2.recompute_face_fields()
@@ -341,25 +358,7 @@ def test_nonmanifold_curvature_error():
 
 
 # ----------------------------------------------------------------------
-# conversions, features, volume
-
-def test_convert_normal_args():
-    d, a, ad = convert_normal_args(math.sqrt(2.0), "distance")
-    assert abs(a - math.pi / 2) < 1e-12 and a == ad
-    assert convert_normal_args(0.0, "distance")[1] == 0.0
-    assert abs(convert_normal_args(2.0, "distance")[1] - math.pi) < 1e-12
-    d, a, _ = convert_normal_args(math.pi / 3, "angle")
-    assert abs(d - 1.0) < 1e-12
-
-
-def test_convert_normal_args_validation():
-    with pytest.raises(ValueError):
-        convert_normal_args(2.5, "distance")
-    with pytest.raises(ValueError):
-        convert_normal_args(4.0, "angle")
-    with pytest.raises(ValueError):
-        convert_normal_args(1.0, "cosine")
-
+# features, volume
 
 def test_cube_feature_edges(cube2):
     feats = cube2.dihedral_feature_edges(70.0)

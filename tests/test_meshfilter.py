@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from denoisekit import (
     FilterSpec,
@@ -18,7 +20,7 @@ from denoisekit import (
     vector_directional_median,
     vector_median,
 )
-from denoisekit.meshfilter import METHODS
+from denoisekit.meshfilter import METHODS, PRESET
 from conftest import max_angle, rotation_matrix
 
 PRESET_SIGMAS = {"yadav_box_2017": math.radians(30.0),
@@ -85,6 +87,33 @@ def test_spec_text_roundtrip(method):
     assert again == spec
 
 
+POSITIVE = st.floats(1e-3, 1e3)
+
+
+@st.composite
+def filter_specs(draw):
+    method = draw(st.sampled_from(METHODS))
+    mode = draw(st.sampled_from(("shared_vertex", "shared_edge", "radius")))
+    radius = draw(POSITIVE if mode == "radius" else st.none() | POSITIVE)
+    spatial = st.just("auto") | POSITIVE
+    if PRESET[method].spatial != "gaussian":
+        spatial |= st.none()
+    return FilterSpec.preset(
+        method, sigma=draw(st.floats(1e-3, 10.0)),
+        neighborhood=NeighborhoodSpec(mode, radius, draw(st.booleans())),
+        spatial_sigma=draw(spatial), iterations=draw(st.integers(1, 100)),
+        step_lambda=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        guidance_threshold=draw(st.floats(0.01, 3.1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(filter_specs())
+# the threshold was written in degrees: this one read back 1 ulp larger
+@example(preset("zhang_guided", guidance_threshold=0.7302309512958995))
+def test_drawn_spec_text_roundtrip(spec):
+    assert FilterSpec.from_text(spec.to_text()) == spec
+
+
 def test_from_text_bad_line():
     with pytest.raises(ValueError, match="line"):
         FilterSpec.from_text("method=generic_unilateral\nbogus\n")
@@ -93,7 +122,7 @@ def test_from_text_bad_line():
 def test_from_text_rejects_unknown_key():
     """A misspelt key is an error, not a silent default."""
     text = preset("zheng_bilateral", iterations=20).to_text().replace("iterations=", "iteratons=")
-    with pytest.raises(ValueError, match="line 10: unknown key 'iteratons'"):
+    with pytest.raises(ValueError, match="line 9: unknown key 'iteratons'"):
         FilterSpec.from_text(text)
 
 

@@ -28,6 +28,7 @@ from denoisekit import (
     make_icosphere,
     make_plane,
     make_wedge,
+    orthogonality_residual,
     update_vertices,
 )
 from denoisekit import meshfilter
@@ -254,7 +255,7 @@ def test_generic_kernels_match_reference(method, kind):
     assert np.max(np.abs(got - ref.filter_normals(mesh, spec))) <= TOLERANCE
 
 
-@pytest.mark.parametrize("kw", [{"sigma_d_global": True}, {"spatial_sigma": 0.2}])
+@pytest.mark.parametrize("kw", [{"spatial_sigma": 0.2}])
 def test_spatial_sigma_variants_match_reference(kw):
     mesh = add_noise(make_cube(4), 0.3, 3)
     spec = FilterSpec.preset("zheng_bilateral", iterations=3, **kw)
@@ -344,6 +345,22 @@ def test_update_vertices_keeps_vertex_on_no_face():
     assert np.array_equal(got[-1], mesh.vertices[-1])
 
 
+def assert_residual_matches(mesh, normals):
+    """Only the order of the sum of squares differs from the reference."""
+    got = orthogonality_residual(mesh.vertices, mesh.faces, normals)
+    want = ref.orthogonality_residual(mesh.vertices, mesh.faces, normals)
+    assert abs(got - want) <= TOLERANCE * want
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_orthogonality_residual_matches_reference(shape):
+    truth = SHAPES[shape]()
+    noisy = add_noise(truth, 0.3, 5)
+    for normals in (truth.face_normals, noisy.face_normals,
+                    filter_normals(noisy, preset("yadav_tukey_2018", iterations=2)).normals):
+        assert_residual_matches(noisy, normals)
+
+
 @pytest.mark.parametrize("shape", ["icosphere", "plane"])
 def test_laplacian_smooth_equals_reference(shape):
     """The plane's boundary vertices have shorter rings than its interior;
@@ -404,6 +421,13 @@ def test_random_mesh_filters_match_reference(mesh, mode, include_self):
     with np.errstate(invalid="ignore", divide="ignore"):
         assert_filters_match(mesh, METHODS, neighborhood=nb, iterations=2)
         assert_medians_match(mesh, nb)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(small_meshes(validate=True), st.data())
+def test_random_orthogonality_residual_matches_reference(mesh, data):
+    normals = data.draw(hnp.arrays(float, (len(mesh.faces), 3), elements=st.floats(-2, 2)))
+    assert_residual_matches(mesh, normals)
 
 
 # ----------------------------------------------------------------------
@@ -545,9 +569,9 @@ def test_pair_slots_hold_each_unordered_pair_once(graph):
 
 
 def test_update_vertices_with_negative_zero_corners_equals_reference():
-    """Faces whose three corners share a -0.0 coordinate: the corner sum
-    0 + v0 + v1 + v2 is +0.0 where (v0 + v1) + v2 is -0.0, and neither moves
-    an offset, since c - v is +0.0 both ways. Bit for bit, zeros' signs too."""
+    """Faces whose three corners share a -0.0 coordinate: the centroid is the
+    gathered corners' (v0 + v1) + v2, -0.0 as in the reference (a sum from
+    zero, 0 + v0 + v1 + v2, would give +0.0). Bit for bit, zeros' signs too."""
     mesh = make_cube(2)
     vertices = np.where(mesh.vertices == 0.0, -0.0, mesh.vertices)
     mesh = TriMesh(vertices, mesh.faces)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from denoisekit import (
     PointCloud,
@@ -10,6 +12,7 @@ from denoisekit import (
     filter_point_normals,
     update_point_positions,
 )
+from denoisekit.meshfilter import PRESET
 from denoisekit.pointfilter import POINT_METHODS
 from conftest import max_angle, rotation_matrix
 
@@ -74,6 +77,25 @@ def test_radius_must_be_finite_and_positive(value):
 @pytest.mark.parametrize("method", POINT_METHODS)
 def test_text_roundtrip(method):
     spec = PointFilterSpec(method, sigma=SIGMAS[method], k=8, iterations=2)
+    assert PointFilterSpec.from_text(spec.to_text()) == spec
+
+
+POSITIVE = st.floats(1e-3, 1e3)
+
+
+@st.composite
+def point_specs(draw):
+    method = draw(st.sampled_from(POINT_METHODS))
+    k, radius = draw(st.tuples(st.integers(1, 64), st.none() | POSITIVE)
+                     | st.tuples(st.none(), POSITIVE))
+    sigma = st.just("auto") | POSITIVE if PRESET[method].auto_sigma else POSITIVE
+    return PointFilterSpec(method, sigma=draw(sigma), sigma_d=draw(st.just("auto") | POSITIVE),
+                           k=k, radius=radius, iterations=draw(st.integers(1, 100)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_specs())
+def test_drawn_text_roundtrip(spec):
     assert PointFilterSpec.from_text(spec.to_text()) == spec
 
 
