@@ -255,7 +255,8 @@ def test_generic_kernels_match_reference(method, kind):
     assert np.max(np.abs(got - ref.filter_normals(mesh, spec))) <= TOLERANCE
 
 
-@pytest.mark.parametrize("kw", [{"spatial_sigma": 0.2}])
+# The id keeps the case name it had when a sigma_d_global case ran as kw0.
+@pytest.mark.parametrize("kw", [pytest.param({"spatial_sigma": 0.2}, id="kw1")])
 def test_spatial_sigma_variants_match_reference(kw):
     mesh = add_noise(make_cube(4), 0.3, 3)
     spec = FilterSpec.preset("zheng_bilateral", iterations=3, **kw)
