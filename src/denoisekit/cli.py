@@ -2,7 +2,9 @@
 
 Subcommands: make-shape, add-noise, denoise, metrics, kernel-table,
 experiment. All runs are deterministic for a fixed argv and inputs.
-``--threads`` is accepted but does nothing yet: every run uses one worker.
+``--threads N`` (default 1) lets ``experiment`` score its method rows on
+min(N, rows, CPUs) worker processes started with fork; one worker runs the
+rows in-process. Every output is the same for any N.
 
 Sigma conventions: methods whose filter argument is an angle
 (yadav-box-2017, tasdizen, belyaev-ohtake, li-bilateral, yadav-vnvt) take
@@ -16,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import bench
@@ -152,13 +156,26 @@ def _cmd_kernel_table(args) -> int:
     return 0
 
 
+def _experiment_workers(threads: int, rows: int) -> int:
+    """How many processes score an experiment's method rows."""
+    return min(threads, rows, os.cpu_count() or 1)
+
+
+def _score_row(truth, noisy, vertex_iters, step, feature_threshold, spec):
+    """One experiment row: denoise the noisy mesh and score it."""
+    out, field = denoise_mesh(noisy, spec, vertex_iterations=vertex_iters, step=step)
+    report = bench.compare(truth, out, feature_threshold,
+                           warnings={"zero_weight_sums": field.zero_weight_warnings})
+    return out, report
+
+
 def _cmd_experiment(args) -> int:
     methods = EXPERIMENT_METHODS if args.methods == "all" else \
         tuple(m.strip() for m in args.methods.split(","))
-    specs = [(m, _mesh_spec(argparse.Namespace(
+    specs = [_mesh_spec(argparse.Namespace(
         method=m, sigma=args.sigma_deg if m in ANGLE_SIGMA_METHODS else args.sigma,
         sigma_d="auto", neighborhood=args.neighborhood, radius=None,
-        iters=args.iters, step_lambda=0.05, kernel="gaussian", box_floor=0.0)))
+        iters=args.iters, step_lambda=0.05, kernel="gaussian", box_floor=0.0))
         for m in methods]
     kind = "wedge" if args.preset == "fandisk-like" else args.preset
     truth = bench.make_shape(kind, n=args.n, scale=1.0)
@@ -166,20 +183,23 @@ def _cmd_experiment(args) -> int:
     rows = ["method," + ",".join(bench.MetricsReport.CSV_FIELDS)]
     noisy_report = bench.compare(truth, noisy, args.feature_threshold)
     rows.append("noisy," + noisy_report.to_csv_row())
-    results = []
-    for m, spec in specs:
-        out, field = denoise_mesh(noisy, spec, vertex_iterations=args.vertex_iters,
-                                  step=args.step)
-        report = bench.compare(truth, out, args.feature_threshold,
-                               warnings={"zero_weight_sums": field.zero_weight_warnings})
-        results.append((m, out, report))
-        rows.append(f"{m}," + report.to_csv_row())
+    score = partial(_score_row, truth, noisy, args.vertex_iters, args.step,
+                    args.feature_threshold)
+    workers = _experiment_workers(args.threads, len(specs))
+    if workers == 1:
+        results = [score(spec) for spec in specs]
+    else:  # fork: the workers inherit the loaded modules instead of importing them
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
+            results = list(pool.map(score, specs))
+    rows += [f"{m}," + report.to_csv_row() for m, (_, report) in zip(methods, results)]
     # every run is scored before the first write, so a failure writes nothing
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     save_mesh(truth, outdir / "ground_truth.obj")
     save_mesh(noisy, outdir / "noisy.obj")
-    for m, out, report in results:
+    for m, (out, report) in zip(methods, results):
         (outdir / f"{m}.json").write_text(report.to_json() + "\n")
         save_mesh(out, outdir / f"{m}.obj")
     (outdir / "summary.csv").write_text("\n".join(rows) + "\n")
@@ -193,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--threads", type=int, default=1,
-                    help="accepted but unused: every run uses one worker")
+                    help="experiment: score the method rows on min(THREADS, rows, "
+                         "CPUs) forked worker processes (default 1: in-process)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("make-shape", help="generate a synthetic benchmark shape")
@@ -283,6 +304,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        if args.threads < 1:
+            raise CliError(f"--threads must be >= 1, got {args.threads}")
         return args.fn(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -1,7 +1,21 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from denoisekit import TriMesh, make_cube, make_plane
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_running():
+    """Fail a test that leaves a child process running, as a leaked file
+    handle fails it; the benchmark refuses such a run."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join(timeout=10)
+    assert not left, f"child processes left running: {left}"
 
 
 @pytest.fixture

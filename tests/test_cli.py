@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import warnings
 from pathlib import Path
 
@@ -461,3 +462,67 @@ def test_experiment_unknown_method(tmp_path):
 def test_experiment_unknown_preset(tmp_path):
     assert run("experiment", "--preset", "torus", "--noise", "0.2", "--seed", "1",
                "--out", str(tmp_path / "e")) == 2
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_experiment_bad_threads_exits_2(tmp_path, capsys, threads):
+    """A thread count below 1 was accepted and ignored."""
+    out = tmp_path / "e"
+    assert run("--threads", threads, "experiment", "--preset", "plane", "--n", "4",
+               "--noise", "0.2", "--seed", "1", "--out", str(out)) == 2
+    assert f"error: --threads must be >= 1, got {threads}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_experiment_worker_count(monkeypatch):
+    """min(--threads, rows, CPUs), checked without starting a process."""
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert cli._experiment_workers(1, 11) == 1
+    assert cli._experiment_workers(8, 11) == 2
+    assert cli._experiment_workers(10 ** 6, 11) == 2
+    assert cli._experiment_workers(8, 1) == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._experiment_workers(8, 11) == 1
+
+
+def _experiment(out, threads):
+    return run("--threads", str(threads), "experiment", "--preset", "cube", "--n", "4",
+               "--noise", "0.3", "--seed", "42", "--iters", "3", "--vertex-iters", "3",
+               "--out", str(out))
+
+
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))}
+
+
+def test_experiment_workers_write_identical_files(tmp_path, monkeypatch):
+    """Every OBJ, JSON and CSV file is the same with one worker (in-process,
+    no fork) and with two worker processes."""
+    def no_fork():
+        raise AssertionError("--threads 1 started a process")
+
+    with monkeypatch.context() as m:
+        m.setattr("os.fork", no_fork)
+        assert _experiment(tmp_path / "one", 1) == 0
+    assert _experiment(tmp_path / "two", 2) == 0
+    one, two = _tree(tmp_path / "one"), _tree(tmp_path / "two")
+    assert len(one) == 3 + 2 * len(cli.EXPERIMENT_METHODS)
+    assert one == two
+
+
+def test_experiment_row_failing_in_worker_writes_nothing(tmp_path, monkeypatch, capsys):
+    """A row that raises inside a worker exits 1, writes no file and leaves
+    no worker running."""
+    denoise = cli.denoise_mesh
+
+    def failing(mesh, spec, **kw):
+        if spec.method == "tasdizen":
+            raise ValueError("tasdizen failed")
+        return denoise(mesh, spec, **kw)
+
+    monkeypatch.setattr(cli, "denoise_mesh", failing)
+    out = tmp_path / "e"
+    assert _experiment(out, 2) == 1
+    assert "error: tasdizen failed" in capsys.readouterr().err
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
