@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from denoisekit import (
+    FilterSpec,
     PointCloud,
-    PointFilterSpec,
     estimate_normals_pca,
     filter_point_normals,
     save_xyz,
@@ -41,7 +41,7 @@ est = estimate_normals_pca(cloud, k=6, orient_to=p)  # orient outward
 cloud = cloud.with_normals(est)
 print(f"PCA normals:      mean error {normal_error_deg(cloud.normals):6.2f} deg")
 
-spec = PointFilterSpec("li_bilateral", sigma="auto", k=12, iterations=3)
+spec = FilterSpec.preset("li_bilateral", sigma="auto", iterations=3)  # 12 nearest
 filtered = filter_point_normals(cloud, spec)
 print(f"after filtering:  mean error {normal_error_deg(filtered):6.2f} deg")
 

@@ -18,6 +18,7 @@ from .meshcore import (
 from .pointcloud import PointCloud, estimate_normals_pca, load_xyz, save_xyz
 from .meshfilter import (
     METHODS,
+    POINT_METHODS,
     FilterSpec,
     NormalField,
     energy,
@@ -27,13 +28,7 @@ from .meshfilter import (
     vector_directional_median,
     vector_median,
 )
-from .pointfilter import (
-    POINT_METHODS,
-    PointFilterSpec,
-    default_radius,
-    filter_point_normals,
-    update_point_positions,
-)
+from .pointfilter import default_radius, filter_point_normals, update_point_positions
 from .vertexupdate import laplacian_smooth, orthogonality_residual, update_vertices
 from .bench import (
     MetricsReport,

@@ -29,7 +29,6 @@ from .meshcore import MeshError, NeighborhoodSpec, load_mesh, save_mesh
 from .meshfilter import METHODS, POINT_METHODS, PRESET, FilterSpec
 from .pipeline import denoise_cloud, denoise_mesh
 from .pointcloud import PointCloud, PointCloudError, load_xyz, save_xyz
-from .pointfilter import PointFilterSpec
 
 MESH_METHODS_CLI = tuple(m.replace("_", "-") for m in METHODS)
 POINT_METHODS_CLI = tuple(m.replace("_", "-") for m in POINT_METHODS)
@@ -62,39 +61,28 @@ def _save_any(obj, path: str):
         save_mesh(obj, path)
 
 
-def _sigmas(args) -> tuple:
-    """--sigma (in radians for angle methods) and --sigma-d ("auto" if unset)."""
-    sigma = math.radians(args.sigma) if args.method in ANGLE_SIGMA_METHODS else args.sigma
-    return sigma, "auto" if args.sigma_d in (None, "auto") else float(args.sigma_d)
-
-
-def _mesh_spec(args) -> FilterSpec:
+def _spec(args, methods) -> FilterSpec:
+    """The spec of ``args.method``, which must be one of ``methods``."""
     method = args.method.replace("-", "_")
-    if method not in METHODS:
-        raise CliError(f"unknown method {args.method!r}; valid: {', '.join(MESH_METHODS_CLI)}")
-    sigma, sigma_d = _sigmas(args)
-    nb = NeighborhoodSpec(args.neighborhood.replace("-", "_"),
-                          radius=args.radius, include_self=True)
-    kw = dict(neighborhood=nb, iterations=args.iters)
+    if method not in methods:
+        raise CliError(f"unknown method {args.method!r} for this input; "
+                       f"valid: {', '.join(m.replace('_', '-') for m in methods)}")
     row = PRESET[method]
-    if row.spatial == "gaussian":
-        kw["spatial_sigma"] = sigma_d
+    sigma = math.radians(args.sigma) if args.method in ANGLE_SIGMA_METHODS else args.sigma
+    if row.domain == "mesh":
+        nb = NeighborhoodSpec(args.neighborhood.replace("-", "_"), radius=args.radius)
+    elif args.radius is None:
+        nb = NeighborhoodSpec("knn", k=args.k)
+    else:
+        nb = NeighborhoodSpec("radius", radius=args.radius)
+    kw = dict(neighborhood=nb, iterations=args.iters)
+    if row.spatial not in (None, "area"):
+        kw["spatial_sigma"] = "auto" if args.sigma_d in (None, "auto") else float(args.sigma_d)
     if row.flavour == "gradient":
         kw["step_lambda"] = args.step_lambda
     if row.kind is None:
-        kw["range_kernel"] = Kernel(args.kernel, sigma,
-                                    box_floor=args.box_floor)
+        kw["range_kernel"] = Kernel(args.kernel, sigma, box_floor=args.box_floor)
     return FilterSpec.preset(method, sigma=sigma, **kw)
-
-
-def _point_spec(args) -> PointFilterSpec:
-    method = args.method.replace("-", "_")
-    if method not in POINT_METHODS:
-        raise CliError(f"unknown point method {args.method!r}; "
-                       f"valid: {', '.join(POINT_METHODS_CLI)}")
-    sigma, sigma_d = _sigmas(args)
-    return PointFilterSpec(method=method, sigma=sigma, sigma_d=sigma_d,
-                           k=args.k, radius=args.radius, iterations=args.iters)
 
 
 # ----------------------------------------------------------------------
@@ -119,12 +107,12 @@ def _cmd_denoise(args) -> int:
     obj = _load_any(args.input)
     warnings = {}
     if isinstance(obj, PointCloud):
-        spec = _point_spec(args)
+        spec = _spec(args, POINT_METHODS)
         out, wcount = denoise_cloud(obj, spec, position_iterations=args.vertex_iters,
                                     estimate_k=max(args.k or 12, 3))
         warnings["empty_neighborhoods"] = wcount
     else:
-        spec = _mesh_spec(args)
+        spec = _spec(args, METHODS)
         out, field = denoise_mesh(obj, spec, vertex_iterations=args.vertex_iters,
                                   step=args.step)
         warnings["zero_weight_sums"] = field.zero_weight_warnings
@@ -172,10 +160,10 @@ def _score_row(truth, noisy, vertex_iters, step, feature_threshold, spec):
 def _cmd_experiment(args) -> int:
     methods = EXPERIMENT_METHODS if args.methods == "all" else \
         tuple(m.strip() for m in args.methods.split(","))
-    specs = [_mesh_spec(argparse.Namespace(
+    specs = [_spec(argparse.Namespace(
         method=m, sigma=args.sigma_deg if m in ANGLE_SIGMA_METHODS else args.sigma,
         sigma_d="auto", neighborhood=args.neighborhood, radius=None,
-        iters=args.iters, step_lambda=0.05, kernel="gaussian", box_floor=0.0))
+        iters=args.iters, step_lambda=0.05, kernel="gaussian", box_floor=0.0), METHODS)
         for m in methods]
     kind = "wedge" if args.preset == "fandisk-like" else args.preset
     truth = bench.make_shape(kind, n=args.n, scale=1.0)

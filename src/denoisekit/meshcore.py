@@ -42,23 +42,27 @@ class NonManifoldError(MeshError):
 
 @dataclass(frozen=True)
 class NeighborhoodSpec:
-    """Which faces count as neighbors of a face.
+    """Which faces (or points) count as neighbors of a face (or point).
 
-    mode: "shared_vertex", "shared_edge" or "radius" (centroid Euclidean
-    distance <= radius). include_self controls whether the face itself is in
-    its own neighborhood.
+    mode: "shared_vertex", "shared_edge", "radius" (centroid or point
+    Euclidean distance <= radius) or "knn" (a point and its k nearest
+    points). include_self controls whether the face itself is in its own
+    neighborhood.
     """
 
     mode: str = "shared_vertex"
     radius: float | None = None
     include_self: bool = True
+    k: int | None = None
 
     def __post_init__(self):
-        if self.mode not in ("shared_vertex", "shared_edge", "radius"):
+        if self.mode not in ("shared_vertex", "shared_edge", "radius", "knn"):
             raise ValueError(f"unknown neighborhood mode {self.mode!r}")
         if self.mode == "radius" and self.radius in (None, "auto"):
             raise ValueError("radius mode needs a radius")
         check_positive("radius", self.radius)
+        if (self.mode == "knn") != (self.k is not None) or (self.k is not None and self.k < 1):
+            raise ValueError(f"k must be >= 1 in knn mode and unset otherwise, got {self.k!r}")
 
 
 class TriMesh:
@@ -113,8 +117,10 @@ class TriMesh:
             keys = _group_pair_keys(self._halfedge_edge, np.tile(face, 3), nf)
         elif spec.mode == "shared_vertex":
             keys = _group_pair_keys(self.faces.ravel(), np.repeat(face, 3), nf)
-        else:
+        elif spec.mode == "radius":
             keys = self._radius_pair_keys(spec.radius)
+        else:
+            raise ValueError(f"a mesh has no {spec.mode} neighbourhood")
         # key c * F + n encodes the pair (c, n); the self pairs are c * (F + 1),
         # the only keys that F + 1 divides
         keys = _distinct(np.concatenate([keys, face * (nf + 1)]))
@@ -374,27 +380,6 @@ def check_positive(name: str, value) -> None:
     """Raise ValueError unless a spec value is None, "auto" or finite and > 0."""
     if value not in (None, "auto") and (isinstance(value, str) or not 0 < value < math.inf):
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-
-
-def parse_key_values(text: str, keys) -> dict:
-    """The ``key=value`` lines of a spec text; blank and ``#`` lines are
-    skipped, and a key not in ``keys`` is an error."""
-    kv = {}
-    for ln, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if line and not line.startswith("#"):
-            k, eq, v = (part.strip() for part in line.partition("="))
-            if not eq:
-                raise ValueError(f"line {ln}: expected key=value")
-            if k not in keys:
-                raise ValueError(f"line {ln}: unknown key {k!r}")
-            kv[k] = v
-    return kv
-
-
-def text_value(text: str, convert=float):
-    """A spec-text value: None for "none", "auto" as it is, else convert(text)."""
-    return None if text == "none" else text if text == "auto" else convert(text)
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Normal filtering as one robust M-smoother: each pass replaces a normal by
 the unit mean of its neighbours' normals under the weight ``g = psi(x)/x`` of
 a per-pair argument x, times a spatial factor. The face filters of meshes
-and the normal filters of point sets are the rows of one table, ``PRESET``;
-the median and gradient-descent flavours take their own step instead.
+and the normal filters of point sets are the rows of one table, ``PRESET``,
+each set up by one spec, :class:`FilterSpec`; the median and
+gradient-descent flavours take their own step instead.
 
 All filters are double-buffered: pass t reads only the normals of pass t-1.
 Per-face accumulation runs in ascending face-index order, so results do not
@@ -20,15 +21,14 @@ import numpy as np
 from .kernels import Kernel
 from .meshcore import (NeighborhoodSpec, TriMesh, check_positive, csr_graph, graph_sum,
                        index_graph, mean_positive_distance, pair_angles, pair_distances,
-                       pair_slots, parse_key_values, text_value, unit_rows)
+                       pair_slots, unit_rows)
 
-# A row per named filter: its domain ("mesh": FilterSpec, "points":
-# PointFilterSpec); the pinned kernel kind and its box floor and the pinned
-# argument (None: the spec's own); the spatial factor ("gaussian" makes a
-# mesh filter bilateral; "area"; a point filter's "auto" sigma_d rule,
-# "half_radius" or "mean_distance"); the flavour (None leaves the normals
-# alone); whether sigma="auto" is allowed. Every row weighs its pairs with
-# its kernel's g.
+# A row per named filter: its domain ("mesh" or "points"); the pinned kernel
+# kind and its box floor and the pinned argument (None: the spec's own); the
+# spatial factor ("gaussian" makes a mesh filter bilateral; "area"; a point
+# filter's "auto" spatial_sigma rule, "half_radius" or "mean_distance"); the
+# flavour (None leaves the normals alone); whether range_kernel="auto" is
+# allowed. Every row weighs its pairs with its kernel's g.
 Method = namedtuple("Method", "domain kind floor argument spatial flavour auto_sigma")
 PRESET = {name: Method(*row) for name, row in {
     "generic_unilateral": ("mesh", None, 0.0, None, None, "mean", False),
@@ -64,10 +64,19 @@ ARGUMENTS = (
 )
 
 
+def _row(method: str) -> Method:
+    if method not in PRESET:
+        raise ValueError(f"unknown method {method!r}; valid: {tuple(PRESET)}")
+    return PRESET[method]
+
+
 @dataclass(frozen=True)
 class FilterSpec:
+    """A face filter of meshes or a point filter of clouds: a row of
+    ``PRESET`` with its range kernel, neighbourhood and spatial sigma."""
+
     method: str
-    range_kernel: Kernel
+    range_kernel: Kernel | str  # "auto" (Li's rule) only where the row allows it
     neighborhood: NeighborhoodSpec = NeighborhoodSpec("shared_vertex", include_self=True)
     spatial_sigma: float | str | None = None  # number, "auto", or None (unilateral)
     iterations: int = 1
@@ -76,75 +85,110 @@ class FilterSpec:
     guidance_threshold: float = math.radians(60.0)  # guidance argument only
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; valid: {METHODS}")
+        row, kernel, nb = _row(self.method), self.range_kernel, self.neighborhood
         if self.argument not in ARGUMENTS:
             raise ValueError(f"unknown argument {self.argument!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if not (0.0 < self.step_lambda <= 1.0):
             raise ValueError("step_lambda must be in (0, 1]")
-        row, kernel = PRESET[self.method], self.range_kernel
-        if row.kind is not None and kernel.kind != row.kind:
+        if row.domain == "points" and (nb.mode not in ("knn", "radius") or not nb.include_self):
+            raise ValueError(f"point method {self.method} needs a knn or radius "
+                             "neighborhood that includes the point itself")
+        if row.domain == "mesh" and nb.mode == "knn":
+            raise ValueError(f"mesh method {self.method} takes no knn neighborhood")
+        if kernel == "auto":
+            if not row.auto_sigma:
+                raise ValueError(f"range_kernel='auto' is not defined for {self.method}")
+        elif row.kind is not None and kernel.kind != row.kind:
             raise ValueError(f"method {self.method} requires a {row.kind} kernel, "
                              f"got {kernel.kind}")
-        if row.kind == "box" and abs(kernel.box_floor - row.floor) > 1e-15:
+        elif row.kind == "box" and abs(kernel.box_floor - row.floor) > 1e-15:
             raise ValueError(f"method {self.method} requires box_floor = {row.floor}")
+        elif row.flavour == "gradient" and not kernel.differentiable:
+            raise ValueError(f"method {self.method} needs a differentiable kernel")
         if row.argument is not None and self.argument != row.argument:
             raise ValueError(f"method {self.method} uses argument {row.argument!r}")
-        if row.spatial == "gaussian" and self.spatial_sigma is None:
+        if row.spatial not in (None, "area") and self.spatial_sigma is None:
             raise ValueError(f"method {self.method} is bilateral: set spatial_sigma")
         check_positive("spatial_sigma", self.spatial_sigma)
-        if row.flavour == "gradient" and not kernel.differentiable:
-            raise ValueError(f"method {self.method} needs a differentiable kernel")
         if not (0.0 < self.guidance_threshold < math.pi):
             raise ValueError("guidance_threshold must be in (0, pi)")
 
     @classmethod
-    def preset(cls, method: str, sigma: float = 0.35, **kw) -> "FilterSpec":
-        """Build a spec with the method's pinned kernel/argument filled in."""
-        row = PRESET[method]
-        if row.kind is None:
-            kernel = kw.pop("range_kernel", Kernel("gaussian", sigma))
-        else:
-            kernel = Kernel(row.kind, sigma, box_floor=row.floor)
+    def preset(cls, method: str, sigma: float | str = 0.35, **kw) -> "FilterSpec":
+        """Build a spec with the method's pinned kernel and argument filled in,
+        an "auto" spatial sigma where the row weighs distances, and a point
+        row's 12 nearest neighbours; sigma="auto" gives the auto kernel."""
+        row = _row(method)
+        if "range_kernel" not in kw:
+            kw["range_kernel"] = "auto" if sigma == "auto" else \
+                Kernel(row.kind or "gaussian", sigma, box_floor=row.floor)
         kw.setdefault("argument", row.argument or "euclidean")
-        if row.spatial == "gaussian":
+        if row.spatial not in (None, "area"):
             kw.setdefault("spatial_sigma", "auto")
-        return cls(method=method, range_kernel=kernel, **kw)
+        if row.domain == "points":
+            kw.setdefault("neighborhood", NeighborhoodSpec("knn", k=12))
+        return cls(method=method, **kw)
 
     # ---- flat key=value serialization -------------------------------
     TEXT_KEYS = ("method", "kernel", "sigma", "box_floor", "sigma_d", "neighborhood",
-                 "radius", "include_self", "iterations", "lambda", "argument",
+                 "radius", "include_self", "k", "iterations", "lambda", "argument",
                  "guidance_threshold")
 
     def to_text(self) -> str:
         nb, kernel = self.neighborhood, self.range_kernel
-        values = (self.method, kernel.kind, repr(kernel.sigma), repr(kernel.box_floor),
-                  "none" if self.spatial_sigma is None else str(self.spatial_sigma), nb.mode,
-                  "none" if nb.radius is None else repr(nb.radius),
-                  str(nb.include_self).lower(), str(self.iterations),
-                  repr(self.step_lambda), self.argument, repr(self.guidance_threshold))
-        return "".join(f"{k}={v}\n" for k, v in zip(self.TEXT_KEYS, values))
+        kind, sigma, floor = ("auto", "auto", 0.0) if kernel == "auto" else \
+            (kernel.kind, kernel.sigma, kernel.box_floor)
+        values = (self.method, kind, sigma, floor, self.spatial_sigma, nb.mode, nb.radius,
+                  str(nb.include_self).lower(), nb.k, self.iterations, self.step_lambda,
+                  self.argument, self.guidance_threshold)
+        return "".join(f"{k}={'none' if v is None else v}\n"
+                       for k, v in zip(self.TEXT_KEYS, values))
 
     @classmethod
     def from_text(cls, text: str) -> "FilterSpec":
-        kv = parse_key_values(text, cls.TEXT_KEYS)
-        kernel = Kernel(kv["kernel"], float(kv["sigma"]),
-                        box_floor=float(kv.get("box_floor", 0.0)))
+        kv = _key_values(text, cls.TEXT_KEYS, required=("method", "kernel", "sigma"))
+        kernel = "auto" if kv["sigma"] == "auto" else Kernel(
+            kv["kernel"], float(kv["sigma"]), box_floor=float(kv.get("box_floor", 0.0)))
         nb = NeighborhoodSpec(kv.get("neighborhood", "shared_vertex"),
-                              text_value(kv.get("radius", "none")),
-                              kv.get("include_self", "true") == "true")
+                              _text_value(kv.get("radius", "none")),
+                              kv.get("include_self", "true") == "true",
+                              _text_value(kv.get("k", "none"), int))
         return cls(
             method=kv["method"],
             range_kernel=kernel,
             neighborhood=nb,
-            spatial_sigma=text_value(kv.get("sigma_d", "none")),
+            spatial_sigma=_text_value(kv.get("sigma_d", "none")),
             iterations=int(kv.get("iterations", 1)),
             step_lambda=float(kv.get("lambda", 1.0)),
             argument=kv.get("argument", "euclidean"),
             guidance_threshold=float(kv.get("guidance_threshold", math.radians(60.0))),
         )
+
+
+def _key_values(text: str, keys, required) -> dict:
+    """The ``key=value`` lines of a spec text; blank and ``#`` lines are
+    skipped, and a key not in ``keys``, or a missing ``required`` one, is an error."""
+    kv = {}
+    for ln, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            k, eq, v = (part.strip() for part in line.partition("="))
+            if not eq:
+                raise ValueError(f"line {ln}: expected key=value")
+            if k not in keys:
+                raise ValueError(f"line {ln}: unknown key {k!r}")
+            kv[k] = v
+    for k in required:
+        if k not in kv:
+            raise ValueError(f"missing key {k!r}")
+    return kv
+
+
+def _text_value(text: str, convert=float):
+    """A spec-text value: None for "none", "auto" as it is, else convert(text)."""
+    return None if text == "none" else text if text == "auto" else convert(text)
 
 
 @dataclass
@@ -302,7 +346,10 @@ def smooth_normals(normals, iterations, graph, argument, weight, spatial):
 
 def filter_normals(mesh: TriMesh, spec: FilterSpec, initial=None) -> NormalField:
     """Run spec.iterations passes of the method's flavour over the face normals."""
-    flavour = PRESET[spec.method].flavour
+    row = PRESET[spec.method]
+    if row.domain != "mesh":
+        raise ValueError(f"{spec.method} is a point filter: use filter_point_normals")
+    flavour = row.flavour
     if flavour == "gradient":
         return filter_gradient_descent(mesh, spec, initial=initial)
     prev = np.array(mesh.face_normals if initial is None else initial, dtype=float)

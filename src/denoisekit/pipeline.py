@@ -7,7 +7,7 @@ import numpy as np
 from .meshcore import TriMesh
 from .meshfilter import FilterSpec, filter_normals
 from .pointcloud import PointCloud, estimate_normals_pca
-from .pointfilter import PointFilterSpec, filter_point_normals, update_point_positions
+from .pointfilter import filter_point_normals, update_point_positions
 from .vertexupdate import update_vertices
 
 
@@ -28,7 +28,7 @@ def denoise_mesh(mesh: TriMesh, spec: FilterSpec, vertex_iterations: int = 30,
     return out, field
 
 
-def denoise_cloud(cloud: PointCloud, spec: PointFilterSpec,
+def denoise_cloud(cloud: PointCloud, spec: FilterSpec,
                   position_iterations: int = 1, estimate_k: int = 12):
     """Filter point normals (estimating them first if absent), then update
     point positions along the filtered normals."""

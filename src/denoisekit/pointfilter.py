@@ -4,15 +4,13 @@ the normal-driven point position update."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .kernels import Kernel
-from .meshcore import (check_positive, graph_sum, mean_positive_distance, pair_angles,
-                       pair_distances, parse_key_values, text_value, unit_rows)
-from .meshfilter import POINT_METHODS, PRESET, pair_argument, smooth_normals
+from .meshcore import graph_sum, mean_positive_distance, pair_angles, pair_distances, unit_rows
+from .meshfilter import PRESET, FilterSpec, pair_argument, smooth_normals
 from .pointcloud import PointCloud
 
 
@@ -21,72 +19,42 @@ def _gauss(x, sigma):
     return np.exp(-(x * x) / (sigma * sigma))
 
 
-@dataclass(frozen=True)
-class PointFilterSpec:
-    method: str
-    sigma: float | str = "auto"       # "auto" only where the method's row allows it
-    sigma_d: float | str = "auto"
-    k: int | None = 12                # kNN size; or use radius
-    radius: float | None = None
-    iterations: int = 1
-
-    def __post_init__(self):
-        if self.method not in POINT_METHODS:
-            raise ValueError(f"unknown method {self.method!r}; valid: {POINT_METHODS}")
-        if self.k is None and self.radius is None:
-            raise ValueError("set k or radius")
-        if self.sigma == "auto" and not PRESET[self.method].auto_sigma:
-            raise ValueError(f"sigma='auto' is not defined for {self.method}")
-        for name in ("sigma", "sigma_d", "radius"):
-            check_positive(name, getattr(self, name))
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-
-    # ---- flat key=value serialization (same format as FilterSpec) ----
-    def to_text(self) -> str:
-        values = ((f.name, getattr(self, f.name)) for f in fields(self))
-        return "".join(f"{k}={'none' if v is None else v}\n" for k, v in values)
-
-    @classmethod
-    def from_text(cls, text: str) -> "PointFilterSpec":
-        kv = parse_key_values(text, [f.name for f in fields(cls)])
-        kinds = {"method": str, "k": int, "iterations": int}
-        return cls(**{key: text_value(v, kinds.get(key, float)) for key, v in kv.items()})
-
-
-def filter_point_normals(cloud: PointCloud, spec: PointFilterSpec) -> np.ndarray:
+def filter_point_normals(cloud: PointCloud, spec: FilterSpec) -> np.ndarray:
     """The method's row of ``PRESET`` run by ``smooth_normals`` on the kNN or
-    radius graph, each point in its own neighbourhood. With sigma="auto"
-    (Li's filter), sigma is the standard deviation of the angles of all pairs
-    of the graph on the input normals, each point's zero angle with itself
-    included."""
+    radius graph, each point in its own neighbourhood. With the "auto" range
+    kernel (Li's filter), sigma is the standard deviation of the angles of all
+    pairs of the graph on the input normals, each point's zero angle with
+    itself included."""
+    row = PRESET[spec.method]
+    if row.domain != "points":
+        raise ValueError(f"{spec.method} is a mesh filter: use filter_normals")
     if cloud.normals is None:
         raise ValueError("cloud has no normals; estimate them first")
-    row = PRESET[spec.method]
     prev = cloud.normals.copy()
     if row.flavour is None or not len(prev):
         return prev
-    k = None if spec.radius is not None else min(spec.k, len(cloud) - 1)
-    graph = centers, neighbors, starts, counts = cloud.neighbor_graph(k=k, radius=spec.radius)
+    nb, knn = spec.neighborhood, spec.neighborhood.mode == "knn"
+    graph = centers, neighbors, starts, counts = cloud.neighbor_graph(
+        k=min(nb.k, len(cloud) - 1) if knn else None, radius=None if knn else nb.radius)
     d = pair_distances(cloud.points, neighbors, centers)
     spatial = 1.0
     if row.spatial is not None:
-        sd = spec.sigma_d
+        sd = spec.spatial_sigma
         if sd == "auto" and row.spatial == "half_radius":
             r = np.maximum.reduceat(d, starts)
             sd = np.where(r > 0, r, 1.0)[centers] / 2.0
         elif sd == "auto":
             sd = mean_positive_distance(d, centers, len(prev))
         spatial = _gauss(d, sd)
-    sigma = spec.sigma
-    if sigma == "auto":
+    kernel = spec.range_kernel
+    if kernel == "auto":
         sigma = max(float(np.std(pair_angles(prev, neighbors, starts, counts))), 1e-6)
-    weight = Kernel(row.kind, sigma, box_floor=row.floor).weight
+        kernel = Kernel(row.kind, sigma, box_floor=row.floor)
     # single-normal guidance: the distance-weighted mean normal
     total = graph_sum(graph, len(prev))
-    argument = pair_argument(row.argument, graph,
+    argument = pair_argument(spec.argument, graph,
                              lambda n: unit_rows(total(spatial, n), n)[0])
-    return smooth_normals(prev, spec.iterations, graph, argument, weight, spatial)[0]
+    return smooth_normals(prev, spec.iterations, graph, argument, kernel.weight, spatial)[0]
 
 
 # Pairs per block of the position update (at least): 96 KiB per float
@@ -100,7 +68,7 @@ def default_radius(cloud: PointCloud) -> float:
 
 
 def update_point_positions(cloud: PointCloud, filtered_normals,
-                           spec: PointFilterSpec | None = None,
+                           spec: FilterSpec | None = None,
                            radius: float | None = None,
                            iterations: int = 1) -> tuple[np.ndarray, int]:
     """Move each point along its filtered normal toward the local surface.
@@ -109,13 +77,14 @@ def update_point_positions(cloud: PointCloud, filtered_normals,
     with a Gaussian spatial weight (sigma_d = r/3) and a Gaussian weight on
     the plane distance itself (sigma = r/3 by default, matching the
     equal-radii heuristic). ``iterations`` steps are taken; a spec only
-    supplies its radius. Returns (new points, empty-neighborhood count).
+    supplies the radius of a radius neighbourhood. Returns (new points,
+    empty-neighborhood count).
     """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     n = np.asarray(filtered_normals, dtype=float)
-    if spec is not None and spec.radius is not None:
-        radius = spec.radius
+    if spec is not None and spec.neighborhood.mode == "radius":
+        radius = spec.neighborhood.radius
     if radius is None:
         radius = default_radius(cloud)
     pts = cloud.points.copy()

@@ -3,7 +3,13 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from denoisekit import TriMesh, make_cube, make_plane
+from denoisekit import FilterSpec, NeighborhoodSpec, TriMesh, make_cube, make_plane
+
+
+def point_spec(method, sigma, k=12, radius=None, **kw):
+    """The preset of a point row on its k nearest neighbours, or within a radius."""
+    nb = NeighborhoodSpec("knn", k=k) if radius is None else NeighborhoodSpec("radius", radius)
+    return FilterSpec.preset(method, sigma=sigma, neighborhood=nb, **kw)
 
 
 @pytest.fixture(autouse=True)

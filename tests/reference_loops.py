@@ -551,13 +551,13 @@ def radius_neighbors(tree, i, r, include_self=False) -> np.ndarray:
 
 def point_neighborhoods(cloud, spec) -> list[np.ndarray]:
     """Per-point neighbour indices including the point itself, ascending."""
-    tree = cKDTree(cloud.points)
+    tree, nb = cKDTree(cloud.points), spec.neighborhood
     out = []
     for i in range(len(cloud)):
-        if spec.radius is not None:
-            idx = radius_neighbors(tree, i, spec.radius, include_self=True)
+        if nb.mode == "radius":
+            idx = radius_neighbors(tree, i, nb.radius, include_self=True)
         else:
-            idx = np.sort(np.append(knn(tree, i, min(spec.k, len(cloud) - 1)), i))
+            idx = np.sort(np.append(knn(tree, i, min(nb.k, len(cloud) - 1)), i))
         out.append(idx)
     return out
 
@@ -626,8 +626,8 @@ def _gauss(x, sigma):
 
 
 def _auto_sd(spec, d):
-    if spec.sigma_d != "auto":
-        return spec.sigma_d
+    if spec.spatial_sigma != "auto":
+        return spec.spatial_sigma
     pos = d[d > 0]
     return float(pos.mean()) if len(pos) else 1.0
 
@@ -654,7 +654,7 @@ def filter_point_normals(cloud, spec) -> np.ndarray:
     prev = cloud.normals.copy()
     nbrs = point_neighborhoods(cloud, spec)
 
-    sigma = spec.sigma
+    sigma = "auto" if spec.range_kernel == "auto" else spec.range_kernel.sigma
     if sigma == "auto":
         angs = []
         for i, idx in enumerate(nbrs):
@@ -673,7 +673,7 @@ def filter_point_normals(cloud, spec) -> np.ndarray:
             if spec.method == "li_bilateral":
                 x = np.arccos(np.clip(prev[idx] @ prev[i], -1.0, 1.0))
                 r = d.max() if d.max() > 0 else 1.0
-                sd = spec.sigma_d if spec.sigma_d != "auto" else r / 2.0
+                sd = spec.spatial_sigma if spec.spatial_sigma != "auto" else r / 2.0
                 w = Kernel("gaussian", sigma).weight(x) * _gauss(d, sd)
             elif spec.method == "zheng_guided_pc":
                 x = np.linalg.norm(guidance[idx] - guidance[i], axis=1)

@@ -17,7 +17,6 @@ from denoisekit import (
     KERNEL_KINDS,
     NeighborhoodSpec,
     PointCloud,
-    PointFilterSpec,
     TriMesh,
     add_noise,
     denoise_mesh,
@@ -37,9 +36,8 @@ from denoisekit import (
 )
 from denoisekit.bench import angular_errors_deg
 from denoisekit.cli import main as cli_main
-from denoisekit.meshfilter import METHODS
-from denoisekit.pointfilter import POINT_METHODS
-from conftest import max_angle, rotation_matrix
+from denoisekit.meshfilter import METHODS, POINT_METHODS
+from conftest import max_angle, point_spec, rotation_matrix
 
 MESH_SIGMAS = {"yadav_box_2017": math.radians(30.0),
                "tasdizen": math.radians(30.0),
@@ -138,7 +136,7 @@ def test_criterion_03_equivariance():
     cloud_r = PointCloud(p @ R.T, n @ R.T)
     cloud_t = PointCloud(p + t, n)
     for method in POINT_METHODS:
-        spec = PointFilterSpec(method, sigma=POINT_SIGMAS[method], k=8)
+        spec = point_spec(method, POINT_SIGMAS[method], k=8)
         base = filter_point_normals(cloud, spec)
         worst_rot = max(worst_rot,
                         max_angle(base @ R.T, filter_point_normals(cloud_r, spec)))
@@ -166,7 +164,7 @@ def test_criterion_04_fixed_point():
     normals = np.tile([0.0, 0.0, 1.0], (100, 1))
     cloud = PointCloud(pts, normals)
     for method in POINT_METHODS:
-        spec = PointFilterSpec(method, sigma=POINT_SIGMAS[method], k=8)
+        spec = point_spec(method, POINT_SIGMAS[method], k=8)
         out = filter_point_normals(cloud, spec)
         worst_n = max(worst_n, max_angle(out, normals))
     ok = worst_n < 1e-9 and worst_v < 1e-9

@@ -271,7 +271,7 @@ def test_denoise_cloud_honours_vertex_iters(tmp_path):
 @pytest.mark.parametrize("kind, flag, value, message", [
     ("mesh", "--sigma-d", "0", "spatial_sigma must be finite and > 0"),
     ("mesh", "--sigma-d", "-0.2", "spatial_sigma must be finite and > 0"),
-    ("cloud", "--sigma-d", "0", "sigma_d must be finite and > 0"),
+    ("cloud", "--sigma-d", "0", "spatial_sigma must be finite and > 0"),
     ("cloud", "--radius", "0", "radius must be finite and > 0"),
     ("mesh", "--sigma", "inf", "kernel sigma must be finite and > 0"),
 ])

@@ -10,6 +10,7 @@ from denoisekit import (
     NonManifoldError,
     ParseError,
     TriMesh,
+    guidance_normals,
     load_mesh,
     make_cube,
     make_icosphere,
@@ -282,6 +283,21 @@ def test_neighborhood_spec_validation():
     for radius in (0.0, -0.1, math.inf, math.nan):
         with pytest.raises(ValueError, match="radius must be finite and > 0"):
             NeighborhoodSpec("radius", radius=radius)
+    for mode, k in (("knn", None), ("knn", 0), ("shared_vertex", 8)):
+        with pytest.raises(ValueError, match="k must be >= 1 in knn mode"):
+            NeighborhoodSpec(mode, k=k)
+
+
+def test_mesh_has_no_knn_graph(plane5, monkeypatch):
+    """A knn spec reached the radius branch and ``_radius_pair_keys(None)``."""
+    def no_radius(radius):
+        raise AssertionError("radius graph built")
+    monkeypatch.setattr(plane5, "_radius_pair_keys", no_radius)
+    knn = NeighborhoodSpec("knn", k=4)
+    with pytest.raises(ValueError, match="a mesh has no knn neighbourhood"):
+        plane5.neighbor_graph(knn)
+    with pytest.raises(ValueError, match="a mesh has no knn neighbourhood"):
+        guidance_normals(plane5, knn, math.radians(60.0))
 
 
 # ----------------------------------------------------------------------

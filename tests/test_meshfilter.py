@@ -92,15 +92,26 @@ POSITIVE = st.floats(1e-3, 1e3)
 
 @st.composite
 def filter_specs(draw):
-    method = draw(st.sampled_from(METHODS))
-    mode = draw(st.sampled_from(("shared_vertex", "shared_edge", "radius")))
+    """A spec of any row of ``PRESET``, face or point, on any neighbourhood
+    its domain takes, with numeric or "auto" sigmas where the row allows them."""
+    method = draw(st.sampled_from(tuple(PRESET)))
+    row = PRESET[method]
+    if row.domain == "points":
+        mode, include_self = draw(st.sampled_from(("knn", "radius"))), True
+    else:
+        mode = draw(st.sampled_from(("shared_vertex", "shared_edge", "radius")))
+        include_self = draw(st.booleans())
     radius = draw(POSITIVE if mode == "radius" else st.none() | POSITIVE)
+    k = draw(st.integers(1, 64)) if mode == "knn" else None
+    sigma = st.floats(1e-3, 10.0)
+    if row.auto_sigma:
+        sigma |= st.just("auto")
     spatial = st.just("auto") | POSITIVE
-    if PRESET[method].spatial != "gaussian":
+    if row.spatial in (None, "area"):
         spatial |= st.none()
     return FilterSpec.preset(
-        method, sigma=draw(st.floats(1e-3, 10.0)),
-        neighborhood=NeighborhoodSpec(mode, radius, draw(st.booleans())),
+        method, sigma=draw(sigma),
+        neighborhood=NeighborhoodSpec(mode, radius, include_self, k),
         spatial_sigma=draw(spatial), iterations=draw(st.integers(1, 100)),
         step_lambda=draw(st.floats(0.0, 1.0, exclude_min=True)),
         guidance_threshold=draw(st.floats(0.01, 3.1)))
@@ -122,8 +133,35 @@ def test_from_text_bad_line():
 def test_from_text_rejects_unknown_key():
     """A misspelt key is an error, not a silent default."""
     text = preset("zheng_bilateral", iterations=20).to_text().replace("iterations=", "iteratons=")
-    with pytest.raises(ValueError, match="line 9: unknown key 'iteratons'"):
+    with pytest.raises(ValueError, match="line 10: unknown key 'iteratons'"):
         FilterSpec.from_text(text)
+
+
+@pytest.mark.parametrize("key", ["method", "kernel", "sigma"])
+def test_from_text_names_a_missing_key(key):
+    """A text without one of these raised a bare KeyError."""
+    text = "".join(line + "\n" for line in preset("tasdizen").to_text().splitlines()
+                   if not line.startswith(f"{key}="))
+    with pytest.raises(ValueError, match=f"missing key '{key}'"):
+        FilterSpec.from_text(text)
+
+
+def test_auto_kernel_reads_back_from_text():
+    spec = FilterSpec.preset("li_bilateral", sigma="auto")
+    assert spec.range_kernel == "auto"
+    assert "sigma=auto\n" in spec.to_text()
+    assert FilterSpec.from_text(spec.to_text()) == spec
+
+
+def test_preset_names_an_unknown_method():
+    """``preset`` raised a bare KeyError."""
+    with pytest.raises(ValueError, match="unknown method 'bogus'; valid: .*'li_bilateral'"):
+        FilterSpec.preset("bogus")
+
+
+def test_mesh_rows_reject_knn():
+    with pytest.raises(ValueError, match="takes no knn neighborhood"):
+        preset("zheng_bilateral", neighborhood=NeighborhoodSpec("knn", k=8))
 
 
 @pytest.mark.parametrize("value", [0.0, -0.5, math.inf, math.nan, "0.5"])

@@ -14,15 +14,15 @@ from scipy.spatial import cKDTree
 import reference_loops as ref
 from denoisekit import (
     PointCloud,
-    PointFilterSpec,
     add_noise,
     estimate_normals_pca,
     filter_point_normals,
     update_point_positions,
 )
 from denoisekit.bench import _noise_displacements
+from denoisekit.meshfilter import POINT_METHODS
 from denoisekit.pointcloud import RankDeficientNeighborhood
-from denoisekit.pointfilter import POINT_METHODS
+from conftest import point_spec
 
 TOLERANCE = 1e-12
 # the filters whose pairs are weighed by angles and the half radius: the
@@ -83,8 +83,7 @@ def assert_graph_matches(points, k, radius):
 
 def assert_filters_match(cloud, iterations=3, **size):
     for method in POINT_METHODS:
-        spec = PointFilterSpec(method, sigma=SIGMAS[method], iterations=iterations,
-                               k=size.get("k"), radius=size.get("radius"))
+        spec = point_spec(method, SIGMAS[method], iterations=iterations, **size)
         got = filter_point_normals(cloud, spec)
         want = ref.filter_point_normals(cloud, spec)
         if method in EXACT:

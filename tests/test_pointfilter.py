@@ -2,19 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from denoisekit import (
+    FilterSpec,
+    NeighborhoodSpec,
     PointCloud,
-    PointFilterSpec,
     default_radius,
+    filter_normals,
     filter_point_normals,
+    make_plane,
     update_point_positions,
 )
-from denoisekit.meshfilter import PRESET
-from denoisekit.pointfilter import POINT_METHODS
-from conftest import max_angle, rotation_matrix
+from denoisekit.meshfilter import POINT_METHODS
+from conftest import max_angle, point_spec, rotation_matrix
 
 SIGMAS = {"li_bilateral": "auto", "digne_bilateral": "auto",
           "zheng_guided_pc": 0.35, "zheng_rolling": 0.35,
@@ -36,79 +36,82 @@ def noisy_plane_cloud(n=12, seed=4, amp=0.1):
 
 def test_unknown_method():
     with pytest.raises(ValueError):
-        PointFilterSpec("median")
+        point_spec("median", 0.3)
 
 
 def test_auto_sigma_restricted():
     with pytest.raises(ValueError):
-        PointFilterSpec("zheng_rolling", sigma="auto")
-    PointFilterSpec("li_bilateral", sigma="auto")
+        point_spec("zheng_rolling", "auto")
+    point_spec("li_bilateral", "auto")
 
 
 def test_needs_k_or_radius():
     with pytest.raises(ValueError):
-        PointFilterSpec("li_bilateral", k=None, radius=None)
+        NeighborhoodSpec("knn")
+    for nb in (NeighborhoodSpec("shared_vertex"),
+               NeighborhoodSpec("knn", include_self=False, k=8)):
+        with pytest.raises(ValueError, match="knn or radius neighborhood"):
+            FilterSpec.preset("li_bilateral", neighborhood=nb)
 
 
 def test_sigma_positive():
     with pytest.raises(ValueError):
-        PointFilterSpec("zheng_rolling", sigma=-1.0)
+        point_spec("zheng_rolling", -1.0)
 
 
 def test_iterations_positive():
     with pytest.raises(ValueError):
-        PointFilterSpec("li_bilateral", iterations=0)
+        point_spec("li_bilateral", "auto", iterations=0)
 
 
 @pytest.mark.parametrize("value", [0.0, -0.1, math.inf, math.nan])
 def test_sigma_d_must_be_finite_and_positive(value):
-    with pytest.raises(ValueError, match="sigma_d must be finite and > 0"):
-        PointFilterSpec("li_bilateral", sigma_d=value)
-    PointFilterSpec("li_bilateral", sigma_d=0.1)
+    """The spatial sigma, written ``sigma_d`` in a spec text."""
+    with pytest.raises(ValueError, match="spatial_sigma must be finite and > 0"):
+        point_spec("li_bilateral", "auto", spatial_sigma=value)
+    point_spec("li_bilateral", "auto", spatial_sigma=0.1)
+
+
+def test_spatial_rows_need_a_spatial_sigma():
+    """An unset spatial sigma was accepted and failed inside the Gaussian."""
+    for method in ("li_bilateral", "zheng_guided_pc", "zheng_rolling"):
+        with pytest.raises(ValueError, match="set spatial_sigma"):
+            point_spec(method, 0.3, spatial_sigma=None)
+    for method in ("digne_bilateral", "yadav_vnvt"):
+        assert point_spec(method, 0.3).spatial_sigma is None
 
 
 @pytest.mark.parametrize("value", [0.0, -0.1, math.inf, math.nan])
 def test_radius_must_be_finite_and_positive(value):
     with pytest.raises(ValueError, match="radius must be finite and > 0"):
-        PointFilterSpec("li_bilateral", k=None, radius=value)
-    PointFilterSpec("li_bilateral", k=None, radius=0.1)
+        point_spec("li_bilateral", "auto", radius=value)
+    point_spec("li_bilateral", "auto", radius=0.1)
 
 
 @pytest.mark.parametrize("method", POINT_METHODS)
 def test_text_roundtrip(method):
-    spec = PointFilterSpec(method, sigma=SIGMAS[method], k=8, iterations=2)
-    assert PointFilterSpec.from_text(spec.to_text()) == spec
-
-
-POSITIVE = st.floats(1e-3, 1e3)
-
-
-@st.composite
-def point_specs(draw):
-    method = draw(st.sampled_from(POINT_METHODS))
-    k, radius = draw(st.tuples(st.integers(1, 64), st.none() | POSITIVE)
-                     | st.tuples(st.none(), POSITIVE))
-    sigma = st.just("auto") | POSITIVE if PRESET[method].auto_sigma else POSITIVE
-    return PointFilterSpec(method, sigma=draw(sigma), sigma_d=draw(st.just("auto") | POSITIVE),
-                           k=k, radius=radius, iterations=draw(st.integers(1, 100)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(point_specs())
-def test_drawn_text_roundtrip(spec):
-    assert PointFilterSpec.from_text(spec.to_text()) == spec
+    spec = point_spec(method, SIGMAS[method], k=8, iterations=2)
+    assert FilterSpec.from_text(spec.to_text()) == spec
 
 
 def test_from_text_names_the_bad_line():
     with pytest.raises(ValueError, match="line 2: expected key=value"):
-        PointFilterSpec.from_text("method=li_bilateral\nbogus\n")
+        FilterSpec.from_text("method=li_bilateral\nbogus\n")
 
 
 def test_from_text_rejects_unknown_key():
-    text = PointFilterSpec("li_bilateral", iterations=3).to_text().replace("iterations=",
-                                                                           "iteratons=")
-    with pytest.raises(ValueError, match="line 6: unknown key 'iteratons'"):
-        PointFilterSpec.from_text(text)
+    text = point_spec("li_bilateral", "auto", iterations=3).to_text().replace("iterations=",
+                                                                              "iteratons=")
+    with pytest.raises(ValueError, match="line 10: unknown key 'iteratons'"):
+        FilterSpec.from_text(text)
+
+
+def test_filters_keep_to_their_domain():
+    mesh, cloud = make_plane(4), noisy_plane_cloud()
+    with pytest.raises(ValueError, match="point filter"):
+        filter_normals(mesh, point_spec("li_bilateral", "auto"))
+    with pytest.raises(ValueError, match="mesh filter"):
+        filter_point_normals(cloud, FilterSpec.preset("zheng_bilateral"))
 
 
 # ----------------------------------------------------------------------
@@ -120,7 +123,7 @@ def test_constant_normals_fixed_point(method):
     pts = np.array([[x, y, 0.0] for y in xs for x in xs])
     normals = np.tile([0.0, 0.0, 1.0], (len(pts), 1))
     cloud = PointCloud(pts, normals)
-    spec = PointFilterSpec(method, sigma=SIGMAS[method], k=6)
+    spec = point_spec(method, SIGMAS[method], k=6)
     out = filter_point_normals(cloud, spec)
     assert max_angle(out, normals) < 1e-9
 
@@ -128,7 +131,7 @@ def test_constant_normals_fixed_point(method):
 @pytest.mark.parametrize("method", POINT_METHODS)
 def test_unit_output(method):
     cloud = noisy_plane_cloud()
-    spec = PointFilterSpec(method, sigma=SIGMAS[method], k=8, iterations=2)
+    spec = point_spec(method, SIGMAS[method], k=8, iterations=2)
     out = filter_point_normals(cloud, spec)
     assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) < 1e-9
 
@@ -136,7 +139,7 @@ def test_unit_output(method):
 def test_requires_normals():
     cloud = PointCloud(np.random.default_rng(0).normal(size=(20, 3)))
     with pytest.raises(ValueError):
-        filter_point_normals(cloud, PointFilterSpec("zheng_rolling", sigma=0.3, k=4))
+        filter_point_normals(cloud, point_spec("zheng_rolling", 0.3, k=4))
 
 
 def test_vnvt_outside_support_contributes_zero():
@@ -144,14 +147,14 @@ def test_vnvt_outside_support_contributes_zero():
     pts = [[0, 0, 0], [0.1, 0, 0]]
     normals = [[0, 0, 1.0], [1.0, 0, 0]]
     cloud = PointCloud(pts, normals)
-    spec = PointFilterSpec("yadav_vnvt", sigma=math.radians(40.0), k=1)
+    spec = point_spec("yadav_vnvt", math.radians(40.0), k=1)
     out = filter_point_normals(cloud, spec)
     assert np.max(np.abs(out - normals)) < 1e-12
 
 
 def test_digne_passes_normals_through():
     cloud = noisy_plane_cloud()
-    spec = PointFilterSpec("digne_bilateral", k=8)
+    spec = point_spec("digne_bilateral", "auto", k=8)
     out = filter_point_normals(cloud, spec)
     assert np.array_equal(out, cloud.normals)
 
@@ -159,7 +162,7 @@ def test_digne_passes_normals_through():
 def test_smoothing_reduces_normal_spread():
     cloud = noisy_plane_cloud()
     for method in ("li_bilateral", "zheng_guided_pc", "zheng_rolling"):
-        spec = PointFilterSpec(method, sigma=SIGMAS[method], k=8, iterations=3)
+        spec = point_spec(method, SIGMAS[method], k=8, iterations=3)
         out = filter_point_normals(cloud, spec)
         before = max_angle(cloud.normals, np.tile([0.0, 0.0, 1.0], (len(cloud), 1)))
         after = max_angle(out, np.tile([0.0, 0.0, 1.0], (len(cloud), 1)))
@@ -183,7 +186,7 @@ def test_rolling_filter_smooths_fine_scale_more():
     # locally linear and survives
     fine = corrugated_cloud(period=0.12, amp=0.05 * 0.12 / 0.9)
     coarse = corrugated_cloud(period=0.9, amp=0.05)
-    spec = PointFilterSpec("zheng_rolling", sigma=0.4, k=10, iterations=2)
+    spec = point_spec("zheng_rolling", 0.4, k=10, iterations=2)
     changes = []
     for cloud in (fine, coarse):
         out = filter_point_normals(cloud, spec)
@@ -197,7 +200,7 @@ def test_rotation_equivariance():
     R = rotation_matrix([1, -1, 2], 0.8)
     rotated = PointCloud(cloud.points @ R.T, cloud.normals @ R.T)
     for method in POINT_METHODS:
-        spec = PointFilterSpec(method, sigma=SIGMAS[method], k=8)
+        spec = point_spec(method, SIGMAS[method], k=8)
         a = filter_point_normals(cloud, spec) @ R.T
         b = filter_point_normals(rotated, spec)
         assert max_angle(a, b) < 1e-6, method
