@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from denoisekit import (
     FilterSpec,
@@ -13,7 +15,7 @@ from denoisekit import (
     make_plane,
     update_point_positions,
 )
-from denoisekit.meshfilter import POINT_METHODS
+from denoisekit.meshfilter import POINT_METHODS, PRESET
 from conftest import max_angle, point_spec, rotation_matrix
 
 SIGMAS = {"li_bilateral": "auto", "digne_bilateral": "auto",
@@ -91,6 +93,29 @@ def test_radius_must_be_finite_and_positive(value):
 @pytest.mark.parametrize("method", POINT_METHODS)
 def test_text_roundtrip(method):
     spec = point_spec(method, SIGMAS[method], k=8, iterations=2)
+    assert FilterSpec.from_text(spec.to_text()) == spec
+
+
+POSITIVE = st.floats(1e-3, 1e3)
+
+
+@st.composite
+def point_specs(draw):
+    """A spec of a point row on k nearest neighbours (within an optional
+    radius) or within a radius, with "auto" sigmas where the row allows them."""
+    method = draw(st.sampled_from(POINT_METHODS))
+    k, radius = draw(st.tuples(st.integers(1, 64), st.none() | POSITIVE)
+                     | st.tuples(st.none(), POSITIVE))
+    nb = NeighborhoodSpec("radius", radius) if k is None else NeighborhoodSpec("knn", radius, k=k)
+    sigma = st.just("auto") | POSITIVE if PRESET[method].auto_sigma else POSITIVE
+    return FilterSpec.preset(method, sigma=draw(sigma), neighborhood=nb,
+                             spatial_sigma=draw(st.just("auto") | POSITIVE),
+                             iterations=draw(st.integers(1, 100)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_specs())
+def test_drawn_text_roundtrip(spec):
     assert FilterSpec.from_text(spec.to_text()) == spec
 
 
