@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .meshcore import TriMesh, check_positive, vector_dots
+from .meshcore import TriMesh, check_positive
 from .pointcloud import PointCloud
 
 
@@ -106,8 +106,7 @@ def make_icosphere(level: int, scale: float = 1.0) -> TriMesh:
         e = ends[np.sort(first)]
         m = (verts[e[:, 0]] + verts[e[:, 1]]) / 2.0
         ab, bc, ca = (len(verts) + np.argsort(np.argsort(first))[inv]).reshape(-1, 3).T
-        nrm = np.sqrt(vector_dots(m, m))  # np.linalg.norm of each midpoint
-        verts = np.vstack([verts, m / nrm[:, None]])
+        verts = np.vstack([verts, m / np.linalg.norm(m, axis=1)[:, None]])
         faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
     return TriMesh(verts * scale, faces)
 
@@ -179,8 +178,7 @@ def add_noise(obj, sigma_factor: float, seed: int):
         if len(obj) > 1 and sigma_factor:
             centers, neighbors, _, _ = obj.neighbor_graph(k=1)
             gap = obj.points[neighbors[centers != neighbors]] - obj.points
-            d = np.sqrt(vector_dots(gap, gap))  # np.linalg.norm of each gap
-            sigma = sigma_factor * float(d.mean())
+            sigma = sigma_factor * float(np.linalg.norm(gap, axis=1).mean())
             disp = _noise_displacements(len(obj), sigma, seed)
         else:
             disp = 0.0

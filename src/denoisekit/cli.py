@@ -61,6 +61,11 @@ def _save_any(obj, path: str):
         save_mesh(obj, path)
 
 
+def _in_degrees(method: str) -> bool:
+    """Whether a method, spelt with hyphens or underscores, takes --sigma in degrees."""
+    return method.replace("_", "-") in ANGLE_SIGMA_METHODS
+
+
 def _spec(args, methods) -> FilterSpec:
     """The spec of ``args.method``, which must be one of ``methods``."""
     method = args.method.replace("-", "_")
@@ -68,7 +73,7 @@ def _spec(args, methods) -> FilterSpec:
         raise CliError(f"unknown method {args.method!r} for this input; "
                        f"valid: {', '.join(m.replace('_', '-') for m in methods)}")
     row = PRESET[method]
-    sigma = math.radians(args.sigma) if args.method in ANGLE_SIGMA_METHODS else args.sigma
+    sigma = math.radians(args.sigma) if _in_degrees(method) else args.sigma
     if row.domain == "mesh":
         nb = NeighborhoodSpec(args.neighborhood.replace("-", "_"), radius=args.radius)
     elif args.radius is None:
@@ -161,7 +166,7 @@ def _cmd_experiment(args) -> int:
     methods = EXPERIMENT_METHODS if args.methods == "all" else \
         tuple(m.strip() for m in args.methods.split(","))
     specs = [_spec(argparse.Namespace(
-        method=m, sigma=args.sigma_deg if m in ANGLE_SIGMA_METHODS else args.sigma,
+        method=m, sigma=args.sigma_deg if _in_degrees(m) else args.sigma,
         sigma_d="auto", neighborhood=args.neighborhood, radius=None,
         iters=args.iters, step_lambda=0.05, kernel="gaussian", box_floor=0.0), METHODS)
         for m in methods]

@@ -61,6 +61,8 @@ class NeighborhoodSpec:
         if self.mode == "radius" and self.radius in (None, "auto"):
             raise ValueError("radius mode needs a radius")
         check_positive("radius", self.radius)
+        if self.mode != "radius" and self.radius is not None:
+            raise ValueError(f"a {self.mode} neighborhood takes no radius")
         if (self.mode == "knn") != (self.k is not None) or (self.k is not None and self.k < 1):
             raise ValueError(f"k must be >= 1 in knn mode and unset otherwise, got {self.k!r}")
 
@@ -325,40 +327,28 @@ def pair_slots(graph):
     return slot, centers[first], neighbors[first]
 
 
-def vector_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dots of (m, 3) arrays, each the BLAS dot that ``np.dot`` and
-    ``np.linalg.norm`` take for one pair of vectors, so they round alike."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
 def unit_rows(rows: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarray, int]:
-    """``rows`` scaled to unit length, each by the norm ``np.linalg.norm``
-    takes for one vector; a row of norm 1e-12 or less is replaced by that row
-    of ``fallback``. Returns (unit rows, number replaced)."""
+    """``rows`` scaled to unit length, each by the root of its dot with itself
+    (bit for bit ``np.linalg.norm(rows, axis=1)``); a row of norm 1e-12 or
+    less is replaced by that row of ``fallback``. Returns (unit rows, number replaced)."""
     with np.errstate(over="ignore"):
-        nrm = np.sqrt(vector_dots(rows, rows))
+        nrm = np.sqrt(pair_dots(rows, ..., ...))
     big = np.isinf(nrm)
     if big.any():  # finite rows whose squares overflow: measure them scaled down
         big &= np.isfinite(rows).all(axis=1)
         rows = rows.copy()
         rows[big] /= np.abs(rows[big]).max(axis=1)[:, None]
-        nrm[big] = np.sqrt(vector_dots(rows[big], rows[big]))
+        nrm[big] = np.sqrt(pair_dots(rows[big], ..., ...))
     ok = nrm > 1e-12
     return (np.where(ok[:, None], rows / np.where(ok, nrm, 1.0)[:, None], fallback),
             int(np.count_nonzero(~ok)))
 
 
-def pair_angles(normals, neighbors, starts, counts) -> np.ndarray:
-    """The angle between the normals of each pair of a CSR graph. A center's
-    dots are one matrix-vector product, batched over the centers with as many
-    neighbours, so they round as ``normals[row] @ normals[i]``: arccos near 1
-    would turn another rounding of a normal's dot with itself into 1e-8."""
-    dots = np.empty(len(neighbors))
-    for size in np.unique(counts):
-        rows = np.flatnonzero(counts == size)
-        pairs = starts[rows, None] + np.arange(size)
-        dots[pairs] = (normals[neighbors[pairs]] @ normals[rows, :, None])[:, :, 0]
-    return np.arccos(np.clip(dots, -1.0, 1.0))
+def pair_dots(rows, i, j) -> np.ndarray:
+    """``rows[i] . rows[j]`` for indices that broadcast: the column products are
+    added from zero in column order, so no BLAS kernel rounds them and the dot
+    is the same bits both ways round."""
+    return sum(col[i] * col[j] for col in rows.T)
 
 
 def pair_distances(rows, i, j) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .kernels import Kernel
 from .meshcore import (NeighborhoodSpec, TriMesh, check_positive, csr_graph, graph_sum,
-                       index_graph, mean_positive_distance, pair_angles, pair_distances,
+                       index_graph, mean_positive_distance, pair_distances, pair_dots,
                        pair_slots, unit_rows)
 
 # A row per named filter: its domain ("mesh" or "points"); the pinned kernel
@@ -111,6 +111,9 @@ class FilterSpec:
             raise ValueError(f"method {self.method} uses argument {row.argument!r}")
         if row.spatial not in (None, "area") and self.spatial_sigma is None:
             raise ValueError(f"method {self.method} is bilateral: set spatial_sigma")
+        if row.domain == "points" and row.spatial is None and self.spatial_sigma is not None:
+            raise ValueError(f"point method {self.method} has no spatial weight: "
+                             "leave spatial_sigma unset")
         check_positive("spatial_sigma", self.spatial_sigma)
         if not (0.0 < self.guidance_threshold < math.pi):
             raise ValueError("guidance_threshold must be in (0, pi)")
@@ -220,7 +223,7 @@ def vector_directional_median(normals) -> tuple[np.ndarray, int]:
     normals = np.asarray(normals, dtype=float)
     if len(normals) == 0:
         raise ValueError("empty set")
-    idx = int(_directional_median_index(normals[None])[0])
+    idx = int(_directional_median_index(normals, np.arange(len(normals))[None])[0])
     return normals[idx], idx
 
 
@@ -234,10 +237,11 @@ def _vector_median_index(normals, members, weights=None):
     return np.argmin(dist.sum(axis=2), axis=1)
 
 
-def _directional_median_index(cand):
-    """Per row of ``cand`` (m, k, d): the position of the member minimizing
-    the sum of angles to all members. Ties go to the lowest position."""
-    angles = cand @ cand.transpose(0, 2, 1)
+def _directional_median_index(normals, members):
+    """Per row of ``members`` (m, k) of rows of ``normals``: the position of
+    the member minimizing the sum of angles to all members. Ties go to the
+    lowest position."""
+    angles = pair_dots(normals, members[:, :, None], members[:, None, :])
     np.clip(angles, -1.0, 1.0, out=angles)
     return np.argmin(np.arccos(angles, out=angles).sum(axis=2), axis=1)
 
@@ -263,34 +267,32 @@ def _substitute_nan(w, centers, starts, counts):
 
 
 def _pair_arguments(spec, mesh, graph):
-    """The argument ``(x, slot)`` of ``spec`` on the face graph, as in
-    :func:`pair_argument`; what does not depend on the normals is computed once."""
-    centers, neighbors, _, _ = graph
-    if spec.argument == "curvature_edge":
-        kappa_face = mesh.vertex_mean_curvature()[mesh.faces].mean(axis=1)
-        x = kappa_face[neighbors] * mesh.avg_edge_length
-        return (lambda normals: x), ...
-    if spec.argument == "angle_per_distance":
-        d = pair_distances(mesh.face_centroids, centers, neighbors)
-        (angle, _), pos = pair_argument("angle", graph), d > 0
-        return (lambda normals: np.where(pos, angle(normals) / np.where(pos, d, 1.0), 0.0)), ...
-    return pair_argument(spec.argument, graph, lambda normals: guidance_normals(
-        mesh, spec.neighborhood, spec.guidance_threshold, normals=normals))
-
-
-def pair_argument(argument, graph, guide=None):
-    """A face or point filter's argument as ``(x, slot)``: pair p of the CSR
-    graph takes ``x(normals)[slot[p]]``. It is the angle between the normals
-    of a pair, taken per pair (``slot`` is ``...``), or the distance between
-    them ("euclidean") or their guidance normals ``guide(normals)``
-    ("guidance"), which is symmetric and so taken once per :func:`pair_slots` slot."""
-    _, neighbors, starts, counts = graph
-    if argument == "angle":
-        return (lambda normals: pair_angles(normals, neighbors, starts, counts)), ...
+    """The argument ``(x, slot)`` of ``spec`` on the face graph: pair p takes
+    ``x(normals)[slot[p]]``. What does not depend on the normals is computed once."""
+    if spec.argument == "curvature_edge":  # a per-face value: each pair takes its neighbour's
+        x = mesh.vertex_mean_curvature()[mesh.faces].mean(axis=1) * mesh.avg_edge_length
+        return (lambda normals: x), graph[1]
     slot, i, j = pair_slots(graph)
+    x = pair_argument(spec.argument, i, j, lambda normals: guidance_normals(
+        mesh, spec.neighborhood, spec.guidance_threshold, normals=normals))
+    if spec.argument == "angle_per_distance":
+        d = pair_distances(mesh.face_centroids, i, j)
+        pos = d > 0
+        return (lambda normals: np.where(pos, x(normals) / np.where(pos, d, 1.0), 0.0)), slot
+    return x, slot
+
+
+def pair_argument(argument, i, j, guide=None):
+    """A face or point filter's argument on the pairs (i, j), as a function of
+    the normals: the distance between the normals ("euclidean") or between
+    their guidance normals ``guide(normals)`` ("guidance"), else the angle
+    between the normals. Each is the same bits for (j, i), so a filter takes
+    it once per :func:`pair_slots` slot."""
+    if argument == "euclidean":
+        return lambda normals: pair_distances(normals, i, j)
     if argument == "guidance":
-        return (lambda normals: pair_distances(guide(normals), i, j)), slot
-    return (lambda normals: pair_distances(normals, i, j)), slot
+        return lambda normals: pair_distances(guide(normals), i, j)
+    return lambda normals: np.arccos(np.clip(pair_dots(normals, i, j), -1.0, 1.0))
 
 
 def _spatial_weights(spec, mesh, graph):
@@ -401,12 +403,9 @@ def _median_batch(flavour, kernel, prev, rows, members, w):
     their own normal because the fuzzy median's weighted sum vanished."""
     pick = np.arange(len(members))
     if flavour == "fuzzy_median":
-        cand = prev[members]
-        nvd = members[pick, _directional_median_index(cand)]
+        nvd = members[pick, _directional_median_index(prev, members)]
         w = kernel.weight(pair_distances(prev, members, nvd[:, None]))
-        # the single-vector norm: the directional median's arccos near 1
-        # would amplify a last-bit difference on the next pass
-        return unit_rows((w[:, :, None] * cand).sum(axis=1), prev[rows])
+        return unit_rows((w[:, :, None] * prev[members]).sum(axis=1), prev[rows])
     return prev[members[pick, _vector_median_index(prev, members, w)]], 0
 
 

@@ -7,7 +7,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, depth_first_order, minimum_spanning_tree
 from scipy.spatial import cKDTree
 
-from .meshcore import csr_graph, fail_at, pair_distances, parse_numbers, token_table, vector_dots
+from .meshcore import csr_graph, fail_at, pair_distances, pair_dots, parse_numbers, token_table
 
 
 class PointCloudError(Exception):
@@ -34,7 +34,7 @@ class PointCloud:
                 normals = normals / np.where(norms > 0, norms, 1.0)[:, None]
         self.normals = normals
         extent = np.ptp(self.points, axis=0) if len(self.points) else np.zeros(3)
-        self.bbox_diagonal = float(np.linalg.norm(extent))
+        self.bbox_diagonal = float(np.linalg.norm(extent, axis=0))
         self._graphs = {}
 
     def __len__(self):
@@ -93,6 +93,10 @@ def estimate_normals_pca(cloud: PointCloud, k: int,
     1 - |n_i . n_j|, seeded per connected component at the maximal-z point
     oriented toward +z. ``orient_to`` instead flips each normal toward the
     given reference directions (benchmark use).
+
+    The covariances, ``eigh`` and the flip walk's dots are BLAS and LAPACK
+    calls, so this is the one stage whose last bits may depend on the BLAS
+    kernel the process picks.
     """
     if k < 3:
         raise ValueError("k must be >= 3")
@@ -118,7 +122,7 @@ def estimate_normals_pca(cloud: PointCloud, k: int,
     # symmetric kNN graph with angular-agreement weights
     other = centers != neighbors
     rows, cols = centers[other], neighbors[other]
-    vals = 1.0 - np.abs(vector_dots(normals[rows], normals[cols])) + 1e-12
+    vals = 1.0 - np.abs(pair_dots(normals, rows, cols)) + 1e-12
     graph = csr_matrix((vals, (rows, cols)), shape=(n, n))
     graph = graph.maximum(graph.T)
     mst = minimum_spanning_tree(graph)

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .kernels import Kernel
-from .meshcore import graph_sum, mean_positive_distance, pair_angles, pair_distances, unit_rows
+from .meshcore import graph_sum, mean_positive_distance, pair_distances, pair_slots, unit_rows
 from .meshfilter import PRESET, FilterSpec, pair_argument, smooth_normals
 from .pointcloud import PointCloud
 
@@ -34,7 +34,7 @@ def filter_point_normals(cloud: PointCloud, spec: FilterSpec) -> np.ndarray:
     if row.flavour is None or not len(prev):
         return prev
     nb, knn = spec.neighborhood, spec.neighborhood.mode == "knn"
-    graph = centers, neighbors, starts, counts = cloud.neighbor_graph(
+    graph = centers, neighbors, starts, _ = cloud.neighbor_graph(
         k=min(nb.k, len(cloud) - 1) if knn else None, radius=None if knn else nb.radius)
     d = pair_distances(cloud.points, neighbors, centers)
     spatial = 1.0
@@ -46,15 +46,14 @@ def filter_point_normals(cloud: PointCloud, spec: FilterSpec) -> np.ndarray:
         elif sd == "auto":
             sd = mean_positive_distance(d, centers, len(prev))
         spatial = _gauss(d, sd)
-    kernel = spec.range_kernel
-    if kernel == "auto":
-        sigma = max(float(np.std(pair_angles(prev, neighbors, starts, counts))), 1e-6)
-        kernel = Kernel(row.kind, sigma, box_floor=row.floor)
     # single-normal guidance: the distance-weighted mean normal
     total = graph_sum(graph, len(prev))
-    argument = pair_argument(spec.argument, graph,
-                             lambda n: unit_rows(total(spatial, n), n)[0])
-    return smooth_normals(prev, spec.iterations, graph, argument, kernel.weight, spatial)[0]
+    slot, i, j = pair_slots(graph)
+    x = pair_argument(spec.argument, i, j, lambda n: unit_rows(total(spatial, n), n)[0])
+    kernel = spec.range_kernel
+    if kernel == "auto":  # Li's rule on the row's argument, the angle
+        kernel = Kernel(row.kind, max(float(np.std(x(prev)[slot])), 1e-6), box_floor=row.floor)
+    return smooth_normals(prev, spec.iterations, graph, (x, slot), kernel.weight, spatial)[0]
 
 
 # Pairs per block of the position update (at least): 96 KiB per float

@@ -30,6 +30,17 @@ from denoisekit.meshcore import NonManifoldError, ParseError, TriMesh
 from denoisekit.pointcloud import PointCloud, PointCloudError, RankDeficientNeighborhood
 
 
+def dot(a, b):
+    """Dots over the last axis, the products added from zero in column order
+    as ``meshcore.pair_dots`` adds them, so no BLAS kernel rounds them."""
+    return sum(a[..., c] * b[..., c] for c in range(np.shape(a)[-1]))
+
+
+def norm(a):
+    """The length of a vector, its squares added in column order."""
+    return np.sqrt(dot(a, a))
+
+
 def build_topology(faces, n_vertices) -> dict:
     """Edges, edge faces, vertex rings and face adjacencies."""
     faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
@@ -114,7 +125,7 @@ def vertex_mean_curvature(mesh) -> np.ndarray:
         for (i, j, k) in ((a, b, c), (b, c, a), (c, a, b)):
             u = v[j] - v[i]
             w = v[k] - v[i]
-            cot = np.dot(u, w) / max(np.linalg.norm(np.cross(u, w)), 1e-300)
+            cot = dot(u, w) / max(norm(np.cross(u, w)), 1e-300)
             acc[j] += cot * (v[k] - v[j])
             acc[k] += cot * (v[j] - v[k])
     kappa = np.linalg.norm(acc, axis=1) / np.maximum(4.0 * ring_area / 3.0, 1e-300)
@@ -130,7 +141,7 @@ def dihedral_feature_edges(mesh, threshold_degrees) -> np.ndarray:
     for e, fs in zip(topo["edges"], topo["edge_faces"]):
         if len(fs) == 2:
             n0, n1 = mesh.face_normals[fs[0]], mesh.face_normals[fs[1]]
-            ang = math.acos(min(1.0, max(-1.0, float(np.dot(n0, n1)))))
+            ang = math.acos(min(1.0, max(-1.0, float(dot(n0, n1)))))
             if ang >= thr:
                 out.append(e)
     return np.array(out, dtype=np.int64).reshape(-1, 2)
@@ -142,10 +153,10 @@ def guidance_normals(mesh, neighborhood, angle_threshold, normals=None) -> np.nd
     cos_thr = math.cos(angle_threshold)
     out = np.empty_like(prev)
     for i, idx in enumerate(nbr):
-        dots = np.clip(prev[idx] @ prev[i], -1.0, 1.0)
+        dots = np.clip(dot(prev[idx], prev[i]), -1.0, 1.0)
         sel = idx[dots > cos_thr]
         acc = (mesh.face_areas[sel, None] * prev[sel]).sum(axis=0)
-        nrm = np.linalg.norm(acc)
+        nrm = norm(acc)
         out[i] = acc / nrm if nrm > 1e-12 else prev[i]
     return out
 
@@ -165,7 +176,7 @@ def vector_median(normals, weights=None):
 def vector_directional_median(normals):
     """(vector, index) of the member minimising the sum of angles."""
     normals = np.asarray(normals, dtype=float)
-    dots = np.clip(normals @ normals.T, -1.0, 1.0)
+    dots = np.clip(dot(normals[:, None], normals[None]), -1.0, 1.0)
     idx = int(np.argmin(np.arccos(dots).sum(axis=1)))
     return normals[idx], idx
 
@@ -193,7 +204,7 @@ def median_pass(spec, prev, nbr):
             x = np.linalg.norm(cand - nvd, axis=1)
             w = spec.range_kernel.weight(x)
             acc = (w[:, None] * cand).sum(axis=0)
-            nrm = np.linalg.norm(acc)
+            nrm = norm(acc)
             if nrm > 1e-12:
                 new[i] = acc / nrm
             else:
@@ -227,10 +238,7 @@ def _pair_arguments(spec, mesh, prev, centers, flat, kappa_face=None, guidance=N
     if spec.argument == "euclidean":
         return np.linalg.norm(prev[centers] - prev[flat], axis=1)
     if spec.argument in ("angle", "angle_per_distance"):
-        ang = np.empty(len(flat))
-        for i in range(len(prev)):  # a face's dots as one product, like the point filters
-            pairs = np.flatnonzero(centers == i)
-            ang[pairs] = np.arccos(np.clip(prev[flat[pairs]] @ prev[i], -1.0, 1.0))
+        ang = np.arccos(np.clip(dot(prev[centers], prev[flat]), -1.0, 1.0))
         if spec.argument == "angle":
             return ang
         d = np.linalg.norm(mesh.face_centroids[centers] - mesh.face_centroids[flat], axis=1)
@@ -479,7 +487,7 @@ def make_icosphere(level, scale=1.0):
             key = (min(a, b), max(a, b))
             if key not in midcache:
                 m = (np.asarray(verts[a]) + np.asarray(verts[b])) / 2.0
-                m /= np.linalg.norm(m)
+                m /= norm(m)
                 verts.append(m)
                 midcache[key] = len(verts) - 1
             return midcache[key]
@@ -592,7 +600,7 @@ def estimate_normals_pca(cloud, k, orient_to=None) -> np.ndarray:
     rows, cols, vals = [], [], []
     for i in range(n):
         for j in nbrs[i]:
-            w = 1.0 - abs(float(np.dot(normals[i], normals[j]))) + 1e-12
+            w = 1.0 - abs(float(dot(normals[i], normals[j]))) + 1e-12
             rows.append(i)
             cols.append(int(j))
             vals.append(w)
@@ -641,7 +649,7 @@ def _guidance_pc(cloud, prev, nbrs, spec):
         sd = _auto_sd(spec, d)
         w = _gauss(d, sd)
         acc = (w[:, None] * prev[idx]).sum(axis=0)
-        nrm = np.linalg.norm(acc)
+        nrm = norm(acc)
         out[i] = acc / nrm if nrm > 1e-12 else prev[i]
     return out
 
@@ -658,8 +666,7 @@ def filter_point_normals(cloud, spec) -> np.ndarray:
     if sigma == "auto":
         angs = []
         for i, idx in enumerate(nbrs):
-            dots = np.clip(prev[idx] @ prev[i], -1.0, 1.0)
-            angs.append(np.arccos(dots))
+            angs.append(np.arccos(np.clip(dot(prev[idx], prev[i]), -1.0, 1.0)))
         sigma = float(np.std(np.concatenate(angs)))
         sigma = max(sigma, 1e-6)
 
@@ -671,7 +678,7 @@ def filter_point_normals(cloud, spec) -> np.ndarray:
         for i, idx in enumerate(nbrs):
             d = np.linalg.norm(pts[idx] - pts[i], axis=1)
             if spec.method == "li_bilateral":
-                x = np.arccos(np.clip(prev[idx] @ prev[i], -1.0, 1.0))
+                x = np.arccos(np.clip(dot(prev[idx], prev[i]), -1.0, 1.0))
                 r = d.max() if d.max() > 0 else 1.0
                 sd = spec.spatial_sigma if spec.spatial_sigma != "auto" else r / 2.0
                 w = Kernel("gaussian", sigma).weight(x) * _gauss(d, sd)
@@ -684,13 +691,13 @@ def filter_point_normals(cloud, spec) -> np.ndarray:
                 sd = _auto_sd(spec, d)
                 w = Kernel("gaussian", sigma).weight(x) * _gauss(d, sd)
             elif spec.method == "yadav_vnvt":
-                x = np.arccos(np.clip(prev[idx] @ prev[i], -1.0, 1.0))
+                x = np.arccos(np.clip(dot(prev[idx], prev[i]), -1.0, 1.0))
                 w = Kernel("box", sigma, box_floor=0.0).weight(x)
             else:  # digne_bilateral smooths positions only; normals pass through
                 new[i] = prev[i]
                 continue
             acc = (w[:, None] * prev[idx]).sum(axis=0)
-            nrm = np.linalg.norm(acc)
+            nrm = norm(acc)
             new[i] = acc / nrm if nrm > 1e-12 else prev[i]
         prev = new
     return prev
@@ -727,7 +734,7 @@ def update_point_positions(cloud, filtered_normals, radius, iterations) -> tuple
 def noise_spacing(points) -> float:
     """The mean nearest-neighbour distance that scales a cloud's noise."""
     tree = cKDTree(points)
-    d = np.array([np.linalg.norm(points[knn(tree, i, 1)[0]] - points[i])
+    d = np.array([norm(points[knn(tree, i, 1)[0]] - points[i])
                   for i in range(len(points))])
     return float(d.mean())
 

@@ -234,6 +234,33 @@ def test_denoise_angle_sigma_in_degrees(cube_obj, tmp_path):
     assert code == 0
 
 
+def test_sigma_degrees_do_not_depend_on_the_spelling(cube_obj, tmp_path):
+    """An angle method spelt with underscores took --sigma in radians, in
+    ``denoise`` and in ``experiment --methods``, and wrote other bytes."""
+    noisy = tmp_path / "noisy.obj"
+    assert run("add-noise", "--input", str(cube_obj), "--sigma-factor", "0.3", "--seed", "4",
+               "--output", str(noisy)) == 0
+    methods = ("yadav-box-2017", "belyaev-ohtake")
+    for sep in "-_":
+        out = tmp_path / sep
+        assert run("denoise", "--input", str(noisy), "--method", methods[0].replace("-", sep),
+                   "--sigma", "30", "--iters", "3", "--vertex-iters", "3",
+                   "--output", f"{out}.obj") == 0
+        assert run("experiment", "--preset", "cube", "--n", "4", "--noise", "0.3",
+                   "--seed", "4", "--methods", ",".join(methods).replace("-", sep),
+                   "--iters", "3", "--vertex-iters", "3", "--out", str(out)) == 0
+    hyphen, underscore = tmp_path / "-", tmp_path / "_"
+    assert Path(f"{hyphen}.obj").read_bytes() == Path(f"{underscore}.obj").read_bytes()
+    for m in methods:
+        for suffix in (".obj", ".json"):
+            assert (hyphen / (m + suffix)).read_bytes() == \
+                (underscore / (m.replace("-", "_") + suffix)).read_bytes(), m + suffix
+    summary = (underscore / "summary.csv").read_text()
+    for m in methods:
+        summary = summary.replace(m.replace("-", "_") + ",", m + ",")
+    assert (hyphen / "summary.csv").read_text() == summary
+
+
 def test_denoise_point_cloud(tmp_path):
     rng = np.random.Generator(np.random.Philox(key=3))
     xs = np.linspace(0, 1, 15)
@@ -274,11 +301,13 @@ def test_denoise_cloud_honours_vertex_iters(tmp_path):
     ("cloud", "--sigma-d", "0", "spatial_sigma must be finite and > 0"),
     ("cloud", "--radius", "0", "radius must be finite and > 0"),
     ("mesh", "--sigma", "inf", "kernel sigma must be finite and > 0"),
+    ("mesh", "--radius", "0.3", "a shared_vertex neighborhood takes no radius"),
 ])
 def test_denoise_non_positive_spatial_scale(tmp_path, capsys, kind, flag, value, message):
     """A zero spatial sigma or radius, or an infinite kernel sigma, exits 1
     and writes nothing, instead of leaving every normal in place behind
-    zero-weight sums."""
+    zero-weight sums. So does a radius outside radius mode, which every
+    caller ignored: the OBJ was the one written without it."""
     if kind == "mesh":
         src, method, out = tmp_path / "noisy.obj", "zheng-bilateral", tmp_path / "o.obj"
         save_mesh(add_noise(make_cube(6), 0.3, 42), src)

@@ -286,6 +286,10 @@ def test_neighborhood_spec_validation():
     for mode, k in (("knn", None), ("knn", 0), ("shared_vertex", 8)):
         with pytest.raises(ValueError, match="k must be >= 1 in knn mode"):
             NeighborhoodSpec(mode, k=k)
+    # every caller ignored a radius outside radius mode
+    for mode, k in (("shared_vertex", None), ("shared_edge", None), ("knn", 8)):
+        with pytest.raises(ValueError, match=f"a {mode} neighborhood takes no radius"):
+            NeighborhoodSpec(mode, radius=0.3, k=k)
 
 
 def test_mesh_has_no_knn_graph(plane5, monkeypatch):

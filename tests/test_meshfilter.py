@@ -93,7 +93,8 @@ POSITIVE = st.floats(1e-3, 1e3)
 @st.composite
 def filter_specs(draw):
     """A spec of any row of ``PRESET``, face or point, on any neighbourhood
-    its domain takes, with numeric or "auto" sigmas where the row allows them."""
+    its domain takes, with numeric or "auto" sigmas where the row allows them
+    and a radius only in radius mode."""
     method = draw(st.sampled_from(tuple(PRESET)))
     row = PRESET[method]
     if row.domain == "points":
@@ -101,13 +102,15 @@ def filter_specs(draw):
     else:
         mode = draw(st.sampled_from(("shared_vertex", "shared_edge", "radius")))
         include_self = draw(st.booleans())
-    radius = draw(POSITIVE if mode == "radius" else st.none() | POSITIVE)
+    radius = draw(POSITIVE) if mode == "radius" else None
     k = draw(st.integers(1, 64)) if mode == "knn" else None
     sigma = st.floats(1e-3, 10.0)
     if row.auto_sigma:
         sigma |= st.just("auto")
     spatial = st.just("auto") | POSITIVE
-    if row.spatial in (None, "area"):
+    if row.spatial is None and row.domain == "points":
+        spatial = st.none()
+    elif row.spatial in (None, "area"):
         spatial |= st.none()
     return FilterSpec.preset(
         method, sigma=draw(sigma),

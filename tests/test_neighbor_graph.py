@@ -34,7 +34,8 @@ from denoisekit import (
 from denoisekit import meshfilter
 from denoisekit.bench import _weld
 from denoisekit.kernels import KERNEL_KINDS
-from denoisekit.meshcore import csr_graph, graph_sum, index_graph, pair_distances, pair_slots
+from denoisekit.meshcore import (csr_graph, graph_sum, index_graph, pair_distances, pair_dots,
+                                 pair_slots)
 from denoisekit.meshfilter import METHODS
 
 TOLERANCE = 1e-12
@@ -512,18 +513,49 @@ EXTREME = st.one_of(st.floats(allow_nan=False), st.sampled_from(
     [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308, 1e-160, 1e155, 1.7e308]))
 
 
+def scalar_dot(a, b) -> float:
+    """A dot as a loop over Python floats, from zero in column order."""
+    total = 0
+    for x, y in zip(a.tolist(), b.tolist()):
+        total += x * y
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(distance_cases())
+def test_pair_dots_match_a_scalar_loop(case):
+    """Each dot is the scalar loop's, bit for bit and in the broadcast shape
+    of the indices; drawn rows hold squares that overflow or go subnormal."""
+    rows, i, j = case
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        got = pair_dots(rows, i, j)
+    i, j = np.broadcast_arrays(i, j)
+    want = np.array([scalar_dot(rows[a], rows[b]) for a, b in zip(i.ravel(), j.ravel())])
+    assert np.shape(got) == i.shape
+    assert np.array_equal(np.ravel(got).view(np.uint64), want.view(np.uint64))
+
+
 @settings(max_examples=200, deadline=None)
 @given(hnp.arrays(float, st.tuples(st.integers(1, 6), st.just(3)), elements=EXTREME),
        st.data())
 def test_pair_distances_are_symmetric(rows, data):
-    """``x_ij == x_ji`` bit for bit, as IEEE subtraction gives
-    ``fl(a - b) == -fl(b - a)``: what lets a filter take each distance once
-    per unordered pair. Two infinities of one sign give NaN both ways."""
+    """``x_ij == x_ji`` bit for bit, for the distance, the dot and the angle
+    argument: IEEE subtraction gives ``fl(a - b) == -fl(b - a)`` and
+    multiplication commutes, which lets a filter take each argument once per
+    unordered pair. Two infinities of one sign give NaN both ways. The dots
+    are the scalar loop's here too, NaN (inf * 0) included."""
     i, j = (data.draw(hnp.arrays(np.int64, 5, elements=st.integers(0, len(rows) - 1)))
             for _ in range(2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        ij, ji = pair_distances(rows, i, j), pair_distances(rows, j, i)
-    assert np.array_equal(ij.view(np.uint64), ji.view(np.uint64))
+
+    def angle(rows, i, j):
+        return meshfilter.pair_argument("angle", i, j)(rows)
+
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for fn in (pair_distances, pair_dots, angle):
+            ij, ji = fn(rows, i, j), fn(rows, j, i)
+            assert np.array_equal(ij.view(np.uint64), ji.view(np.uint64)), fn.__name__
+        want = [scalar_dot(rows[a], rows[b]) for a, b in zip(i, j)]
+        assert np.array_equal(pair_dots(rows, i, j), want, equal_nan=True)
 
 
 # ----------------------------------------------------------------------

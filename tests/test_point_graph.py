@@ -26,8 +26,8 @@ from conftest import point_spec
 
 TOLERANCE = 1e-12
 # the filters whose pairs are weighed by angles and the half radius: the
-# batched dots round as the per-point matrix-vector products do, so these
-# are bit-identical to the loops (the mean distance sums in another order)
+# dots add the column products in the loops' order, so these are
+# bit-identical to the loops (the mean distance sums in another order)
 EXACT = ("li_bilateral", "digne_bilateral", "yadav_vnvt")
 SIGMAS = {"li_bilateral": "auto", "digne_bilateral": "auto",
           "zheng_guided_pc": 0.35, "zheng_rolling": 0.35,

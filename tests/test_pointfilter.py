@@ -75,12 +75,17 @@ def test_sigma_d_must_be_finite_and_positive(value):
 
 
 def test_spatial_rows_need_a_spatial_sigma():
-    """An unset spatial sigma was accepted and failed inside the Gaussian."""
+    """An unset spatial sigma was accepted and failed inside the Gaussian.
+    The rows without a spatial weight accepted one and then ignored it: the
+    filtered normals were the same with and without it."""
     for method in ("li_bilateral", "zheng_guided_pc", "zheng_rolling"):
         with pytest.raises(ValueError, match="set spatial_sigma"):
             point_spec(method, 0.3, spatial_sigma=None)
     for method in ("digne_bilateral", "yadav_vnvt"):
         assert point_spec(method, 0.3).spatial_sigma is None
+        for value in (0.01, "auto"):
+            with pytest.raises(ValueError, match="no spatial weight"):
+                point_spec(method, 0.3, spatial_sigma=value)
 
 
 @pytest.mark.parametrize("value", [0.0, -0.1, math.inf, math.nan])
@@ -101,16 +106,16 @@ POSITIVE = st.floats(1e-3, 1e3)
 
 @st.composite
 def point_specs(draw):
-    """A spec of a point row on k nearest neighbours (within an optional
-    radius) or within a radius, with "auto" sigmas where the row allows them."""
+    """A spec of a point row on k nearest neighbours or within a radius, with
+    "auto" sigmas where the row allows them and a spatial sigma where it has
+    a spatial weight."""
     method = draw(st.sampled_from(POINT_METHODS))
-    k, radius = draw(st.tuples(st.integers(1, 64), st.none() | POSITIVE)
-                     | st.tuples(st.none(), POSITIVE))
-    nb = NeighborhoodSpec("radius", radius) if k is None else NeighborhoodSpec("knn", radius, k=k)
+    nb = draw(st.builds(lambda k: NeighborhoodSpec("knn", k=k), st.integers(1, 64))
+              | st.builds(lambda r: NeighborhoodSpec("radius", r), POSITIVE))
     sigma = st.just("auto") | POSITIVE if PRESET[method].auto_sigma else POSITIVE
+    spatial = st.just("auto") | POSITIVE if PRESET[method].spatial else st.none()
     return FilterSpec.preset(method, sigma=draw(sigma), neighborhood=nb,
-                             spatial_sigma=draw(st.just("auto") | POSITIVE),
-                             iterations=draw(st.integers(1, 100)))
+                             spatial_sigma=draw(spatial), iterations=draw(st.integers(1, 100)))
 
 
 @settings(max_examples=200, deadline=None)
