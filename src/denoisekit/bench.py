@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .meshcore import TriMesh, check_positive
+from .meshcore import NeighborhoodSpec, TriMesh, check_positive
 from .pointcloud import PointCloud
 
 
@@ -176,7 +176,7 @@ def add_noise(obj, sigma_factor: float, seed: int):
         return TriMesh(obj.vertices + disp, obj.faces.copy(), validate=False)
     if isinstance(obj, PointCloud):
         if len(obj) > 1 and sigma_factor:
-            centers, neighbors, _, _ = obj.neighbor_graph(k=1)
+            centers, neighbors, _, _ = obj.neighbor_graph(NeighborhoodSpec("knn", k=1))
             gap = obj.points[neighbors[centers != neighbors]] - obj.points
             sigma = sigma_factor * float(np.linalg.norm(gap, axis=1).mean())
             disp = _noise_displacements(len(obj), sigma, seed)

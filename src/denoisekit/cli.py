@@ -75,13 +75,18 @@ def _spec(args, methods) -> FilterSpec:
     row = PRESET[method]
     sigma = math.radians(args.sigma) if _in_degrees(method) else args.sigma
     if row.domain == "mesh":
-        nb = NeighborhoodSpec(args.neighborhood.replace("-", "_"), radius=args.radius)
+        if args.k is not None:
+            raise CliError("--k sizes a point cloud's neighbourhood; a mesh takes none")
+        nb = NeighborhoodSpec((args.neighborhood or "shared-vertex").replace("-", "_"),
+                              radius=args.radius)
+    elif args.neighborhood is not None:
+        raise CliError("--neighborhood applies to meshes; a point cloud takes --k or --radius")
     elif args.radius is None:
-        nb = NeighborhoodSpec("knn", k=args.k)
+        nb = NeighborhoodSpec("knn", k=args.k or 12)
     else:
         nb = NeighborhoodSpec("radius", radius=args.radius)
     kw = dict(neighborhood=nb, iterations=args.iters)
-    if row.spatial not in (None, "area"):
+    if args.sigma_d is not None or row.spatial not in (None, "area"):
         kw["spatial_sigma"] = "auto" if args.sigma_d in (None, "auto") else float(args.sigma_d)
     if row.flavour == "gradient":
         kw["step_lambda"] = args.step_lambda
@@ -167,7 +172,7 @@ def _cmd_experiment(args) -> int:
         tuple(m.strip() for m in args.methods.split(","))
     specs = [_spec(argparse.Namespace(
         method=m, sigma=args.sigma_deg if _in_degrees(m) else args.sigma,
-        sigma_d="auto", neighborhood=args.neighborhood, radius=None,
+        sigma_d=None, neighborhood=args.neighborhood, radius=None, k=None,
         iters=args.iters, step_lambda=0.05, kernel="gaussian", box_floor=0.0), METHODS)
         for m in methods]
     kind = "wedge" if args.preset == "fandisk-like" else args.preset
@@ -238,10 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", default="gaussian",
                    help="kernel kind for the generic/gradient-descent methods")
     p.add_argument("--box-floor", type=float, default=0.0)
-    p.add_argument("--neighborhood", default="shared-vertex",
-                   help="shared-vertex | shared-edge | radius")
+    p.add_argument("--neighborhood", default=None,
+                   help="meshes: shared-vertex (default) | shared-edge | radius")
     p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--k", type=int, default=12, help="kNN size (point clouds)")
+    p.add_argument("--k", type=int, default=None,
+                   help="point clouds: kNN size (default 12), also of the PCA normals")
     p.add_argument("--iters", type=int, default=20, help="normal filtering passes")
     p.add_argument("--vertex-iters", type=int, default=30,
                    help="vertex/point update iterations")

@@ -2,8 +2,9 @@
 
 The mesh stores vertices and faces as numpy arrays and caches per-face
 normals, centroids and areas. Every adjacency, the face graph per
-:class:`NeighborhoodSpec`, the vertex one-ring and the point graphs of
-``pointcloud``, is built on first use by one CSR builder, :func:`csr_graph`.
+:class:`NeighborhoodSpec`, the vertex one-ring, the point graphs of
+``pointcloud`` per spec and the corner graphs of :func:`index_graph`, is
+built by one CSR builder, :func:`csr_graph`, the cached ones on first use.
 Three list views remain, each a split of CSR rows: ``neighbor_lists`` and
 ``face_adjacency_vertex``, which the benchmark's probes call, and
 ``edge_faces``, which acceptance criterion 5 and the walkthrough demo use.
@@ -126,7 +127,7 @@ class TriMesh:
         # key c * F + n encodes the pair (c, n); the self pairs are c * (F + 1),
         # the only keys that F + 1 divides
         keys = _distinct(np.concatenate([keys, face * (nf + 1)]))
-        return csr_graph(keys if spec.include_self else keys[keys % (nf + 1) != 0], nf)
+        return csr_graph(keys if spec.include_self else keys[keys % (nf + 1) != 0], nf, nf)
 
     def _radius_pair_keys(self, radius: float) -> np.ndarray:
         """Keys of the face pairs whose centroids lie within ``radius``."""
@@ -149,7 +150,7 @@ class TriMesh:
         in :meth:`neighbor_graph`."""
         nv = len(self.vertices)
         a, b = self.edges[:, 0], self.edges[:, 1]
-        return csr_graph(_distinct(np.concatenate([a * nv + b, b * nv + a])), nv)
+        return csr_graph(_distinct(np.concatenate([a * nv + b, b * nv + a])), nv, nv)
 
     # list views, built on first access
 
@@ -260,11 +261,11 @@ class TriMesh:
                                np.cross(v[f[:, 1]], v[f[:, 2]])).sum() / 6.0)
 
 
-def csr_graph(keys: np.ndarray, n: int):
+def csr_graph(keys: np.ndarray, n: int, width: int):
     """The read-only CSR arrays ``(centers, neighbors, starts, counts)`` of
-    the sorted distinct pair keys ``c * n + j`` of ``n`` centers: center c's
+    the sorted distinct pair keys ``c * width + j`` of ``n`` centers: center c's
     neighbours are ``neighbors[starts[c]:starts[c] + counts[c]]``."""
-    centers, neighbors = np.divmod(keys, max(n, 1))
+    centers, neighbors = np.divmod(keys, max(width, 1))
     counts = np.bincount(centers, minlength=n)
     graph = centers, neighbors, np.cumsum(counts) - counts, counts
     for a in graph:
@@ -287,9 +288,7 @@ def index_graph(index: np.ndarray, n: int):
     """The CSR graph of ``n`` centers in which center c holds the positions p
     with ``index[p] == c``, ascending: one sort of the distinct keys
     ``index[p] * len(index) + p``, which is faster than a stable argsort."""
-    order = np.sort(index * len(index) + np.arange(len(index))) % max(len(index), 1)
-    counts = np.bincount(index, minlength=n)
-    return index[order], order, np.cumsum(counts) - counts, counts
+    return csr_graph(np.sort(index * len(index) + np.arange(len(index))), n, len(index))
 
 
 def graph_sum(graph, n_rows: int):
@@ -355,15 +354,6 @@ def pair_distances(rows, i, j) -> np.ndarray:
     """``np.linalg.norm(rows[i] - rows[j], axis=-1)`` bit for bit, for indices that broadcast:
     the squared column differences are added from zero in column order, as that norm does."""
     return np.sqrt(sum(np.square(col[i] - col[j]) for col in rows.T))
-
-
-def mean_positive_distance(d, centers, n: int) -> np.ndarray:
-    """Per pair, the mean of the positive pair distances ``d`` of its center
-    (one of ``n``), or 1 where the center has none."""
-    pos = d > 0
-    n_pos = np.bincount(centers[pos], minlength=n)
-    total = np.bincount(centers[pos], weights=d[pos], minlength=n)
-    return np.where(n_pos > 0, total / np.maximum(n_pos, 1), 1.0)[centers]
 
 
 def check_positive(name: str, value) -> None:

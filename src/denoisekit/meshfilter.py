@@ -19,9 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kernels import Kernel
-from .meshcore import (NeighborhoodSpec, TriMesh, check_positive, csr_graph, graph_sum,
-                       index_graph, mean_positive_distance, pair_distances, pair_dots,
-                       pair_slots, unit_rows)
+from .meshcore import (NeighborhoodSpec, TriMesh, check_positive, graph_sum, index_graph,
+                       pair_distances, pair_dots, pair_slots, unit_rows)
 
 # A row per named filter: its domain ("mesh" or "points"); the pinned kernel
 # kind and its box floor and the pinned argument (None: the spec's own); the
@@ -111,8 +110,11 @@ class FilterSpec:
             raise ValueError(f"method {self.method} uses argument {row.argument!r}")
         if row.spatial not in (None, "area") and self.spatial_sigma is None:
             raise ValueError(f"method {self.method} is bilateral: set spatial_sigma")
-        if row.domain == "points" and row.spatial is None and self.spatial_sigma is not None:
-            raise ValueError(f"point method {self.method} has no spatial weight: "
+        # a mesh row's mean pass weighs centroid distances whenever a sigma is set
+        reads_sigma = row.spatial not in (None, "area") or (
+            row.domain == "mesh" and row.spatial is None and row.flavour == "mean")
+        if self.spatial_sigma is not None and not reads_sigma:
+            raise ValueError(f"method {self.method} has no spatial weight: "
                              "leave spatial_sigma unset")
         check_positive("spatial_sigma", self.spatial_sigma)
         if not (0.0 < self.guidance_threshold < math.pi):
@@ -295,36 +297,43 @@ def pair_argument(argument, i, j, guide=None):
     return lambda normals: np.arccos(np.clip(pair_dots(normals, i, j), -1.0, 1.0))
 
 
-def _spatial_weights(spec, mesh, graph):
-    """Spatial factor f(d_ij): face areas for an "area" row, else the
-    centroid-distance Gaussian when the spec sets a spatial sigma, else ones.
-
-    It depends only on the vertices, which stay put while normals are
-    filtered, so it is computed once per filter call.
-    """
-    centers, neighbors, _, _ = graph
-    if PRESET[spec.method].spatial == "area":
-        return mesh.face_areas[neighbors]
-    if spec.spatial_sigma is None:
-        return np.ones(len(neighbors))
-    d = pair_distances(mesh.face_centroids, centers, neighbors)
-    sd = spec.spatial_sigma
-    if sd == "auto":  # per face: the mean of its positive centroid distances
-        sd = mean_positive_distance(d, centers, len(mesh.faces))
-    return np.exp(-(d * d) / (2.0 * sd * sd))
+def spatial_weights(spec, graph, positions, areas=None):
+    """A face or point row's spatial factor, computed once per filter call:
+    the neighbours' ``areas`` on an "area" row, else 1 without a spatial sigma
+    s, else exp(-d²/2s²) on faces and exp(-d²/s²) on points of the pair
+    distances d of ``positions``. An "auto" s is, per center, half its largest
+    d on a "half_radius" row, else the mean of its positive d (1 if none)."""
+    centers, neighbors, starts, counts = graph
+    row, sd = PRESET[spec.method], spec.spatial_sigma
+    if row.spatial == "area":
+        return areas[neighbors]
+    if sd is None:
+        return 1.0
+    d = pair_distances(positions, centers, neighbors)
+    if sd == "auto" and row.spatial == "half_radius":
+        r = np.maximum.reduceat(d, starts)
+        sd = np.where(r > 0, r, 1.0)[centers] / 2.0
+    elif sd == "auto":
+        pos = d > 0
+        n_pos = np.bincount(centers[pos], minlength=len(counts))
+        total = np.bincount(centers[pos], weights=d[pos], minlength=len(counts))
+        sd = np.where(n_pos > 0, total / np.maximum(n_pos, 1), 1.0)[centers]
+    return np.exp(-(d * d) / ((2.0 if row.domain == "mesh" else 1.0) * sd * sd))
 
 
 def guidance_normals(mesh: TriMesh, neighborhood: NeighborhoodSpec,
                      angle_threshold: float, normals=None) -> np.ndarray:
-    """Area-weighted average of neighborhood normals within the angle threshold."""
+    """Per face, the unit area-weighted sum of the normals of its neighbourhood,
+    itself included, that lie within the angle threshold of its own; the
+    others weigh 0 on the cached graph."""
     if not (0.0 < angle_threshold < math.pi):
         raise ValueError("angle_threshold must be in (0, pi)")
     prev = mesh.face_normals if normals is None else np.asarray(normals, dtype=float)
-    centers, flat, _, _ = mesh.neighbor_graph(replace(neighborhood, include_self=True))
-    dots = np.clip(np.einsum("ij,ij->i", prev[centers], prev[flat]), -1.0, 1.0)
-    near = dots > math.cos(angle_threshold)
-    graph = csr_graph(centers[near] * len(prev) + flat[near], len(prev))
-    return unit_rows(graph_sum(graph, len(prev))(mesh.face_areas[graph[1]], prev), prev)[0]
+    graph = centers, neighbors, _, _ = mesh.neighbor_graph(replace(neighborhood,
+                                                                   include_self=True))
+    w = np.where(pair_dots(prev, centers, neighbors) > math.cos(angle_threshold),
+                 mesh.face_areas[neighbors], 0.0)
+    return unit_rows(graph_sum(graph, len(prev))(w, prev), prev)[0]
 
 
 # ----------------------------------------------------------------------
@@ -360,7 +369,8 @@ def filter_normals(mesh: TriMesh, spec: FilterSpec, initial=None) -> NormalField
         prev, warnings = smooth_normals(prev, spec.iterations, graph,
                                         _pair_arguments(spec, mesh, graph),
                                         spec.range_kernel.weight,
-                                        _spatial_weights(spec, mesh, graph))
+                                        spatial_weights(spec, graph, mesh.face_centroids,
+                                                        mesh.face_areas))
     else:
         warnings = 0
         for _ in range(spec.iterations):
@@ -430,4 +440,5 @@ def energy(mesh: TriMesh, normals, spec: FilterSpec) -> float:
     graph = mesh.neighbor_graph(spec.neighborhood)
     x, slot = _pair_arguments(spec, mesh, graph)
     x = x(np.asarray(normals, dtype=float))[slot]
-    return float(np.sum(spec.range_kernel.rho(x) * _spatial_weights(spec, mesh, graph)))
+    spatial = spatial_weights(spec, graph, mesh.face_centroids, mesh.face_areas)
+    return float(np.sum(spec.range_kernel.rho(x) * spatial))

@@ -7,7 +7,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, depth_first_order, minimum_spanning_tree
 from scipy.spatial import cKDTree
 
-from .meshcore import csr_graph, fail_at, pair_distances, pair_dots, parse_numbers, token_table
+from .meshcore import (NeighborhoodSpec, csr_graph, fail_at, pair_distances, pair_dots,
+                       parse_numbers, token_table)
 
 
 class PointCloudError(Exception):
@@ -40,26 +41,26 @@ class PointCloud:
     def __len__(self):
         return len(self.points)
 
-    def neighbor_graph(self, k: int | None = None, radius: float | None = None):
-        """Each point with its k nearest others (by numpy's distance, ties to
-        the lowest index) or with all points within ``radius``, as the cached
-        read-only CSR arrays ``(centers, neighbors, starts, counts)`` of
-        :meth:`TriMesh.neighbor_graph`, in ascending point and neighbour order."""
-        if (k is None) == (radius is None):
-            raise ValueError("give exactly one of k and radius")
-        key = ("k", k) if radius is None else ("radius", radius)
-        graph = self._graphs.get(key)
+    def neighbor_graph(self, spec: NeighborhoodSpec):
+        """The kNN graph (by numpy's distance, ties to the lowest index) or radius
+        graph of ``spec``, each point in its own neighbourhood, as the cached CSR
+        arrays of :meth:`TriMesh.neighbor_graph`; other modes or k >= n raise."""
+        graph = self._graphs.get(spec)
         if graph is None:
-            n, tree = len(self.points), cKDTree(self.points)
+            n = len(self.points)
+            if spec.mode not in ("knn", "radius") or not spec.include_self:
+                raise ValueError("a point graph needs a knn or radius neighborhood "
+                                 "that includes the point itself")
+            if spec.mode == "knn" and spec.k >= n:
+                raise ValueError(f"k must be in [1, {n - 1}], got {spec.k}")
+            tree = cKDTree(self.points)
             # key c * n + j encodes the pair (c, j); the self pairs are c * (n + 1)
-            if radius is None:
-                if not (1 <= k < n):
-                    raise ValueError(f"k must be in [1, {n - 1}], got {k}")
-                keys = (np.sort(self._knn(tree, k), axis=1) + (np.arange(n) * n)[:, None]).ravel()
+            if spec.mode == "knn":
+                keys = np.sort(self._knn(tree, spec.k), axis=1) + (np.arange(n) * n)[:, None]
             else:
-                i, j = tree.query_pairs(radius, output_type="ndarray").T
+                i, j = tree.query_pairs(spec.radius, output_type="ndarray").T
                 keys = np.sort(np.concatenate([i * n + j, j * n + i, np.arange(n) * (n + 1)]))
-            graph = self._graphs[key] = csr_graph(keys, n)
+            graph = self._graphs[spec] = csr_graph(keys.ravel(), n, n)
         return graph
 
     def _knn(self, tree: cKDTree, k: int) -> np.ndarray:
@@ -102,7 +103,7 @@ def estimate_normals_pca(cloud: PointCloud, k: int,
         raise ValueError("k must be >= 3")
     n = len(cloud)
     pts = cloud.points
-    centers, neighbors, _, _ = cloud.neighbor_graph(k=k)
+    centers, neighbors, _, _ = cloud.neighbor_graph(NeighborhoodSpec("knn", k=k))
     rows = neighbors.reshape(n, k + 1)
     d = pair_distances(pts, rows, np.arange(n)[:, None])
     flat = np.flatnonzero(d.max(axis=1) < 1e-12 * max(cloud.bbox_diagonal, 1e-300))

@@ -4,18 +4,19 @@ the normal-driven point position update."""
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .kernels import Kernel
-from .meshcore import graph_sum, mean_positive_distance, pair_distances, pair_slots, unit_rows
-from .meshfilter import PRESET, FilterSpec, pair_argument, smooth_normals
+from .meshcore import graph_sum, pair_slots, unit_rows
+from .meshfilter import PRESET, FilterSpec, pair_argument, smooth_normals, spatial_weights
 from .pointcloud import PointCloud
 
 
 def _gauss(x, sigma):
-    """The spatial and plane-distance weight exp(-x²/σ²), of peak 1: not a kernel's g."""
+    """The position update's distance weight exp(-x²/σ²), of peak 1: not a kernel's g."""
     return np.exp(-(x * x) / (sigma * sigma))
 
 
@@ -33,19 +34,9 @@ def filter_point_normals(cloud: PointCloud, spec: FilterSpec) -> np.ndarray:
     prev = cloud.normals.copy()
     if row.flavour is None or not len(prev):
         return prev
-    nb, knn = spec.neighborhood, spec.neighborhood.mode == "knn"
-    graph = centers, neighbors, starts, _ = cloud.neighbor_graph(
-        k=min(nb.k, len(cloud) - 1) if knn else None, radius=None if knn else nb.radius)
-    d = pair_distances(cloud.points, neighbors, centers)
-    spatial = 1.0
-    if row.spatial is not None:
-        sd = spec.spatial_sigma
-        if sd == "auto" and row.spatial == "half_radius":
-            r = np.maximum.reduceat(d, starts)
-            sd = np.where(r > 0, r, 1.0)[centers] / 2.0
-        elif sd == "auto":
-            sd = mean_positive_distance(d, centers, len(prev))
-        spatial = _gauss(d, sd)
+    nb = spec.neighborhood
+    graph = cloud.neighbor_graph(replace(nb, k=min(nb.k, len(cloud) - 1)) if nb.k else nb)
+    spatial = spatial_weights(spec, graph, cloud.points)
     # single-normal guidance: the distance-weighted mean normal
     total = graph_sum(graph, len(prev))
     slot, i, j = pair_slots(graph)

@@ -6,9 +6,19 @@ import pytest
 from denoisekit import FilterSpec, NeighborhoodSpec, TriMesh, make_cube, make_plane
 
 
+def knn(k):
+    """A point and its k nearest points."""
+    return NeighborhoodSpec("knn", k=k)
+
+
+def ball(radius):
+    """The faces or points within a radius, each in its own neighbourhood."""
+    return NeighborhoodSpec("radius", radius)
+
+
 def point_spec(method, sigma, k=12, radius=None, **kw):
     """The preset of a point row on its k nearest neighbours, or within a radius."""
-    nb = NeighborhoodSpec("knn", k=k) if radius is None else NeighborhoodSpec("radius", radius)
+    nb = knn(k) if radius is None else ball(radius)
     return FilterSpec.preset(method, sigma=sigma, neighborhood=nb, **kw)
 
 

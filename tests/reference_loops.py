@@ -1,6 +1,7 @@
 """Per-element loop implementations that the vectorised library is checked
 against: mesh topology, neighbourhoods, curvature, dihedral feature edges,
-guidance normals, the filter engine with per-pass spatial weights, the
+guidance normals (and, as an oracle of their sum on the cached graph, the
+sum over a graph of the near pairs alone), the filter engine with per-pass spatial weights, the
 vector medians and the median pass, the vertex update and its
 orthogonality residual, the neighbourhood
 sum (``np.add.at``), Laplacian smoothing, the vertex weld and the synthetic
@@ -159,6 +160,26 @@ def guidance_normals(mesh, neighborhood, angle_threshold, normals=None) -> np.nd
         nrm = norm(acc)
         out[i] = acc / nrm if nrm > 1e-12 else prev[i]
     return out
+
+
+def guidance_near_pairs(mesh, neighborhood, angle_threshold, normals=None) -> np.ndarray:
+    """The guidance normals as built before they weighed the cached graph:
+    the (face, neighbour) pairs within the threshold, each face's own pair
+    included, become a CSR graph of their own, and each face takes the unit
+    area-weighted sum over its near pairs as one sparse product, or keeps its
+    normal where that sum's norm is 1e-12 or less. The dots are ``dot``'s."""
+    prev = mesh.face_normals if normals is None else np.asarray(normals, dtype=float)
+    nbr = neighbor_lists(mesh, replace(neighborhood, include_self=True))
+    centers = np.repeat(np.arange(len(nbr)), [len(idx) for idx in nbr])
+    flat = np.concatenate([np.zeros(0, dtype=np.int64), *nbr])
+    near = np.clip(dot(prev[centers], prev[flat]), -1.0, 1.0) > math.cos(angle_threshold)
+    counts = np.bincount(centers[near], minlength=len(prev))
+    op = csr_matrix((mesh.face_areas[flat[near]], flat[near], np.append(0, np.cumsum(counts))),
+                    shape=(len(prev), len(prev)))
+    acc = op @ prev
+    nrm = norm(acc)
+    ok = nrm > 1e-12
+    return np.where(ok[:, None], acc / np.where(ok, nrm, 1.0)[:, None], prev)
 
 
 def vector_median(normals, weights=None):

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from denoisekit import (NonManifoldError, PointCloud, TriMesh, add_noise, load_mesh, load_xyz,
-                        make_cube, save_mesh, save_xyz, update_vertices)
+from denoisekit import (FilterSpec, NonManifoldError, PointCloud, TriMesh, add_noise, denoise_mesh,
+                        load_mesh, load_xyz, make_cube, save_mesh, save_xyz, update_vertices)
 from denoisekit import cli
 from denoisekit.cli import main
 from denoisekit.meshfilter import METHODS, POINT_METHODS
@@ -308,16 +308,87 @@ def test_denoise_non_positive_spatial_scale(tmp_path, capsys, kind, flag, value,
     and writes nothing, instead of leaving every normal in place behind
     zero-weight sums. So does a radius outside radius mode, which every
     caller ignored: the OBJ was the one written without it."""
-    if kind == "mesh":
-        src, method, out = tmp_path / "noisy.obj", "zheng-bilateral", tmp_path / "o.obj"
-        save_mesh(add_noise(make_cube(6), 0.3, 42), src)
-    else:
-        src, method, out = tmp_path / "noisy.xyz", "li-bilateral", tmp_path / "o.xyz"
-        save_xyz(add_noise(PointCloud(make_cube(6).vertices), 0.3, 42), src)
+    src, method, out = noisy_input(tmp_path, kind)
     code = run("denoise", "--input", str(src), "--method", method, flag, value,
                "--iters", "3", "--output", str(out))
     assert code == 1
     assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def noisy_input(tmp_path, kind, method=None):
+    """(input, method, output) of a noisy cube(6) as a mesh or as a cloud of
+    its vertices, with a bilateral method of that domain by default."""
+    if kind == "mesh":
+        src, out = tmp_path / "noisy.obj", tmp_path / "o.obj"
+        save_mesh(add_noise(make_cube(6), 0.3, 42), src)
+        return src, method or "zheng-bilateral", out
+    src, out = tmp_path / "noisy.xyz", tmp_path / "o.xyz"
+    save_xyz(add_noise(PointCloud(make_cube(6).vertices), 0.3, 42), src)
+    return src, method or "li-bilateral", out
+
+
+@pytest.mark.parametrize("kind, flag, value, message", [
+    ("mesh", "--k", "3", "--k sizes a point cloud's neighbourhood; a mesh takes none"),
+    ("mesh", "--k", "12", "--k sizes a point cloud's neighbourhood; a mesh takes none"),
+    ("cloud", "--neighborhood", "shared-edge", "--neighborhood applies to meshes"),
+    ("cloud", "--neighborhood", "shared-vertex", "--neighborhood applies to meshes"),
+])
+def test_denoise_flag_of_the_other_domain(tmp_path, capsys, kind, flag, value, message):
+    """A mesh's --k and a cloud's --neighborhood exit 2 and write nothing,
+    even at the value that was the default: both were ignored, and the
+    output was the one written without them."""
+    src, method, out = noisy_input(tmp_path, kind)
+    code = run("denoise", "--input", str(src), "--method", method, flag, value,
+               "--iters", "3", "--output", str(out))
+    assert code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_denoise_cloud_k_sizes_pca_in_radius_mode(tmp_path):
+    """With --radius, a cloud's --k still sizes the PCA neighbourhood of
+    the normals it estimates."""
+    src, method, _ = noisy_input(tmp_path, "cloud")
+    outs = []
+    for k in ("6", "20"):
+        out = tmp_path / f"k{k}.xyz"
+        assert run("denoise", "--input", str(src), "--method", method, "--radius", "0.5",
+                   "--k", k, "--iters", "1", "--vertex-iters", "1", "--output", str(out)) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] != outs[1]
+
+
+def test_denoise_sigma_d_reaches_a_unilateral_mesh_row(tmp_path):
+    """tasdizen weighs centroid distances when --sigma-d is set: the OBJ
+    differs from the one without it (it was the same bytes) and is the
+    library's run with that spatial sigma."""
+    src, method, _ = noisy_input(tmp_path, "mesh", "tasdizen")
+    outs = []
+    for extra in ([], ["--sigma-d", "0.05"]):
+        out = tmp_path / f"o{len(extra)}.obj"
+        assert run("denoise", "--input", str(src), "--method", method, "--sigma", "30",
+                   "--iters", "3", "--vertex-iters", "3", *extra, "--output", str(out)) == 0
+        outs.append(out)
+    assert outs[0].read_bytes() != outs[1].read_bytes()
+    spec = FilterSpec.preset("tasdizen", sigma=np.radians(30.0), spatial_sigma=0.05, iterations=3)
+    save_mesh(denoise_mesh(load_mesh(src), spec, vertex_iterations=3)[0], tmp_path / "want.obj")
+    assert outs[1].read_bytes() == (tmp_path / "want.obj").read_bytes()
+
+
+@pytest.mark.parametrize("kind, method", [
+    ("mesh", "yagou-mean"), ("mesh", "yagou-median"), ("mesh", "yagou-weighted-median"),
+    ("mesh", "shen-fuzzy-median"), ("mesh", "gradient-descent"),
+    ("cloud", "digne-bilateral"), ("cloud", "yadav-vnvt"),
+])
+def test_denoise_sigma_d_on_a_row_without_spatial_weight(tmp_path, capsys, kind, method):
+    """A row that never reads a spatial sigma exits 1 on --sigma-d and
+    writes nothing, instead of writing the bytes written without it."""
+    src, method, out = noisy_input(tmp_path, kind, method)
+    code = run("denoise", "--input", str(src), "--method", method, "--sigma-d", "0.05",
+               "--iters", "1", "--output", str(out))
+    assert code == 1
+    assert "has no spatial weight: leave spatial_sigma unset" in capsys.readouterr().err
     assert not out.exists()
 
 

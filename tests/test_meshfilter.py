@@ -20,7 +20,7 @@ from denoisekit import (
     vector_directional_median,
     vector_median,
 )
-from denoisekit.meshfilter import METHODS, PRESET
+from denoisekit.meshfilter import METHODS, POINT_METHODS, PRESET
 from conftest import max_angle, rotation_matrix
 
 PRESET_SIGMAS = {"yadav_box_2017": math.radians(30.0),
@@ -108,10 +108,11 @@ def filter_specs(draw):
     if row.auto_sigma:
         sigma |= st.just("auto")
     spatial = st.just("auto") | POSITIVE
-    if row.spatial is None and row.domain == "points":
-        spatial = st.none()
-    elif row.spatial in (None, "area"):
-        spatial |= st.none()
+    if row.spatial == "area" or row.flavour != "mean" or (row.domain, row.spatial) == (
+            "points", None):
+        spatial = st.none()  # the row reads no spatial sigma
+    elif row.spatial is None:
+        spatial |= st.none()  # a mesh row's centroid Gaussian, when a sigma is set
     return FilterSpec.preset(
         method, sigma=draw(sigma),
         neighborhood=NeighborhoodSpec(mode, radius, include_self, k),
@@ -175,6 +176,23 @@ def test_spatial_sigma_must_be_finite_and_positive(value):
         preset("zheng_bilateral", spatial_sigma=value)
     for ok in ("auto", 0.2):
         preset("zheng_bilateral", spatial_sigma=ok)
+
+
+@pytest.mark.parametrize("method", PRESET)
+def test_spatial_sigma_only_where_a_row_reads_it(method):
+    """A spatial sigma is refused by the rows that never read one: the area
+    and median rows, gradient descent and the point rows without a spatial
+    weight gave the same normals with and without it. Every other row, with
+    a spatial Gaussian that is optional on a unilateral mesh row, takes one."""
+    nb = {"neighborhood": NeighborhoodSpec("knn", k=8)} if method in POINT_METHODS else {}
+    unread = ("yagou_mean", "yagou_median", "yagou_weighted_median", "shen_fuzzy_median",
+              "gradient_descent", "digne_bilateral", "yadav_vnvt")
+    for value in (0.01, "auto"):
+        if method not in unread:
+            assert preset(method, spatial_sigma=value, **nb).spatial_sigma == value
+        else:
+            with pytest.raises(ValueError, match="has no spatial weight"):
+                preset(method, spatial_sigma=value, **nb)
 
 
 # ----------------------------------------------------------------------

@@ -37,6 +37,7 @@ from denoisekit.kernels import KERNEL_KINDS
 from denoisekit.meshcore import (csr_graph, graph_sum, index_graph, pair_distances, pair_dots,
                                  pair_slots)
 from denoisekit.meshfilter import METHODS
+from conftest import ball, knn
 
 TOLERANCE = 1e-12
 SHAPES = {
@@ -85,15 +86,15 @@ def assert_graph_holds(graph, n, rows):
     assert np.array_equal(neighbors, np.concatenate([np.zeros(0, dtype=np.int64), *rows]))
 
 
-def assert_csr_invariants(graph, n):
-    """Row c of the graph is its c-th run of pairs, neighbours ascend within
-    a row, and no array can be written."""
+def assert_csr_invariants(graph, n, m=None):
+    """Row c of the graph is its c-th run of pairs, neighbours (of ``m`` rows,
+    by default ``n``) ascend within a row, and no array can be written."""
     centers, neighbors, starts, counts = graph
     assert len(counts) == n
     assert np.array_equal(centers, np.repeat(np.arange(n), counts))
     assert np.array_equal(starts, np.cumsum(counts) - counts)
     assert np.all(np.diff(neighbors)[centers[1:] == centers[:-1]] > 0)
-    assert np.all((0 <= neighbors) & (neighbors < n))
+    assert np.all((0 <= neighbors) & (neighbors < (n if m is None else m)))
     assert not any(a.flags.writeable for a in graph)
 
 
@@ -189,27 +190,34 @@ def test_neighbor_graph_is_cached():
 
 
 def csr_graphs(kind):
-    """(graph, number of centers) of one kind on a noisy plane with one
-    vertex on no face: its ring is empty, and as a point it is far from
-    every other."""
+    """(graph, number of centers, number of neighbour rows) of one kind on a
+    noisy plane with one vertex on no face: its ring and its corners are
+    empty, and as a point it is far from every other. A corner graph holds
+    the positions of an index array per value, as the vertex update's."""
     mesh = add_noise(make_plane(5), 0.3, 3)
     mesh = TriMesh(np.vstack([mesh.vertices, [[9.0, 9.0, 9.0]]]), mesh.faces)
     cloud = PointCloud(mesh.vertices)
+    nf, nv = len(mesh.faces), len(mesh.vertices)
     if kind == "face":
-        return [(mesh.neighbor_graph(spec), len(mesh.faces)) for spec in all_specs(mesh)]
+        return [(mesh.neighbor_graph(spec), nf, nf) for spec in all_specs(mesh)]
     if kind == "vertex":
-        return [(mesh.vertex_graph, len(mesh.vertices))]
+        return [(mesh.vertex_graph, nv, nv)]
+    if kind == "corner":
+        index = [(mesh.faces.ravel(), nv), (np.roll(mesh.faces, 1, axis=1).ravel(), nv),
+                 (mesh.neighbor_graph(NeighborhoodSpec("shared_vertex"))[0], nf),
+                 (np.zeros(0, dtype=np.int64), nv)]
+        return [(index_graph(i, n), n, len(i)) for i, n in index]
     if kind == "point_knn":
-        return [(cloud.neighbor_graph(k=k), len(cloud)) for k in (1, 6)]
-    return [(cloud.neighbor_graph(radius=r), len(cloud)) for r in (0.05, 0.5)]
+        return [(cloud.neighbor_graph(knn(k)), nv, nv) for k in (1, 6)]
+    return [(cloud.neighbor_graph(ball(r)), nv, nv) for r in (0.05, 0.5)]
 
 
-@pytest.mark.parametrize("kind", ["face", "vertex", "point_knn", "point_radius"])
+@pytest.mark.parametrize("kind", ["face", "vertex", "corner", "point_knn", "point_radius"])
 def test_every_graph_is_well_formed_csr(kind):
-    """Face, vertex and point graphs all come from one builder and share
-    its layout."""
-    for graph, n in csr_graphs(kind):
-        assert_csr_invariants(graph, n)
+    """Face, vertex, corner and point graphs all come from one builder and
+    share its layout."""
+    for graph, n, m in csr_graphs(kind):
+        assert_csr_invariants(graph, n, m)
 
 
 def test_radius_graph_follows_vertex_edits():
@@ -410,6 +418,46 @@ def test_random_mesh_topology_matches_reference(mesh):
         assert_topology_matches(mesh)
 
 
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(small_meshes(validate=False), st.sampled_from(["shared_edge", "shared_vertex", "radius"]),
+       st.booleans(), st.floats(0.01, 3.13), st.data())
+def test_guidance_matches_near_pair_graph(mesh, mode, include_self, threshold, data):
+    """Weighing the far pairs of the cached graph by 0 gives the sum over a
+    graph of the near pairs alone, bit for bit: a row's partial sum starts at
+    +0 and never turns -0. The normals are the mesh's own (a degenerate face
+    has a zero one) or drawn finite rows, with zero rows and ties; the
+    neighbourhood itself is taken with or without the face."""
+    nb = NeighborhoodSpec(mode, radius=2.5 if mode == "radius" else None,
+                          include_self=include_self)
+    normals = data.draw(st.none() | hnp.arrays(float, (len(mesh.faces), 3), elements=st.one_of(
+        st.floats(-2, 2), st.sampled_from([0.0, -0.0, 1.0, -1.0]))))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        got = guidance_normals(mesh, nb, threshold, normals=normals)
+        want = ref.guidance_near_pairs(mesh, nb, threshold, normals=normals)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_guidance_threshold_is_strict(bent_pair):
+    """A neighbour exactly at the threshold angle (its dot is cos θ) is left
+    out, as the near-pair graph left it out: each face keeps its own normal."""
+    normals = np.array([[1.0, 0.0, 0.0], [math.cos(1.0), math.sin(1.0), 0.0]])
+    got = guidance_normals(bent_pair, NeighborhoodSpec("shared_edge"), 1.0, normals=normals)
+    want = ref.guidance_near_pairs(bent_pair, NeighborhoodSpec("shared_edge"), 1.0, normals)
+    assert np.array_equal(got, want)
+    assert np.allclose(got, normals, rtol=0, atol=1e-15)
+
+
+def test_guidance_nan_neighbour_keeps_own_normal(bent_pair):
+    """A NaN neighbour normal, which only an initial field supplies, weighs
+    0 but poisons the sum, so the face keeps its own normal, as a vanished
+    mean does."""
+    normals = np.array([[0.0, 0.0, 1.0], [np.nan, 0.0, 0.0]])
+    with np.errstate(invalid="ignore"):
+        got = guidance_normals(bent_pair, NeighborhoodSpec("shared_edge"), math.radians(60),
+                               normals=normals)
+    assert np.array_equal(got, normals, equal_nan=True)
+
+
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(small_meshes(validate=True), st.sampled_from(["shared_edge", "shared_vertex", "radius"]),
        st.booleans())
@@ -573,11 +621,11 @@ def pair_graphs(draw):
         n = draw(st.integers(1, 8))
         rows = [sorted(draw(st.sets(st.integers(0, n - 1)))) for _ in range(n)]
         keys = [c * n + j for c, row in enumerate(rows) for j in row]
-        return csr_graph(np.array(keys, dtype=np.int64), n)
+        return csr_graph(np.array(keys, dtype=np.int64), n, n)
     if kind == "knn":
         n = draw(st.integers(2, 12))
         points = draw(hnp.arrays(float, (n, 3), elements=st.integers(-2, 2).map(float)))
-        return PointCloud(points).neighbor_graph(k=draw(st.integers(1, n - 1)))
+        return PointCloud(points).neighbor_graph(knn(draw(st.integers(1, n - 1))))
     mesh = draw(small_meshes(validate=True))
     far = len(mesh.vertices) + np.arange(3)
     mesh = TriMesh(np.vstack([mesh.vertices, [[99, 0, 0], [100, 0, 0], [99, 1, 0]]]),

@@ -22,7 +22,7 @@ from denoisekit import (
 from denoisekit.bench import _noise_displacements
 from denoisekit.meshfilter import POINT_METHODS
 from denoisekit.pointcloud import RankDeficientNeighborhood
-from conftest import point_spec
+from conftest import ball, knn, point_spec
 
 TOLERANCE = 1e-12
 # the filters whose pairs are weighed by angles and the half radius: the
@@ -65,19 +65,19 @@ def with_normals(points, seed=7):
     return PointCloud(points, unit_rows(rng.normal(size=(len(points), 3)) + [0, 0, 2]))
 
 
-def graph_rows(cloud, **size):
-    _, neighbors, _, counts = cloud.neighbor_graph(**size)
+def graph_rows(cloud, spec):
+    _, neighbors, _, counts = cloud.neighbor_graph(spec)
     return np.split(neighbors, np.cumsum(counts)[:-1])
 
 
 def assert_graph_matches(points, k, radius):
     cloud, tree = PointCloud(points), cKDTree(points)
     want = [np.sort(np.append(ref.knn(tree, i, k), i)) for i in range(len(points))]
-    for got, row in zip(graph_rows(cloud, k=k), want):
+    for got, row in zip(graph_rows(cloud, knn(k)), want):
         assert np.array_equal(got, row)
     want = [ref.radius_neighbors(tree, i, radius, include_self=True)
             for i in range(len(points))]
-    for got, row in zip(graph_rows(cloud, radius=radius), want):
+    for got, row in zip(graph_rows(cloud, ball(radius)), want):
         assert np.array_equal(got, row)
 
 
@@ -100,7 +100,7 @@ def test_graph_matches_reference(shape, k, radius):
 def test_knn_ties_go_to_the_lowest_index():
     """Point 43 of the lattice has five neighbours at one spacing (31, 41,
     42, 45 and 55); its three nearest are the three lowest of them."""
-    assert graph_rows(PointCloud(grid()), k=3)[43].tolist() == [31, 41, 42, 43]
+    assert graph_rows(PointCloud(grid()), knn(3))[43].tolist() == [31, 41, 42, 43]
 
 
 @pytest.mark.parametrize("shape", CLOUDS)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from denoisekit import PointCloud, estimate_normals_pca, load_xyz, save_xyz
+from denoisekit import NeighborhoodSpec, PointCloud, estimate_normals_pca, load_xyz, save_xyz
 from denoisekit.pointcloud import PointCloudError, RankDeficientNeighborhood
-from conftest import rotation_matrix
+from conftest import ball, knn, rotation_matrix
 
 
 def sphere_cloud(n=300, seed=3):
@@ -44,53 +44,85 @@ def test_bbox_diagonal():
 # ----------------------------------------------------------------------
 # queries
 
-def graph_row(cloud, i, **size):
+def graph_row(cloud, i, spec):
     """Row i of the cloud's neighbour graph: the point and its neighbours."""
-    _, neighbors, starts, counts = cloud.neighbor_graph(**size)
+    _, neighbors, starts, counts = cloud.neighbor_graph(spec)
     return neighbors[starts[i]:starts[i] + counts[i]].tolist()
 
 
 def test_knn_collinear_middle():
     c = PointCloud([[0, 0, 0], [1, 0, 0], [3, 0, 0]])
-    assert graph_row(c, 1, k=1) == [0, 1]
+    assert graph_row(c, 1, knn(1)) == [0, 1]
 
 
 def test_knn_grid_center():
     pts = [[x, y, 0] for y in range(3) for x in range(3)]
     c = PointCloud(pts)
-    assert graph_row(c, 4, k=4) == [1, 3, 4, 5, 7]
+    assert graph_row(c, 4, knn(4)) == [1, 3, 4, 5, 7]
 
 
 def test_knn_duplicate_tie_by_index():
     c = PointCloud([[0, 0, 0], [5, 0, 0], [0, 0, 0], [0, 0, 0]])
-    assert graph_row(c, 3, k=1) == [0, 3]
-    assert graph_row(c, 0, k=2) == [0, 2, 3]
+    assert graph_row(c, 3, knn(1)) == [0, 3]
+    assert graph_row(c, 0, knn(2)) == [0, 2, 3]
 
 
 def test_knn_k_validation():
     c = PointCloud([[0, 0, 0], [1, 0, 0]])
     with pytest.raises(ValueError):
-        c.neighbor_graph(k=0)
+        c.neighbor_graph(knn(0))
+    with pytest.raises(ValueError, match=r"k must be in \[1, 1\], got 2"):
+        c.neighbor_graph(knn(2))
     with pytest.raises(ValueError):
-        c.neighbor_graph(k=2)
-    with pytest.raises(ValueError):
-        c.neighbor_graph(k=1, radius=1.0)
+        c.neighbor_graph(NeighborhoodSpec("knn", radius=1.0, k=1))
 
 
 def test_radius_neighbors():
     c = PointCloud([[0, 0, 0], [1, 0, 0], [3, 0, 0]])
-    assert graph_row(c, 0, radius=1.5) == [0, 1]
-    assert graph_row(c, 2, radius=1.5) == [2]
+    assert graph_row(c, 0, ball(1.5)) == [0, 1]
+    assert graph_row(c, 2, ball(1.5)) == [2]
 
 
 def test_neighbor_graph_layout_and_cache():
     c = PointCloud([[0, 0, 0], [1, 0, 0], [3, 0, 0]])
-    centers, neighbors, starts, counts = c.neighbor_graph(radius=2.0)
+    centers, neighbors, starts, counts = c.neighbor_graph(ball(2.0))
     assert centers.tolist() == [0, 0, 1, 1, 1, 2, 2]
     assert neighbors.tolist() == [0, 1, 0, 1, 2, 1, 2]
     assert starts.tolist() == [0, 2, 5] and counts.tolist() == [2, 3, 2]
-    assert c.neighbor_graph(radius=2.0)[1] is neighbors
+    assert c.neighbor_graph(ball(2.0))[1] is neighbors
     assert not neighbors.flags.writeable
+
+
+@pytest.mark.parametrize("spec, message", [
+    (NeighborhoodSpec("shared_vertex"), "knn or radius"),
+    (NeighborhoodSpec("shared_edge"), "knn or radius"),
+    (NeighborhoodSpec("knn", k=1, include_self=False), "includes the point itself"),
+    (NeighborhoodSpec("radius", 2.0, include_self=False), "includes the point itself"),
+    (knn(3), r"k must be in \[1, 2\], got 3"),
+    (knn(4), r"k must be in \[1, 2\], got 4"),
+])
+def test_neighbor_graph_refuses_what_a_cloud_lacks(spec, message):
+    """A face mode, a neighbourhood without the point, or k >= n raises,
+    and nothing is cached under the spec."""
+    c = PointCloud([[0, 0, 0], [1, 0, 0], [3, 0, 0]])
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            c.neighbor_graph(spec)
+
+
+def test_neighbor_graph_cache_is_per_spec():
+    """An equal spec returns the same arrays; a kNN and a radius graph of the
+    same cloud are kept apart, each as a fresh cloud builds it."""
+    pts = [[0, 0, 0], [1, 0, 0], [3, 0, 0], [3, 2, 0]]
+    c = PointCloud(pts)
+    graphs = {spec: c.neighbor_graph(spec) for spec in (knn(1), ball(1.0), knn(2), ball(2.0))}
+    for spec, graph in graphs.items():
+        again = c.neighbor_graph(NeighborhoodSpec(spec.mode, spec.radius, True, spec.k))
+        assert all(a is b for a, b in zip(again, graph))
+        fresh = PointCloud(pts).neighbor_graph(spec)
+        assert all(np.array_equal(a, b) for a, b in zip(graph, fresh))
+    assert graphs[knn(1)][1].tolist() == [0, 1, 0, 1, 1, 2, 2, 3]
+    assert graphs[ball(1.0)][1].tolist() == [0, 1, 0, 1, 2, 3]
 
 
 # ----------------------------------------------------------------------
