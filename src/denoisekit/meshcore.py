@@ -18,11 +18,9 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.spatial import cKDTree
 
 
 class MeshError(Exception):
@@ -131,6 +129,7 @@ class TriMesh:
 
     def _radius_pair_keys(self, radius: float) -> np.ndarray:
         """Keys of the face pairs whose centroids lie within ``radius``."""
+        from scipy.spatial import cKDTree  # loaded on first use: no other mesh graph needs it
         nf = len(self.faces)
         c = self.face_centroids
         finite = np.flatnonzero(np.isfinite(c).all(axis=1))  # NaN is near nothing
@@ -384,8 +383,7 @@ def _split(values: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
 
 def load_mesh(path) -> TriMesh:
     """Load an ASCII OBJ (v/f) or ASCII PLY triangle mesh with at least one face."""
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        text = fh.read()
+    text = read_text(path)
     # the reader returns arrays, so its tokens are freed before the topology
     mesh = TriMesh(*(_load_ply if text.lstrip().startswith("ply") else _load_obj)(text))
     if not len(mesh.faces):
@@ -393,12 +391,48 @@ def load_mesh(path) -> TriMesh:
     return mesh
 
 
-def token_table(rows: list[list[str]]):
-    """All tokens of ``rows`` and the line, first token and width of each non-blank row."""
-    width = np.fromiter(map(len, rows), np.int64, len(rows))
-    tokens = np.fromiter(chain.from_iterable(rows), object, int(width.sum()))
-    row = np.flatnonzero(width)
-    return tokens, row + 1, (np.cumsum(width) - width)[row], width[row]
+def read_text(path) -> str:
+    """A file's text as UTF-8; a byte that is not UTF-8 reads as U+FFFD, so it
+    fails as a bad token of its line rather than as a decode error."""
+    with open(path, "rb") as fh:
+        return fh.read().decode("utf-8", errors="replace")
+
+
+def token_table(text: str, comments: bool = True):
+    """All tokens of ``text`` and the line, first token and width of each non-blank line.
+
+    Only the six ASCII whitespace bytes (space, ``\\t``, ``\\v``, ``\\f``, ``\\r``,
+    ``\\n``) split tokens, so U+00A0 or U+2028 belongs to its token, and lines end
+    at ``\\n``, ``\\r\\n`` or a lone ``\\r``; with ``comments``, a ``#`` blanks the rest
+    of its line."""
+    words, line = _words(text, comments)
+    words = words.split(" ")
+    tokens = np.fromiter(words, object, len(words) - 1)  # "" after the last token's space
+    row = np.flatnonzero(np.diff(line, prepend=0))
+    return tokens, line[row], row, np.diff(np.append(row, len(line)))
+
+
+def _words(text: str, comments: bool):
+    """The tokens of ``text``, each followed by one space, and the line of each,
+    from masks of its UTF-8 bytes, one byte each, freed before the split."""
+    b = np.frombuffer(text.encode() + b"\n", np.uint8)  # every token ends in a blank
+    blank = (b == 32) | ((b >= 9) & (b <= 13))
+    end = b == 10
+    end[:-1] |= (b[:-1] == 13) & ~end[1:]  # a lone CR
+    ends = np.flatnonzero(end)
+    hashes = np.flatnonzero(b == 35) if comments else []
+    if len(hashes):  # from the first # of a line to its end, as a run of +1
+        stop = ends[np.searchsorted(ends, hashes)]
+        first = np.diff(stop, prepend=-1) > 0
+        edge = np.zeros(len(b), np.int8)
+        edge[hashes[first]], edge[stop[first]] = 1, -1
+        blank |= np.cumsum(edge, dtype=np.int8).view(bool)
+    begin = ~blank
+    begin[1:] &= blank[:-1]
+    keep = ~blank  # each token and the blank after it, which becomes a space
+    keep[1:] |= keep[:-1]
+    return (np.where(blank, np.uint8(32), b)[keep].tobytes().decode(),
+            np.searchsorted(ends, np.flatnonzero(begin)) + 1)
 
 
 def parse_numbers(tokens, lines, dtype, what: str, error=ParseError) -> np.ndarray:
@@ -436,8 +470,7 @@ def _load_obj(text: str):
     """``v`` and ``f`` records (others are ignored); a corner ``a``, ``a/b``,
     ``a//c`` or ``a/b/c`` is vertex a, 1-based, or counted back if a < 0. Widths
     are checked before numbers: of several bad lines, the first may not be named."""
-    tokens, lines, start, width = token_table([s.split("#", 1)[0].split()
-                                               for s in text.splitlines()])
+    tokens, lines, start, width = token_table(text)
     v, f = (tokens[start] == tag for tag in ("v", "f"))
     fail_at(lines[v & (width < 4)], "vertex with <3 coordinates")
     fail_at(lines[f & (width < 4)], "face with <3 vertices")
@@ -445,32 +478,34 @@ def _load_obj(text: str):
                         float, "bad vertex coordinate")
     n = width[f] - 1
     at = np.repeat(lines[f], n)  # the line of each corner
-    # keep each corner's vertex index: "a/b/c" -> "a", while "/b" stays bad
-    corners = re.sub(r"(?<=[^ /])/\S*", "", " ".join(tokens[_runs(start[f] + 1, n)]))
-    idx = parse_numbers(corners.split(), at, np.int64, "bad face index")
+    corners = tokens[_runs(start[f] + 1, n)]
+    if "/" in text:  # keep each corner's vertex index: "a/b/c" -> "a", while "/b" stays bad
+        corners = re.sub(r"/(?<=[^ /]/)[^ ]*", "", " ".join(corners)).split(" ")
+    idx = parse_numbers(corners, at, np.int64, "bad face index")
     fail_at(at[idx == 0], "bad face index")
     return xyz, fan(np.where(idx > 0, idx - 1, np.searchsorted(lines[v], at) + idx), n)
 
 
 def _load_ply(text: str):
-    rows = [s.split() for s in text.splitlines()]
-    end = rows.index(["end_header"]) + 1 if ["end_header"] in rows else None
+    tokens, lines, start, width = token_table(text, comments=False)
+    at = np.flatnonzero((width == 1) & (tokens[start] == "end_header"))
+    head = at[0] + 1 if len(at) else len(lines)  # the header's rows
     count, props, element = {"vertex": 0, "face": 0}, [], None
-    for line, words in enumerate(rows[:end], start=1):
-        if words[:1] == ["format"] and words[1:2] != ["ascii"]:
+    for line, s, w in zip(lines[:head], start, width):
+        words = tokens[s:s + w].tolist()
+        if words[0] == "format" and words[1:2] != ["ascii"]:
             raise ParseError("only ASCII PLY is supported")
-        if words[:1] == ["element"]:
+        if words[0] == "element":
             if len(words) < 3 or not words[2].isdecimal():
                 raise ParseError(f"line {line}: element without a name and a count >= 0")
             element, count[words[1]] = words[1], int(words[2])
-        elif words[:1] == ["property"] and element == "vertex":
+        elif words[0] == "property" and element == "vertex":
             props.append(words[-1])
-    if end is None:
+    if not len(at):
         raise ParseError("PLY header without end_header")
     if not {"x", "y", "z"} <= set(props):
         raise ParseError("PLY vertex element lacks x/y/z properties")
-    tokens, lines, start, width = token_table(rows)
-    body, nv, nf = np.flatnonzero(lines > end), count["vertex"], count["face"]
+    body, nv, nf = np.arange(head, len(lines)), count["vertex"], count["face"]
     if len(body) < nv + nf:
         raise ParseError(f"PLY declares {nv} vertices and {nf} faces but has {len(body)} rows")
     v, f = body[:nv], body[nv:nv + nf]

@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, depth_first_order, minimum_spanning_tree
-from scipy.spatial import cKDTree
 
 from .meshcore import (NeighborhoodSpec, csr_graph, fail_at, pair_distances, pair_dots,
-                       parse_numbers, token_table)
+                       parse_numbers, read_text, token_table)
 
 
 class PointCloudError(Exception):
@@ -47,6 +45,7 @@ class PointCloud:
         arrays of :meth:`TriMesh.neighbor_graph`; other modes or k >= n raise."""
         graph = self._graphs.get(spec)
         if graph is None:
+            from scipy.spatial import cKDTree  # loaded on first use, as in the mesh radius mode
             n = len(self.points)
             if spec.mode not in ("knn", "radius") or not spec.include_self:
                 raise ValueError("a point graph needs a knn or radius neighborhood "
@@ -63,7 +62,7 @@ class PointCloud:
             graph = self._graphs[spec] = csr_graph(keys.ravel(), n, n)
         return graph
 
-    def _knn(self, tree: cKDTree, k: int) -> np.ndarray:
+    def _knn(self, tree, k: int) -> np.ndarray:
         """(n, k + 1): each point and its k nearest. Only rows where the next
         one lies within a hair of the k-th rank the whole ball (at most n)."""
         dist, rows = tree.query(self.points, k=k + 2)
@@ -120,6 +119,8 @@ def estimate_normals_pca(cloud: PointCloud, k: int,
         normals[flip] *= -1
         return normals
 
+    from scipy.sparse.csgraph import connected_components, depth_first_order, minimum_spanning_tree
+
     # symmetric kNN graph with angular-agreement weights
     other = centers != neighbors
     rows, cols = centers[other], neighbors[other]
@@ -148,8 +149,7 @@ def estimate_normals_pca(cloud: PointCloud, k: int,
 def load_xyz(path) -> PointCloud:
     """Load an ``.xyz`` file with at least one point. Column counts are checked
     before numbers: of several bad lines, the first may not be named."""
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens, lines, _, width = token_table([s.split("#", 1)[0].split() for s in fh])
+    tokens, lines, _, width = token_table(read_text(path))
     fail_at(lines[(width != 3) & (width != 6)], "expected 3 or 6 columns", PointCloudError)
     if not len(lines):
         raise PointCloudError("no points")

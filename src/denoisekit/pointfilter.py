@@ -7,7 +7,6 @@ import math
 from dataclasses import replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .kernels import Kernel
 from .meshcore import graph_sum, pair_slots, unit_rows
@@ -89,6 +88,7 @@ def _position_step(pts, n, radius):
     """One iteration over the point pairs within ``radius``, in blocks: the
     new points, and how many stay for want of a neighbour or of weight. The
     pairs are freed on return, before the next iteration queries its own."""
+    from scipy.spatial import cKDTree  # loaded on first use, as by the point graphs
     sigma = radius / 3.0  # of the spatial and the plane-distance Gaussian alike
     pairs = cKDTree(pts).query_pairs(radius, output_type="ndarray")
     num = np.zeros(len(pts))

@@ -19,6 +19,7 @@ library; the readers build the library's mesh and cloud containers.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -762,16 +763,24 @@ def noise_spacing(points) -> float:
 
 # ----------------------------------------------------------------------
 # file readers: one line, one float() or int() per token and one append per
-# vertex, face or point
+# vertex, face or point. Lines end at "\n", "\r\n" or a lone "\r", and only
+# the ASCII whitespace space, tab, "\v" and "\f" splits a line into words.
+
+def text_lines(text: str) -> list[str]:
+    return re.split(r"\r\n|\r|\n", text)
+
+
+def words(line: str) -> list[str]:
+    return re.findall(r"[^ \t\v\f]+", line)
+
 
 def load_obj(text: str) -> TriMesh:
     vertices = []
     faces = []
-    for ln, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
+    for ln, line in enumerate(text_lines(text), start=1):
+        parts = words(line.split("#", 1)[0])
+        if not parts:
             continue
-        parts = line.split()
         tag = parts[0]
         if tag == "v":
             if len(parts) < 4:
@@ -796,14 +805,14 @@ def load_obj(text: str) -> TriMesh:
 
 
 def load_ply(text: str) -> TriMesh:
-    lines = text.splitlines()
+    lines = [" ".join(words(line)) for line in text_lines(text)]
     i = 0
     n_vertex = n_face = 0
     vertex_props = []
     in_header = True
     current_element = None
     while i < len(lines):
-        line = lines[i].strip()
+        line = lines[i]
         i += 1
         if not in_header:
             break
@@ -811,30 +820,30 @@ def load_ply(text: str) -> TriMesh:
             if "ascii" not in line:
                 raise ParseError("only ASCII PLY is supported")
         elif line.startswith("element vertex"):
-            n_vertex = int(line.split()[2])
+            n_vertex = int(line.split(" ")[2])
             current_element = "vertex"
         elif line.startswith("element face"):
-            n_face = int(line.split()[2])
+            n_face = int(line.split(" ")[2])
             current_element = "face"
         elif line.startswith("property") and current_element == "vertex":
-            vertex_props.append(line.split()[-1])
+            vertex_props.append(line.split(" ")[-1])
         elif line == "end_header":
             in_header = False
             break
     if in_header:
         raise ParseError("PLY header without end_header")
-    body = [ln.strip() for ln in lines[i:] if ln.strip()]
+    body = [ln for ln in lines[i:] if ln]
     try:
         xi, yi, zi = (vertex_props.index(p) for p in ("x", "y", "z"))
     except ValueError:
         raise ParseError("PLY vertex element lacks x/y/z properties")
     vertices = []
     for ln in body[:n_vertex]:
-        parts = ln.split()
+        parts = ln.split(" ")
         vertices.append([float(parts[xi]), float(parts[yi]), float(parts[zi])])
     faces = []
     for ln in body[n_vertex:n_vertex + n_face]:
-        parts = ln.split()
+        parts = ln.split(" ")
         cnt = int(parts[0])
         if cnt < 3:
             raise ParseError("face with <3 vertices")
@@ -849,18 +858,18 @@ def load_ply(text: str) -> TriMesh:
 
 def load_xyz(path) -> PointCloud:
     pts, nrm = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) not in (3, 6):
-                raise PointCloudError(f"line {ln}: expected 3 or 6 columns")
-            vals = [float(p) for p in parts]
-            pts.append(vals[:3])
-            if len(vals) == 6:
-                nrm.append(vals[3:])
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8", errors="replace")
+    for ln, line in enumerate(text_lines(text), start=1):
+        parts = words(line.split("#", 1)[0])
+        if not parts:
+            continue
+        if len(parts) not in (3, 6):
+            raise PointCloudError(f"line {ln}: expected 3 or 6 columns")
+        vals = [float(p) for p in parts]
+        pts.append(vals[:3])
+        if len(vals) == 6:
+            nrm.append(vals[3:])
     if not pts:
         raise PointCloudError("no points")
     if nrm and len(nrm) != len(pts):

@@ -1,15 +1,21 @@
 """Differential tests of the OBJ, ASCII PLY and XYZ readers against the
 line-by-line readers of ``reference_loops``.
 
-Drawn files use comments, blank lines, tabs, CRLF line ends, ``v`` lines with
-a fourth value, ``vn``/``vt``/``g``/``o``/``s`` records, the corner forms
-``a``, ``a/b``, ``a//c`` and ``a/b/c``, negative indices and polygons of 3 to 6
-corners. Good files must give equal arrays (faces as int64). A file with
-exactly one bad line must fail with the reference's exception and message,
-except where the readers now reject on purpose: an OBJ index 0, and a number
-that does not convert in an XYZ file (now ``line N: bad coordinate``). With
-several bad lines the readers may name another line than the reference,
-because they check widths before numbers; that is not tested.
+Drawn files use comments, blank lines, tabs, ``\\v`` and ``\\f`` between words,
+LF, CRLF and lone-CR line ends, ``v`` lines with a fourth value,
+``vn``/``vt``/``g``/``o``/``s`` records, the corner forms ``a``, ``a/b``,
+``a//c`` and ``a/b/c``, negative indices and polygons of 3 to 6 corners.
+Characters that are whitespace to ``str.split`` or line breaks to
+``str.splitlines`` but not ASCII whitespace (U+00A0, ``\\x1c``-``\\x1f``,
+U+0085, U+2028, U+2029) appear in comments, in ignored records, after a
+corner's slash and in bad numbers: they belong to a token and end no line.
+A comment may hold a second ``#``. Good files must give equal
+arrays (faces as int64). A file with exactly one bad line must fail with the
+reference's exception and message, except where the readers now reject on
+purpose: an OBJ index 0, and a number that does not convert in an XYZ file
+(now ``line N: bad coordinate``). With several bad lines the readers may name
+another line than the reference, because they check widths before numbers;
+that is not tested.
 """
 
 import numpy as np
@@ -18,16 +24,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_loops as ref
-from denoisekit import ParseError, load_mesh, load_xyz
+from denoisekit import ParseError, add_noise, load_mesh, load_xyz, make_shape, save_mesh
 from denoisekit.cli import main
 from denoisekit.pointcloud import PointCloudError
 
 FORMATS = st.sampled_from(["{!r}", "{:.6f}", "{:.3e}", "{:+.4g}"])
-SEP = st.sampled_from([" ", "  ", "\t", " \t "])
-LEAD = st.sampled_from(["", "", " ", "\t"])
-COMMENT = st.sampled_from(["", "", " # note", "# x y z"])
+SEP = st.sampled_from([" ", "  ", "\t", " \t ", "\v", " \f"])
+LEAD = st.sampled_from(["", "", " ", "\t", "\f\v"])
+# characters that split or break lines for str.split or str.splitlines alone
+NOT_BLANK = "\xa0\x1c\x1d\x1e\x1f\x85\u2028\u2029"
+COMMENT = st.sampled_from(["", "", " # note", "# x y z", " # a # b", f" # a{NOT_BLANK}b"])
 OTHER = st.sampled_from(["", "   ", "# comment", "vn 0 0 1", "vt 0.5 0.5", "g part",
-                         "o body", "s 1", "s off", "usemtl steel", "mtllib a.mtl"])
+                         "o body", "s 1", "s off", "usemtl steel", "mtllib a.mtl",
+                         "g part\xa0two", "o \x1cbody\u2029\x85"])
 
 
 def number(draw, base=0.0):
@@ -58,13 +67,15 @@ def obj_lines(draw):
             words = ["f"]
             for j in corners:
                 a = j - seen if j < seen and draw(st.booleans()) else j + 1
-                words.append(draw(st.sampled_from(["{}", "{}/7", "{}//2", "{}/3/4"])).format(a))
+                words.append(draw(st.sampled_from(["{}", "{}/7", "{}//2", "{}/3/4", "{}/2\xa03"]))
+                             .format(a))
         out.append((kind, join(draw, words)))
     return out
 
 
 def text_of(draw, lines):
-    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
 
 
 def outcome(load, *args):
@@ -97,8 +108,7 @@ def assert_same(got, want):
 
 def load_obj_both(path, text):
     path.write_bytes(text.encode("utf-8"))
-    read = path.read_text(encoding="utf-8", errors="replace")
-    return outcome(load_mesh, path), outcome(ref.load_obj, read)
+    return outcome(load_mesh, path), outcome(ref.load_obj, text)
 
 
 @settings(max_examples=100, deadline=None)
@@ -113,10 +123,12 @@ def test_obj_matches_reference(tmp_path_factory, data):
 
 
 OBJ_FAULTS = {
-    "v": [(["v", "1", "2"], None), (["v", "1", "x", "2"], None), (["v", "1e", "0", "0"], None)],
+    "v": [(["v", "1", "2"], None), (["v", "1", "x", "2"], None), (["v", "1e", "0", "0"], None),
+          (["v", "1\xa05", "0", "0"], None), (["v", "0", "0", "2\x1c"], None)],
     "f": [(["f", "1", "2"], None), (["f", "1", "2", "x"], None), (["f", "1", "2", "1.5"], None),
           (["f", "/2", "1", "3"], None), (["f", "1", "2", "99"], None),
-          (["f", "1", "2", "0"], "bad face index"), (["f", "0/1", "1", "2"], "bad face index")],
+          (["f", "1", "2", "0"], "bad face index"), (["f", "0/1", "1", "2"], "bad face index"),
+          (["f", "1", "2\u20283", "3"], None)],
 }
 
 
@@ -141,8 +153,8 @@ def ply_texts(draw):
     """An ASCII PLY with extra vertex values in any column order, a header
     comment and polygons."""
     lines = draw(obj_lines())
-    verts = [line.split("#")[0].split()[1:4] for kind, line in lines if kind == "v"]
-    faces = [[int(c.split("/")[0]) for c in line.split("#")[0].split()[1:]]
+    verts = [ref.words(line.split("#")[0])[1:4] for kind, line in lines if kind == "v"]
+    faces = [[int(c.split("/")[0]) for c in ref.words(line.split("#")[0])[1:]]
              for kind, line in lines if kind == "f"]
     seen = np.cumsum([kind == "v" for kind, _ in lines])[[k == "f" for k, _ in lines]]
     faces = [[i - 1 if i > 0 else s + i for i in f] for f, s in zip(faces, seen)]
@@ -162,7 +174,7 @@ def ply_texts(draw):
 def test_ply_matches_reference(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "drawn.ply"
     path.write_bytes(text.encode("utf-8"))
-    want = outcome(ref.load_ply, path.read_text(encoding="utf-8"))
+    want = outcome(ref.load_ply, text)
     assert not failed(want), want
     assert_same(outcome(load_mesh, path), want)
 
@@ -224,7 +236,8 @@ def test_xyz_one_bad_line(tmp_path_factory, data):
     bad_number = data.draw(st.booleans())
     if bad_number:
         words = ["1"] * cols
-        words[data.draw(st.integers(0, cols - 1))] = data.draw(st.sampled_from(["x", "1,5"]))
+        words[data.draw(st.integers(0, cols - 1))] = data.draw(
+            st.sampled_from(["x", "1,5", "1\xa05", "2\x1c", "1\x855"]))
     else:  # a wrong width, or the other width when another point keeps this one
         widths = [2, 4, 5, 7] + ([9 - cols] if len(points) > 1 else [])
         words = ["1"] * data.draw(st.sampled_from(widths))
@@ -236,3 +249,64 @@ def test_xyz_one_bad_line(tmp_path_factory, data):
         want = (PointCloudError, f"line {at + 1}: bad coordinate")
     assert failed(want), want
     assert_same(got, want)
+
+
+@pytest.mark.parametrize("char", list(NOT_BLANK))
+def test_other_whitespace_is_part_of_a_token(tmp_path, char):
+    """Only ASCII whitespace splits a line into words: a number with another
+    whitespace character inside is bad, and a word that ends in one is another
+    word, so ``v`` followed by U+00A0 is no vertex record."""
+    obj, xyz = tmp_path / "a.obj", tmp_path / "a.xyz"
+    obj.write_text(f"v{char} 5 5 5\nv 0 0 0\nv 1{char}5 0 0\nv 0 1 0\nf 1 2 3\n",
+                   encoding="utf-8")
+    with pytest.raises(ParseError, match="^line 3: bad vertex coordinate$"):
+        load_mesh(obj)
+    xyz.write_text(f"0 0 0\n1{char}5 0 0\n", encoding="utf-8")
+    with pytest.raises(PointCloudError, match="^line 2: bad coordinate$"):
+        load_xyz(xyz)
+
+
+@pytest.mark.parametrize("char", ["\t", "\v", "\f", *NOT_BLANK])
+def test_only_cr_and_lf_end_a_line(tmp_path, char):
+    """``\\n``, ``\\r\\n`` and a lone ``\\r`` end a line; no other character
+    does, so the line numbers of every reader count only those."""
+    for end, line in (("\n", 3), ("\r\n", 3), ("\r", 3), (char, 2)):
+        obj, xyz = tmp_path / "a.obj", tmp_path / "a.xyz"
+        obj.write_bytes(f"v 0 0 0 #{end}v 1 0 0\nv 0 x 0\n".encode("utf-8"))
+        with pytest.raises(ParseError, match=f"^line {line}: bad vertex coordinate$"):
+            load_mesh(obj)
+        xyz.write_bytes(f"0 0 0 #{end}1 0 0\n0 x 0\n".encode("utf-8"))
+        with pytest.raises(PointCloudError, match=f"^line {line}: bad coordinate$"):
+            load_xyz(xyz)
+
+
+def test_xyz_undecodable_byte_names_its_line(tmp_path, capsys):
+    """A byte that is not UTF-8 reads as U+FFFD in every reader, so an XYZ
+    coordinate that holds one is a bad coordinate of its line, as in an OBJ."""
+    xyz, obj = tmp_path / "bad.xyz", tmp_path / "bad.obj"
+    xyz.write_bytes(b"0 0 0\n1 \xff 0\n0 1 0\n")
+    obj.write_bytes(b"v 0 0 0\nv 1 \xff 0\nv 0 1 0\nf 1 2 3\n")
+    with pytest.raises(ParseError, match="^line 2: bad vertex coordinate$"):
+        load_mesh(obj)
+    with pytest.raises(PointCloudError, match="^line 2: bad coordinate$"):
+        load_xyz(xyz)
+    code = main(["denoise", "--input", str(xyz), "--method", "li-bilateral",
+                 "--output", str(tmp_path / "out.xyz")])
+    assert code == 1 and capsys.readouterr().err == "error: line 2: bad coordinate\n"
+    assert not (tmp_path / "out.xyz").exists()
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["cube", "plane", "icosphere", "wedge"]), n=st.integers(2, 4),
+       scale=st.sampled_from([1e-3, 1.0, 7.5, 1e4]), noise=st.floats(0.0, 0.3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_obj_round_trip(tmp_path_factory, kind, n, scale, noise, seed):
+    """``save_mesh`` then ``load_mesh`` gives the same faces, and each vertex
+    coordinate as its 9 significant digits read back by ``float``."""
+    mesh = add_noise(make_shape(kind, n=n, scale=scale), noise, seed)
+    path = tmp_path_factory.getbasetemp() / "round.obj"
+    save_mesh(mesh, path)
+    back = load_mesh(path)
+    assert back.faces.dtype == np.int64 and np.array_equal(back.faces, mesh.faces)
+    want = [float("%.9g" % x) for x in mesh.vertices.ravel().tolist()]
+    assert back.vertices.ravel().tolist() == want
