@@ -479,8 +479,9 @@ def _load_obj(text: str):
     n = width[f] - 1
     at = np.repeat(lines[f], n)  # the line of each corner
     corners = tokens[_runs(start[f] + 1, n)]
-    if "/" in text:  # keep each corner's vertex index: "a/b/c" -> "a", while "/b" stays bad
-        corners = re.sub(r"/(?<=[^ /]/)[^ ]*", "", " ".join(corners)).split(" ")
+    # keep each corner's vertex index: "a/b/c" -> "a", while "/b" stays bad; the slice
+    # drops the one "" that splitting the empty join of a file without faces gives
+    corners = re.sub(r"/(?<=[^ /]/)[^ ]*", "", " ".join(corners)).split(" ")[:len(corners)]
     idx = parse_numbers(corners, at, np.int64, "bad face index")
     fail_at(at[idx == 0], "bad face index")
     return xyz, fan(np.where(idx > 0, idx - 1, np.searchsorted(lines[v], at) + idx), n)

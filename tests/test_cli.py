@@ -114,6 +114,7 @@ def test_denoise_non_finite_xyz(tmp_path, capsys):
 @pytest.mark.parametrize("name, text, message", [
     ("empty.xyz", "# no points\n\n", "error: no points"),
     ("empty.obj", "# no faces\nv 0 0 0\nv 1 0 0\nv 0 1 0\n", "error: no faces"),
+    ("slash.obj", "# ./a.mtl\nmtllib ./a.mtl\nv 0 0 0\nv 1 0 0\nv 0 1 0\n", "error: no faces"),
     ("empty.ply", "ply\nformat ascii 1.0\nelement vertex 0\nproperty float x\n"
                   "property float y\nproperty float z\nelement face 0\nend_header\n",
      "error: no faces"),
