@@ -167,6 +167,18 @@ def _score_row(truth, noisy, vertex_iters, step, feature_threshold, spec):
     return out, report
 
 
+_worker_score = None  # a worker process's scoring function, set once as it starts
+
+
+def _start_worker(score) -> None:
+    global _worker_score
+    _worker_score = score
+
+
+def _score_in_worker(spec):
+    return _worker_score(spec)
+
+
 def _cmd_experiment(args) -> int:
     methods = EXPERIMENT_METHODS if args.methods == "all" else \
         tuple(m.strip() for m in args.methods.split(","))
@@ -183,14 +195,16 @@ def _cmd_experiment(args) -> int:
     rows.append("noisy," + noisy_report.to_csv_row())
     score = partial(_score_row, truth, noisy, args.vertex_iters, args.step,
                     args.feature_threshold)
+    noisy.neighbor_graph(specs[0].neighborhood)  # every row's, built once
     workers = _experiment_workers(args.threads, len(specs))
     if workers == 1:
         results = [score(spec) for spec in specs]
-    else:  # fork: the workers inherit the loaded modules instead of importing them
+    else:  # fork: the workers inherit the modules, both meshes and the graph; only specs are sent
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
-        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
-            results = list(pool.map(score, specs))
+        with ProcessPoolExecutor(workers, mp_context=get_context("fork"),
+                                 initializer=_start_worker, initargs=(score,)) as pool:
+            results = list(pool.map(_score_in_worker, specs))
     rows += [f"{m}," + report.to_csv_row() for m, (_, report) in zip(methods, results)]
     # every run is scored before the first write, so a failure writes nothing
     outdir = Path(args.out)

@@ -15,7 +15,7 @@ Face fields are rebuilt explicitly via
 from __future__ import annotations
 
 import math
-import re
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -398,41 +398,107 @@ def read_text(path) -> str:
         return fh.read().decode("utf-8", errors="replace")
 
 
-def token_table(text: str, comments: bool = True):
-    """All tokens of ``text`` and the line, first token and width of each non-blank line.
+class Tokens:
+    """The tokens of a text, found on masks of its UTF-8 bytes, one byte each, and
+    the line, first token and width of each non-blank line.
 
     Only the six ASCII whitespace bytes (space, ``\\t``, ``\\v``, ``\\f``, ``\\r``,
     ``\\n``) split tokens, so U+00A0 or U+2028 belongs to its token, and lines end
     at ``\\n``, ``\\r\\n`` or a lone ``\\r``; with ``comments``, a ``#`` blanks the rest
-    of its line."""
-    words, line = _words(text, comments)
-    words = words.split(" ")
-    tokens = np.fromiter(words, object, len(words) - 1)  # "" after the last token's space
-    row = np.flatnonzero(np.diff(line, prepend=0))
-    return tokens, line[row], row, np.diff(np.append(row, len(line)))
+    of its line. Token t is ``bytes[begin[t]:end[t]]``; line i's tokens are
+    ``start[i]`` to ``start[i] + width[i]``, and it is line ``lines[i]`` of the text."""
+
+    def __init__(self, text: str, comments: bool = True):
+        self.text, self.comments = text, comments
+        b = self.bytes = np.frombuffer(text.encode() + b"\n", np.uint8)  # every token ends
+        blank = (b == 32) | ((b >= 9) & (b <= 13))
+        end = b == 10
+        end[:-1] |= (b[:-1] == 13) & ~end[1:]  # a lone CR
+        ends = np.flatnonzero(end)
+        hashes = np.flatnonzero(b == 35) if comments else []
+        if len(hashes):  # from the first # of a line to its end, as a run of +1
+            stop = ends[np.searchsorted(ends, hashes)]
+            first = np.diff(stop, prepend=-1) > 0
+            edge = np.zeros(len(b), np.int8)
+            edge[hashes[first]], edge[stop[first]] = 1, -1
+            blank |= np.cumsum(edge, dtype=np.int8).view(bool)
+        edge = blank.copy()  # where a token begins or ends
+        edge[1:] ^= blank[:-1]
+        edge[0] = not blank[0]
+        bounds = np.flatnonzero(edge)
+        self.begin, self.end = bounds[0::2], bounds[1::2]
+        count = np.diff(np.searchsorted(self.begin, ends), prepend=0)  # tokens per line
+        row = np.flatnonzero(count)
+        self.lines, self.width = row + 1, count[row]
+        self.start = np.cumsum(self.width) - self.width
+
+    def tag(self, word: bytes) -> np.ndarray:
+        """Whether the first token of each line is ``word``."""
+        begin = self.begin[self.start]
+        hit = self.end[self.start] - begin == len(word)
+        for k, c in enumerate(word):
+            hit[hit] = self.bytes[begin[hit] + k] == c
+        return hit
+
+    def words(self, first: int, count: int) -> list[str]:
+        """The ``count`` tokens from token ``first`` on, as ``str``."""
+        return [self.bytes[b:e].tobytes().decode()
+                for b, e in zip(self.begin[first:first + count], self.end[first:first + count])]
+
+    def numbers(self, tok, dtype, what: str, error=ParseError, cut: bool = False) -> np.ndarray:
+        """The ascending tokens ``tok`` (with ``cut``, each up to its first ``/``) as
+        ``float`` or ``int`` would convert them; a bad one names its line.
+
+        :func:`_from_bytes` reads them; where it cannot, the tokens of
+        :func:`token_table` are converted one by one by :func:`parse_numbers`."""
+        begin, end = self.begin[tok], self.end[tok]
+        if cut:
+            slash = np.append(np.flatnonzero(self.bytes == 47), len(self.bytes))
+            end = np.minimum(end, slash[np.searchsorted(slash, begin)])
+        values = _from_bytes(self.bytes, begin, end, dtype)
+        if values is not None:
+            return values
+        tokens = token_table(self.text, self.comments)[tok]
+        if cut:
+            tokens = [t.partition("/")[0] for t in tokens]
+        return parse_numbers(tokens, self.lines[np.searchsorted(self.start, tok, "right") - 1],
+                             dtype, what, error)
 
 
-def _words(text: str, comments: bool):
-    """The tokens of ``text``, each followed by one space, and the line of each,
-    from masks of its UTF-8 bytes, one byte each, freed before the split."""
-    b = np.frombuffer(text.encode() + b"\n", np.uint8)  # every token ends in a blank
-    blank = (b == 32) | ((b >= 9) & (b <= 13))
-    end = b == 10
-    end[:-1] |= (b[:-1] == 13) & ~end[1:]  # a lone CR
-    ends = np.flatnonzero(end)
-    hashes = np.flatnonzero(b == 35) if comments else []
-    if len(hashes):  # from the first # of a line to its end, as a run of +1
-        stop = ends[np.searchsorted(ends, hashes)]
-        first = np.diff(stop, prepend=-1) > 0
-        edge = np.zeros(len(b), np.int8)
-        edge[hashes[first]], edge[stop[first]] = 1, -1
-        blank |= np.cumsum(edge, dtype=np.int8).view(bool)
-    begin = ~blank
-    begin[1:] &= blank[:-1]
-    keep = ~blank  # each token and the blank after it, which becomes a space
-    keep[1:] |= keep[:-1]
-    return (np.where(blank, np.uint8(32), b)[keep].tobytes().decode(),
-            np.searchsorted(ends, np.flatnonzero(begin)) + 1)
+def _from_bytes(b: np.ndarray, begin: np.ndarray, end: np.ndarray, dtype):
+    """The ascending tokens ``b[begin:end]`` read by one ``np.fromstring``, or None
+    where it fails, reads another count of numbers, or may differ from ``float``
+    and ``int``: it reads ``nan(1)``, and clamps an int at the int64 limits."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # older numpy only warns on unread data
+            values = np.fromstring(_spaced(b, begin, end), dtype, sep=" ")
+    except (ValueError, DeprecationWarning):
+        return None
+    odd = (np.isnan(values) if values.dtype.kind == "f" else
+           np.isin(values, [np.iinfo(dtype).min, np.iinfo(dtype).max]))
+    return values if len(values) == len(begin) and not odd.any() else None
+
+
+def _spaced(b: np.ndarray, begin: np.ndarray, end: np.ndarray) -> bytes:
+    """The ascending tokens ``b[begin:end]``, each followed by one space: a mask
+    of runs over the bytes keeps each token and the byte after it, which
+    becomes the space."""
+    bounds = np.empty(2 * len(begin) + 2, np.intp)
+    bounds[0], bounds[1:-1:2], bounds[2:-1:2], bounds[-1] = 0, begin, end + 1, len(b)
+    kept = np.zeros(len(bounds) - 1, bool)
+    kept[1::2] = True
+    out = b[np.repeat(kept, np.diff(bounds))]
+    out[np.cumsum(end - begin + 1) - 1] = 32
+    return out.tobytes()
+
+
+def token_table(text: str, comments: bool = True) -> np.ndarray:
+    """The tokens of ``text``, as :class:`Tokens` finds them, as an object array
+    of ``str``: the readers' error path, which converts them one by one."""
+    t = Tokens(text, comments)
+    words = _spaced(t.bytes, t.begin, t.end).decode().split(" ")
+    return np.fromiter(words, object, len(words) - 1)  # "" after the last token's space
 
 
 def parse_numbers(tokens, lines, dtype, what: str, error=ParseError) -> np.ndarray:
@@ -470,53 +536,53 @@ def _load_obj(text: str):
     """``v`` and ``f`` records (others are ignored); a corner ``a``, ``a/b``,
     ``a//c`` or ``a/b/c`` is vertex a, 1-based, or counted back if a < 0. Widths
     are checked before numbers: of several bad lines, the first may not be named."""
-    tokens, lines, start, width = token_table(text)
-    v, f = (tokens[start] == tag for tag in ("v", "f"))
-    fail_at(lines[v & (width < 4)], "vertex with <3 coordinates")
-    fail_at(lines[f & (width < 4)], "face with <3 vertices")
-    xyz = parse_numbers(tokens[start[v, None] + [1, 2, 3]].ravel(), np.repeat(lines[v], 3),
-                        float, "bad vertex coordinate")
-    n = width[f] - 1
-    at = np.repeat(lines[f], n)  # the line of each corner
-    corners = tokens[_runs(start[f] + 1, n)]
-    # keep each corner's vertex index: "a/b/c" -> "a", while "/b" stays bad; the slice
-    # drops the one "" that splitting the empty join of a file without faces gives
-    corners = re.sub(r"/(?<=[^ /]/)[^ ]*", "", " ".join(corners)).split(" ")[:len(corners)]
-    idx = parse_numbers(corners, at, np.int64, "bad face index")
-    fail_at(at[idx == 0], "bad face index")
-    return xyz, fan(np.where(idx > 0, idx - 1, np.searchsorted(lines[v], at) + idx), n)
+    t = Tokens(text)
+    v, f = t.tag(b"v"), t.tag(b"f")
+    fail_at(t.lines[v & (t.width < 4)], "vertex with <3 coordinates")
+    fail_at(t.lines[f & (t.width < 4)], "face with <3 vertices")
+    xyz = t.numbers((t.start[v, None] + [1, 2, 3]).ravel(), float, "bad vertex coordinate")
+    n = t.width[f] - 1
+    idx = t.numbers(_runs(t.start[f] + 1, n), np.int64, "bad face index", cut=True)
+    fail_at(np.repeat(t.lines[f], n)[idx == 0], "bad face index")
+    return xyz, fan(np.where(idx > 0, idx - 1, np.repeat(np.cumsum(v)[f], n) + idx), n)
 
 
 def _load_ply(text: str):
-    tokens, lines, start, width = token_table(text, comments=False)
-    at = np.flatnonzero((width == 1) & (tokens[start] == "end_header"))
-    head = at[0] + 1 if len(at) else len(lines)  # the header's rows
-    count, props, element = {"vertex": 0, "face": 0}, [], None
-    for line, s, w in zip(lines[:head], start, width):
-        words = tokens[s:s + w].tolist()
+    """An ASCII PLY's ``vertex`` and ``face`` elements; the body rows go to the
+    elements in header order, and the rows of any other element are skipped."""
+    t = Tokens(text, comments=False)
+    at = np.flatnonzero((t.width == 1) & t.tag(b"end_header"))
+    head = at[0] + 1 if len(at) else len(t.lines)  # the header's rows
+    elements, props = [], []  # (name, count) in header order; the vertex properties
+    for line, s, w in zip(t.lines[:head], t.start, t.width):
+        words = t.words(s, w)
         if words[0] == "format" and words[1:2] != ["ascii"]:
             raise ParseError("only ASCII PLY is supported")
         if words[0] == "element":
             if len(words) < 3 or not words[2].isdecimal():
                 raise ParseError(f"line {line}: element without a name and a count >= 0")
-            element, count[words[1]] = words[1], int(words[2])
-        elif words[0] == "property" and element == "vertex":
+            elements.append((words[1], int(words[2])))
+        elif words[0] == "property" and elements and elements[-1][0] == "vertex":
             props.append(words[-1])
     if not len(at):
         raise ParseError("PLY header without end_header")
     if not {"x", "y", "z"} <= set(props):
         raise ParseError("PLY vertex element lacks x/y/z properties")
-    body, nv, nf = np.arange(head, len(lines)), count["vertex"], count["face"]
-    if len(body) < nv + nf:
-        raise ParseError(f"PLY declares {nv} vertices and {nf} faces but has {len(body)} rows")
-    v, f = body[:nv], body[nv:nv + nf]
-    fail_at(lines[v][width[v] < len(props)], f"vertex row with fewer than {len(props)} values")
-    xyz = parse_numbers(tokens[start[v, None] + [props.index(p) for p in "xyz"]].ravel(),
-                        np.repeat(lines[v], 3), float, "bad vertex coordinate")
-    n = parse_numbers(tokens[start[f]], lines[f], np.int64, "bad face count")
-    fail_at(lines[f][(n < 3) | (width[f] <= n)], "face with <3 vertices or fewer than its count")
-    return xyz, fan(parse_numbers(tokens[_runs(start[f] + 1, n)], np.repeat(lines[f], n),
-                                  np.int64, "bad face index"), n)
+    body, count = np.arange(head, len(t.lines)), dict(elements)
+    sizes = [c for _, c in elements]
+    if len(body) < sum(sizes):
+        raise ParseError(f"PLY declares {count.get('vertex', 0)} vertices and "
+                         f"{count.get('face', 0)} faces but has {len(body)} rows")
+    rows = {name: body[o:o + c] for (name, c), o in zip(elements, np.cumsum(sizes) - sizes)}
+    v, f = (rows.get(name, body[:0]) for name in ("vertex", "face"))
+    fail_at(t.lines[v][t.width[v] < len(props)], f"vertex row with fewer than {len(props)} values")
+    cols = [props.index(p) for p in "xyz"]  # read in file order, then put as x, y, z
+    xyz = t.numbers((t.start[v, None] + np.sort(cols)).ravel(), float,
+                    "bad vertex coordinate").reshape(-1, 3)[:, np.argsort(np.argsort(cols))]
+    n = t.numbers(t.start[f], np.int64, "bad face count")
+    fail_at(t.lines[f][(n < 3) | (t.width[f] <= n)],
+            "face with <3 vertices or fewer than its count")
+    return xyz, fan(t.numbers(_runs(t.start[f] + 1, n), np.int64, "bad face index"), n)
 
 
 def save_mesh(mesh: TriMesh, path) -> None:

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .meshcore import (NeighborhoodSpec, csr_graph, fail_at, pair_distances, pair_dots,
-                       parse_numbers, read_text, token_table)
+from .meshcore import (NeighborhoodSpec, Tokens, csr_graph, fail_at, pair_distances,
+                       pair_dots, read_text)
 
 
 class PointCloudError(Exception):
@@ -149,15 +149,15 @@ def estimate_normals_pca(cloud: PointCloud, k: int,
 def load_xyz(path) -> PointCloud:
     """Load an ``.xyz`` file with at least one point. Column counts are checked
     before numbers: of several bad lines, the first may not be named."""
-    tokens, lines, _, width = token_table(read_text(path))
-    fail_at(lines[(width != 3) & (width != 6)], "expected 3 or 6 columns", PointCloudError)
-    if not len(lines):
+    t = Tokens(read_text(path))
+    fail_at(t.lines[(t.width != 3) & (t.width != 6)], "expected 3 or 6 columns", PointCloudError)
+    if not len(t.lines):
         raise PointCloudError("no points")
-    if width.min() != width.max():
+    if t.width.min() != t.width.max():
         raise PointCloudError("some lines carry normals, some do not")
-    values = parse_numbers(tokens, np.repeat(lines, width), float, "bad coordinate",
-                           PointCloudError).reshape(len(lines), -1)
-    return PointCloud(values[:, :3].copy(), values[:, 3:].copy() if width[0] == 6 else None)
+    values = t.numbers(np.arange(len(t.begin)), float, "bad coordinate",
+                       PointCloudError).reshape(len(t.lines), -1)
+    return PointCloud(values[:, :3].copy(), values[:, 3:].copy() if t.width[0] == 6 else None)
 
 
 def save_xyz(cloud: PointCloud, path) -> None:

@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import os
 import warnings
 from pathlib import Path
 
@@ -609,6 +610,21 @@ def test_experiment_workers_write_identical_files(tmp_path, monkeypatch):
     one, two = _tree(tmp_path / "one"), _tree(tmp_path / "two")
     assert len(one) == 3 + 2 * len(cli.EXPERIMENT_METHODS)
     assert one == two
+
+
+def test_experiment_workers_unpickle_no_mesh(tmp_path, monkeypatch):
+    """The workers inherit both meshes through the fork and get only the specs:
+    a worker that unpickles a ``TriMesh`` fails its row and the run."""
+    parent = os.getpid()
+
+    def setstate(mesh, state):
+        if os.getpid() != parent:
+            raise RuntimeError("a worker unpickled a mesh")
+        mesh.__dict__.update(state)
+
+    monkeypatch.setattr(TriMesh, "__setstate__", setstate, raising=False)
+    assert _experiment(tmp_path / "two", 2) == 0
+    assert len(_tree(tmp_path / "two")) == 3 + 2 * len(cli.EXPERIMENT_METHODS)
 
 
 def test_experiment_row_failing_in_worker_writes_nothing(tmp_path, monkeypatch, capsys):

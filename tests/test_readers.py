@@ -20,27 +20,30 @@ that is not tested.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_loops as ref
-from denoisekit import ParseError, add_noise, load_mesh, load_xyz, make_shape, save_mesh
+from denoisekit import ParseError, add_noise, load_mesh, load_xyz, make_shape, meshcore, save_mesh
 from denoisekit.cli import main
 from denoisekit.pointcloud import PointCloudError
 
 FORMATS = st.sampled_from(["{!r}", "{:.6f}", "{:.3e}", "{:+.4g}"])
+# of a value >= 0: digits grouped by "_", which float() reads and np.fromstring does not
+GROUPED = st.just("0_0{:.5f}")
 SEP = st.sampled_from([" ", "  ", "\t", " \t ", "\v", " \f"])
 LEAD = st.sampled_from(["", "", " ", "\t", "\f\v"])
 # characters that split or break lines for str.split or str.splitlines alone
 NOT_BLANK = "\xa0\x1c\x1d\x1e\x1f\x85\u2028\u2029"
-COMMENT = st.sampled_from(["", "", " # note", "# x y z", " # a # b", f" # a{NOT_BLANK}b"])
+COMMENT = st.sampled_from(["", "", " # note", "# x y z", " # a # b", f" # a{NOT_BLANK}b",
+                          " # nan(1) 1_0"])
 OTHER = st.sampled_from(["", "   ", "# comment", "vn 0 0 1", "vt 0.5 0.5", "g part",
                          "o body", "s 1", "s off", "usemtl steel", "mtllib a.mtl",
-                         "g part\xa0two", "o \x1cbody\u2029\x85"])
+                         "g part\xa0two", "o \x1cbody\u2029\x85", "g part_(1)"])
 
 
 def number(draw, base=0.0):
-    return draw(FORMATS).format(base + draw(st.floats(0.0, 0.25)))
+    return draw(FORMATS | GROUPED).format(base + draw(st.floats(0.0, 0.25)))
 
 
 def join(draw, words):
@@ -124,11 +127,14 @@ def test_obj_matches_reference(tmp_path_factory, data):
 
 OBJ_FAULTS = {
     "v": [(["v", "1", "2"], None), (["v", "1", "x", "2"], None), (["v", "1e", "0", "0"], None),
-          (["v", "1\xa05", "0", "0"], None), (["v", "0", "0", "2\x1c"], None)],
+          (["v", "1\xa05", "0", "0"], None), (["v", "0", "0", "2\x1c"], None),
+          (["v", "nan(1)", "0", "0"], None), (["v", "1__0", "0", "0"], None),
+          (["v", "0", "(1)", "0"], None)],
     "f": [(["f", "1", "2"], None), (["f", "1", "2", "x"], None), (["f", "1", "2", "1.5"], None),
           (["f", "/2", "1", "3"], None), (["f", "1", "2", "99"], None),
           (["f", "1", "2", "0"], "bad face index"), (["f", "0/1", "1", "2"], "bad face index"),
-          (["f", "1", "2\u20283", "3"], None)],
+          (["f", "1", "2\u20283", "3"], None), (["f", "1", "2", "3_"], None),
+          (["f", "(1)", "2", "3"], None)],
 }
 
 
@@ -237,7 +243,7 @@ def test_xyz_one_bad_line(tmp_path_factory, data):
     if bad_number:
         words = ["1"] * cols
         words[data.draw(st.integers(0, cols - 1))] = data.draw(
-            st.sampled_from(["x", "1,5", "1\xa05", "2\x1c", "1\x855"]))
+            st.sampled_from(["x", "1,5", "1\xa05", "2\x1c", "1\x855", "nan(1)", "_1", "(1)"]))
     else:  # a wrong width, or the other width when another point keeps this one
         widths = [2, 4, 5, 7] + ([9 - cols] if len(points) > 1 else [])
         words = ["1"] * data.draw(st.sampled_from(widths))
@@ -310,3 +316,157 @@ def test_obj_round_trip(tmp_path_factory, kind, n, scale, noise, seed):
     assert back.faces.dtype == np.int64 and np.array_equal(back.faces, mesh.faces)
     want = [float("%.9g" % x) for x in mesh.vertices.ravel().tolist()]
     assert back.vertices.ravel().tolist() == want
+
+
+
+PLY_VERTEX = ("element vertex 4\nproperty float x\nproperty float y\nproperty float z\n",
+              ["0 0 0", "1 0 0", "0 1 0", "1 1 0"])
+PLY_FACE = ("element face 2\nproperty list uchar int vertex_indices\n", ["3 0 1 2", "3 1 3 2"])
+PLY_EDGE = ("element edge 2\nproperty int vertex1\nproperty int vertex2\n", ["0 1", "1 3"])
+PLY_MATERIAL = ("element material 1\nproperty int id\n", ["7"])
+PLY_STRIP = ("element strip 1\nproperty list uchar int vertex_indices\n", ["3 3 2 1"])
+
+
+@pytest.mark.parametrize("elements", [[PLY_VERTEX, PLY_EDGE, PLY_FACE],
+                                      [PLY_MATERIAL, PLY_VERTEX, PLY_FACE],
+                                      [PLY_VERTEX, PLY_STRIP, PLY_FACE]],
+                         ids=["edge-between", "material-first", "face-like-rows"])
+def test_ply_rows_go_to_elements_in_header_order(tmp_path, elements):
+    """Body rows belong to the elements in header order, and the rows of an
+    element other than ``vertex`` and ``face`` are skipped by its count, even
+    when they look like vertex or face rows."""
+    path = tmp_path / "e.ply"
+    path.write_text("ply\nformat ascii 1.0\n" + "".join(head for head, _ in elements)
+                    + "end_header\n" + "".join(r + "\n" for _, rows in elements for r in rows))
+    mesh = load_mesh(path)
+    assert mesh.vertices.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]
+    assert mesh.faces.tolist() == [[0, 1, 2], [1, 3, 2]]
+
+
+# numbers that int() (and float()) or float() read, some only on the token path,
+# and tokens that neither reads or that np.fromstring reads otherwise
+INTS = ["0", "1", "2", "3", "-1", "-2", "+3", "007", "-0", "1_0", "١", "9" * 19, "-" + "9" * 19,
+        "9223372036854775807", "-9223372036854775808"]
+FLOATS = INTS + ["1.5", "2e1", ".5", "5.", "inf", "-Infinity", "nan", "1e999"]
+ODD = ["nan(1)", "9223372036854775808", "9" * 25, "-" + "9" * 20, "1__0", "_1", "(1)", "1e",
+       "x", "1-2", "1.2.3", "0x10", "1.5", "nan"]
+INT = st.sampled_from(INTS) | st.integers(-9, 9).map(str)
+FLOAT = st.sampled_from(FLOATS) | st.floats(-1e3, 1e3).map(repr)
+# a corner whose "/..." suffix does not count
+CORNER = (INT | st.builds("{}/{}/{}".format, INT, INT, INT) | st.builds("{}//{}".format, INT, INT)
+          | st.builds("{}/{}".format, INT, INT))
+ODD_TOKEN = st.one_of(st.sampled_from(ODD), st.sampled_from(ODD),
+                      st.builds("{}/{}".format, st.sampled_from(ODD), INT),
+                      st.builds("/{}".format, INT))
+BLANK = st.sampled_from([" ", "  ", "\t", "\v", " \f"])
+
+
+@st.composite
+def drawn_text(draw, kinds, comment=True):
+    """Lines of a tag of ``kinds`` (or none, the tag "") and tokens drawn from its
+    strategy, at most one of them odd, with drawn blanks, comments and LF, CRLF
+    or CR line ends."""
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        tag = draw(st.sampled_from(sorted(kinds)))
+        lines.append([tag] + draw(st.lists(kinds[tag], min_size=3, max_size=4)
+                                  | st.lists(kinds[tag], max_size=6)))
+    spots = [(i, j) for i, line in enumerate(lines) for j in range(1, len(line))]
+    if spots and draw(st.booleans()):
+        i, j = draw(st.sampled_from(spots))
+        lines[i][j] = draw(ODD_TOKEN)
+    ends = st.sampled_from(["", "", " # c", "#1 2"] if comment else [""])
+    return text_of(draw, [draw(BLANK).join(w for w in line if w) + draw(ends) for line in lines])
+
+
+@st.composite
+def drawn_ply(draw):
+    """An ASCII PLY header with vertex properties in any order and an element
+    before or between ``vertex`` and ``face``, and a drawn body."""
+    props = draw(st.permutations(["x", "y", "z", "nx"][:draw(st.integers(3, 4))]))
+    vertex = f"element vertex {draw(st.integers(0, 3))}\n" + "".join(
+        f"property float {p}\n" for p in props)
+    face = f"element face {draw(st.integers(0, 3))}\nproperty list uchar int vertex_indices\n"
+    other = draw(st.sampled_from(["", "element edge 1\nproperty int v1\n"]))
+    elements = draw(st.sampled_from([[other, vertex, face], [vertex, other, face]]))
+    body = draw(drawn_text({"": FLOAT, "3": INT, "4": INT, "2": INT}, comment=False))
+    return "ply\nformat ascii 1.0\n" + "".join(elements) + "end_header\n" + body
+
+
+def raw(load, *args):
+    """The arrays a reader returns (dtype, shape and bytes) or its error."""
+    try:
+        out = load(*args)
+    except Exception as e:  # the error is the outcome
+        return type(e), str(e)
+    arrays = (out.points, out.normals) if hasattr(out, "points") else out
+    return [None if a is None else (a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def byte_and_token_paths(load, *args):
+    """A reader's outcome, and its outcome with every number read on the token
+    path (``token_table`` and ``parse_numbers``)."""
+    got = raw(load, *args)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(meshcore, "_from_bytes", lambda *_: None)
+        return got, raw(load, *args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn_text({"v": FLOAT, "f": CORNER, "vn": FLOAT, "": FLOAT, "#": FLOAT}))
+@example("v nan(1) 0 0\n")
+@example("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1/2 /2 3 -1\n")  # an empty vertex index
+@example("v 0 0 0\nf 1 1 " + "9" * 20 + "\n")
+def test_obj_byte_path_matches_token_path(text):
+    got, want = byte_and_token_paths(meshcore._load_obj, text)
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn_ply())
+@example("ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\nproperty float y\n"
+         "property float z\nelement face 1\nproperty list uchar int vertex_indices\n"
+         "end_header\n0 0 nan(1)\n3 0 0 -" + "9" * 20 + "\n")
+def test_ply_byte_path_matches_token_path(text):
+    got, want = byte_and_token_paths(meshcore._load_ply, text)
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn_text({"": FLOAT}))
+@example("0 0 0\n0 nan(1) 0\n")
+def test_xyz_byte_path_matches_token_path(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "drawn-path.xyz"
+    path.write_bytes(text.encode("utf-8"))
+    got, want = byte_and_token_paths(load_xyz, path)
+    assert got == want
+
+
+VALID = {
+    "slashes.obj": "# corners with slashes\r\nv 0 0 0 # origin\r\nv 1 0 0\r\nv 0 1 0\r\n"
+                   "vt 0 0\r\nvn 0 0 1\r\nf 1/1/1 2/1/1 3/1/1\r\nv 1 1 0\r\n"
+                   "f -3//1 -1//1 -2//1\r\nf\t2/1 4/1\v3/1 # a tab and a \\v\r\n",
+    "plain.obj": "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 1e-3\nf 1 2 3\nf 2 4 3\n",
+    "mesh.ply": "ply\nformat ascii 1.0\nelement vertex 4\nproperty float z\nproperty float x\n"
+                "property float y\nelement face 1\nproperty list uchar int vertex_indices\n"
+                "end_header\n0 0 0\n0 1 0\n0 0 1\n0.5 1 1\n4 0 1 3 2\n",
+    "three.xyz": "# points\n0 0 0\n1 0 0\r\n0 1 0 # last\n",
+    "six.xyz": "0 0 0 0 0 1\n1 0 0 0 0 1\n0 1 0 0 0 1\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALID))
+def test_valid_files_never_reach_the_token_path(tmp_path, monkeypatch, name):
+    """Comments, corner slashes, CRLF, negative indices, a PLY and both XYZ
+    widths load with ``token_table`` unusable, to the same arrays."""
+    path = tmp_path / name
+    path.write_bytes(VALID[name].encode("utf-8"))
+    load = load_xyz if name.endswith(".xyz") else load_mesh
+    want = outcome(load, path)
+    assert not failed(want), want
+
+    def no_tokens(*_):
+        raise AssertionError("a valid file reached the token path")
+
+    monkeypatch.setattr(meshcore, "token_table", no_tokens)
+    assert_same(outcome(load, path), want)
