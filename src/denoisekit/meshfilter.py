@@ -379,10 +379,12 @@ def filter_normals(mesh: TriMesh, spec: FilterSpec, initial=None) -> NormalField
     return NormalField(prev, zero_weight_warnings=warnings)
 
 
-# Entries of one (m, k, k) array in the median pass: 512 KiB, so a batch
+# Entries of one (m, k, k) array in the median pass: 128 KiB, so a batch
 # stays in cache and its memory does not grow with the square of a large
-# (radius) neighbourhood.
-_MEDIAN_BLOCK = 1 << 16
+# (radius) neighbourhood. At 512 KiB a batch's temporaries were mapped and
+# faulted afresh in a process whose glibc mmap threshold was never raised,
+# such as an `experiment` worker.
+_MEDIAN_BLOCK = 1 << 14
 
 
 def _median_pass(flavour, kernel, prev, graph):

@@ -16,6 +16,13 @@ purpose: an OBJ index 0, and a number that does not convert in an XYZ file
 (now ``line N: bad coordinate``). With several bad lines the readers may name
 another line than the reference, because they check widths before numbers;
 that is not tested.
+
+Every number is read on the byte path (one ``np.fromstring`` per kind) or,
+where that cannot read it as ``float`` or ``int`` would, on the token path
+(``token_table`` and ``parse_numbers``). Drawn OBJ, PLY and XYZ texts with
+odd tokens (``nan(1)``, ``1_0``, ``١``, integers past the int64 limits,
+``/b`` corners) must give the same outcome on both, and valid files must
+never need the token path.
 """
 
 import numpy as np
@@ -318,7 +325,6 @@ def test_obj_round_trip(tmp_path_factory, kind, n, scale, noise, seed):
     assert back.vertices.ravel().tolist() == want
 
 
-
 PLY_VERTEX = ("element vertex 4\nproperty float x\nproperty float y\nproperty float z\n",
               ["0 0 0", "1 0 0", "0 1 0", "1 1 0"])
 PLY_FACE = ("element face 2\nproperty list uchar int vertex_indices\n", ["3 0 1 2", "3 1 3 2"])
@@ -343,8 +349,8 @@ def test_ply_rows_go_to_elements_in_header_order(tmp_path, elements):
     assert mesh.faces.tolist() == [[0, 1, 2], [1, 3, 2]]
 
 
-# numbers that int() (and float()) or float() read, some only on the token path,
-# and tokens that neither reads or that np.fromstring reads otherwise
+# numbers that int() (and float()) or only float() reads, some only on the token
+# path, and odd tokens: bad to int() or to both, or read otherwise by np.fromstring
 INTS = ["0", "1", "2", "3", "-1", "-2", "+3", "007", "-0", "1_0", "١", "9" * 19, "-" + "9" * 19,
         "9223372036854775807", "-9223372036854775808"]
 FLOATS = INTS + ["1.5", "2e1", ".5", "5.", "inf", "-Infinity", "nan", "1e999"]
