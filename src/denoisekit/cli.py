@@ -187,8 +187,7 @@ def _cmd_experiment(args) -> int:
         sigma_d=None, neighborhood=args.neighborhood, radius=None, k=None,
         iters=args.iters, step_lambda=0.05, kernel="gaussian", box_floor=0.0), METHODS)
         for m in methods]
-    kind = "wedge" if args.preset == "fandisk-like" else args.preset
-    truth = bench.make_shape(kind, n=args.n, scale=1.0)
+    truth = bench.make_shape(args.preset, n=args.n, scale=1.0)
     noisy = bench.add_noise(truth, args.noise, args.seed)
     rows = ["method," + ",".join(bench.MetricsReport.CSV_FIELDS)]
     noisy_report = bench.compare(truth, noisy, args.feature_threshold)

@@ -409,7 +409,6 @@ class Tokens:
     ``start[i]`` to ``start[i] + width[i]``, and it is line ``lines[i]`` of the text."""
 
     def __init__(self, text: str, comments: bool = True):
-        self.text, self.comments = text, comments
         b = self.bytes = np.frombuffer(text.encode() + b"\n", np.uint8)  # every token ends
         blank = (b == 32) | ((b >= 9) & (b <= 13))
         end = b == 10
@@ -440,17 +439,16 @@ class Tokens:
             hit[hit] = self.bytes[begin[hit] + k] == c
         return hit
 
-    def words(self, first: int, count: int) -> list[str]:
-        """The ``count`` tokens from token ``first`` on, as ``str``."""
-        return [self.bytes[b:e].tobytes().decode()
-                for b, e in zip(self.begin[first:first + count], self.end[first:first + count])]
+    def words(self, begin, end) -> list[str]:
+        """The tokens ``bytes[begin[t]:end[t]]``, as ``str``."""
+        return [self.bytes[b:e].tobytes().decode() for b, e in zip(begin, end)]
 
     def numbers(self, tok, dtype, what: str, error=ParseError, cut: bool = False) -> np.ndarray:
         """The ascending tokens ``tok`` (with ``cut``, each up to its first ``/``) as
         ``float`` or ``int`` would convert them; a bad one names its line.
 
-        :func:`_from_bytes` reads them; where it cannot, the tokens of
-        :func:`token_table` are converted one by one by :func:`parse_numbers`."""
+        :func:`_from_bytes` reads them; where it cannot, they are converted one
+        at a time."""
         begin, end = self.begin[tok], self.end[tok]
         if cut:
             slash = np.append(np.flatnonzero(self.bytes == 47), len(self.bytes))
@@ -458,11 +456,14 @@ class Tokens:
         values = _from_bytes(self.bytes, begin, end, dtype)
         if values is not None:
             return values
-        tokens = token_table(self.text, self.comments)[tok]
-        if cut:
-            tokens = [t.partition("/")[0] for t in tokens]
-        return parse_numbers(tokens, self.lines[np.searchsorted(self.start, tok, "right") - 1],
-                             dtype, what, error)
+        values = np.empty(len(tok), dtype)
+        lines = self.lines[np.searchsorted(self.start, tok, "right") - 1]
+        for k, (word, line) in enumerate(zip(self.words(begin, end), lines)):
+            try:
+                values[k] = dtype(word)
+            except (ValueError, OverflowError):
+                raise error(f"line {line}: {what}") from None
+        return values
 
 
 def _from_bytes(b: np.ndarray, begin: np.ndarray, end: np.ndarray, dtype):
@@ -491,27 +492,6 @@ def _spaced(b: np.ndarray, begin: np.ndarray, end: np.ndarray) -> bytes:
     out = b[np.repeat(kept, np.diff(bounds))]
     out[np.cumsum(end - begin + 1) - 1] = 32
     return out.tobytes()
-
-
-def token_table(text: str, comments: bool = True) -> np.ndarray:
-    """The tokens of ``text``, as :class:`Tokens` finds them, as an object array
-    of ``str``: the readers' error path, which converts them one by one."""
-    t = Tokens(text, comments)
-    words = _spaced(t.bytes, t.begin, t.end).decode().split(" ")
-    return np.fromiter(words, object, len(words) - 1)  # "" after the last token's space
-
-
-def parse_numbers(tokens, lines, dtype, what: str, error=ParseError) -> np.ndarray:
-    """``tokens`` as ``float`` or ``int`` would convert them; a bad one names its line."""
-    try:
-        return np.array(tokens, dtype=dtype)
-    except (ValueError, OverflowError):
-        for token, line in zip(tokens, lines):  # only on error: find the first bad one
-            try:
-                np.array(token, dtype=dtype)
-            except (ValueError, OverflowError):
-                raise error(f"line {line}: {what}") from None
-        raise
 
 
 def fail_at(lines, what: str, error=ParseError) -> None:
@@ -555,7 +535,7 @@ def _load_ply(text: str):
     head = at[0] + 1 if len(at) else len(t.lines)  # the header's rows
     elements, props = [], []  # (name, count) in header order; the vertex properties
     for line, s, w in zip(t.lines[:head], t.start, t.width):
-        words = t.words(s, w)
+        words = t.words(t.begin[s:s + w], t.end[s:s + w])
         if words[0] == "format" and words[1:2] != ["ascii"]:
             raise ParseError("only ASCII PLY is supported")
         if words[0] == "element":
@@ -571,8 +551,11 @@ def _load_ply(text: str):
     body, count = np.arange(head, len(t.lines)), dict(elements)
     sizes = [c for _, c in elements]
     if len(body) < sum(sizes):
-        raise ParseError(f"PLY declares {count.get('vertex', 0)} vertices and "
-                         f"{count.get('face', 0)} faces but has {len(body)} rows")
+        nv, nf = count.get("vertex", 0), count.get("face", 0)
+        other = sum(sizes) - nv - nf  # the rows of other elements, and of a repeated one
+        declared = f"{nv} vertices, {nf} faces and {other} other rows" if other else \
+            f"{nv} vertices and {nf} faces"
+        raise ParseError(f"PLY declares {declared} but has {len(body)} rows")
     rows = {name: body[o:o + c] for (name, c), o in zip(elements, np.cumsum(sizes) - sizes)}
     v, f = (rows.get(name, body[:0]) for name in ("vertex", "face"))
     fail_at(t.lines[v][t.width[v] < len(props)], f"vertex row with fewer than {len(props)} values")

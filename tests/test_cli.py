@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from denoisekit import (FilterSpec, NonManifoldError, PointCloud, TriMesh, add_noise, denoise_mesh,
-                        load_mesh, load_xyz, make_cube, save_mesh, save_xyz, update_vertices)
+                        load_mesh, load_xyz, make_cube, make_shape, save_mesh, save_xyz,
+                        update_vertices)
 from denoisekit import cli
 from denoisekit.cli import main
 from denoisekit.meshfilter import METHODS, POINT_METHODS
@@ -554,6 +555,16 @@ def test_experiment_summary(tmp_path):
     assert (out / "zheng-bilateral.obj").exists()
     assert (out / "ground_truth.obj").exists()
     assert (out / "noisy.obj").exists()
+
+
+def test_experiment_fandisk_like_is_the_wedge(tmp_path):
+    """``--preset fandisk-like`` runs on ``make_shape("wedge", n)``."""
+    out = tmp_path / "exp"
+    assert run("experiment", "--preset", "fandisk-like", "--n", "4", "--noise", "0.2",
+               "--seed", "3", "--methods", "yadav-tukey-2018", "--iters", "2",
+               "--vertex-iters", "2", "--out", str(out)) == 0
+    save_mesh(make_shape("wedge", 4), tmp_path / "wedge.obj")
+    assert (out / "ground_truth.obj").read_bytes() == (tmp_path / "wedge.obj").read_bytes()
 
 
 def test_experiment_unknown_method(tmp_path):

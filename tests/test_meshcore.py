@@ -137,18 +137,24 @@ def test_load_ply_polygon_and_extra_columns(tmp_path):
     (5, "x 1 3 2", "line 15: bad face count"),
     (5, None, "PLY declares 4 vertices and 2 faces but has 5 rows"),
     (3, None, "PLY declares 4 vertices and 2 faces but has 5 rows"),
+    (6, "0 1", "PLY declares 4 vertices, 2 faces and 2 other rows but has 7 rows"),
 ], ids=["short-vertex", "bad-coordinate", "short-face", "two-corners", "bad-index",
-        "bad-count", "missing-face", "missing-vertex"])
+        "bad-count", "missing-face", "missing-vertex", "missing-edge"])
 def test_malformed_ply_rows(tmp_path, row, value, message):
     """A good 4-vertex, 2-face PLY with one row changed (or dropped) fails
-    with a ParseError naming the line, or the counts when rows are missing."""
+    with a ParseError naming the line, or the counts when rows are missing.
+    Row 6 is past the faces: it declares ``element edge 2`` after them and
+    gives one edge row."""
     rows = list(PLY_ROWS)
     if value is None:
         del rows[row]
     else:
-        rows[row] = value
+        rows[row:row + 1] = [value]
+    text = ply_text(rows)
+    if row == len(PLY_ROWS):
+        text = text.replace("end_header", "element edge 2\nproperty list uchar int v\nend_header")
     p = tmp_path / "bad.ply"
-    p.write_text(ply_text(rows))
+    p.write_text(text)
     with pytest.raises(ParseError, match=f"^{message}$"):
         load_mesh(p)
 

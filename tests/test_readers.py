@@ -19,10 +19,10 @@ that is not tested.
 
 Every number is read on the byte path (one ``np.fromstring`` per kind) or,
 where that cannot read it as ``float`` or ``int`` would, on the token path
-(``token_table`` and ``parse_numbers``). Drawn OBJ, PLY and XYZ texts with
+(the same tokens converted one at a time). Drawn OBJ, PLY and XYZ texts with
 odd tokens (``nan(1)``, ``1_0``, ``١``, integers past the int64 limits,
-``/b`` corners) must give the same outcome on both, and valid files must
-never need the token path.
+``/b`` corners) must give the same outcome on both, valid files must never
+need the token path, and a file with a bad number is scanned once.
 """
 
 import numpy as np
@@ -411,7 +411,7 @@ def raw(load, *args):
 
 def byte_and_token_paths(load, *args):
     """A reader's outcome, and its outcome with every number read on the token
-    path (``token_table`` and ``parse_numbers``)."""
+    path (the tokens converted one at a time)."""
     got = raw(load, *args)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(meshcore, "_from_bytes", lambda *_: None)
@@ -464,15 +464,50 @@ VALID = {
 @pytest.mark.parametrize("name", sorted(VALID))
 def test_valid_files_never_reach_the_token_path(tmp_path, monkeypatch, name):
     """Comments, corner slashes, CRLF, negative indices, a PLY and both XYZ
-    widths load with ``token_table`` unusable, to the same arrays."""
+    widths load to the same arrays with every number read by ``_from_bytes``,
+    which never gives up on them."""
     path = tmp_path / name
     path.write_bytes(VALID[name].encode("utf-8"))
     load = load_xyz if name.endswith(".xyz") else load_mesh
     want = outcome(load, path)
     assert not failed(want), want
+    reads, from_bytes = [], meshcore._from_bytes
 
-    def no_tokens(*_):
-        raise AssertionError("a valid file reached the token path")
+    def read(*args):
+        reads.append(from_bytes(*args))
+        return reads[-1]
 
-    monkeypatch.setattr(meshcore, "token_table", no_tokens)
+    monkeypatch.setattr(meshcore, "_from_bytes", read)
     assert_same(outcome(load, path), want)
+    assert reads and all(values is not None for values in reads)
+
+
+BAD = {  # one bad number each (past int64, a cut corner, nan(1)), and the error it fails with
+    "index.ply": ("ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\n"
+                  "property float y\nproperty float z\nelement face 1\n"
+                  "property list uchar int vertex_indices\nend_header\n"
+                  "0 0 0\n1 0 0\n0 1 0\n3 0 1 " + "9" * 20 + "\n",
+                  ParseError, "line 13: bad face index"),
+    "corner.obj": ("v 0 0 0\nv 1 0 0\n# a comment\nv 0 1 0\nf 1 2/1 y/3\n",
+                   ParseError, "line 5: bad face index"),
+    "nan.xyz": ("0 0 0\n1 0 0\n0 1 nan(1)\n", PointCloudError, "line 3: bad coordinate"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD))
+def test_a_bad_number_is_found_in_one_scan(tmp_path, monkeypatch, name):
+    """A file with one bad number fails with its message, and its text is
+    scanned into ``Tokens`` once."""
+    text, error, message = BAD[name]
+    path = tmp_path / name
+    path.write_text(text)
+    scans, init = [], meshcore.Tokens.__init__
+
+    def counted(self, *args, **kwargs):
+        scans.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(meshcore.Tokens, "__init__", counted)
+    with pytest.raises(error, match=f"^{message}$"):
+        (load_xyz if name.endswith(".xyz") else load_mesh)(path)
+    assert len(scans) == 1
