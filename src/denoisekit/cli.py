@@ -194,7 +194,7 @@ def _cmd_experiment(args) -> int:
     rows.append("noisy," + noisy_report.to_csv_row())
     score = partial(_score_row, truth, noisy, args.vertex_iters, args.step,
                     args.feature_threshold)
-    noisy.neighbor_graph(specs[0].neighborhood)  # every row's, built once
+    noisy.neighbor_graph(specs[0].neighborhood).slots  # every row's graph and slots, built once
     workers = _experiment_workers(args.threads, len(specs))
     if workers == 1:
         results = [score(spec) for spec in specs]

@@ -99,12 +99,12 @@ class TriMesh:
     def neighbor_graph(self, spec: NeighborhoodSpec):
         """The neighbourhoods of all faces as CSR arrays.
 
-        Returns read-only ``(centers, neighbors, starts, counts)``: one entry
-        of ``centers``/``neighbors`` per (face, neighbour) pair, in ascending
-        face order and ascending neighbour order within a face, so face i's
-        neighbours are ``neighbors[starts[i]:starts[i] + counts[i]]``. Built on
-        the first request and cached per spec; radius graphs are dropped by
-        :meth:`recompute_face_fields`.
+        Returns the read-only :class:`Graph` ``(centers, neighbors, starts, counts)``:
+        one entry of ``centers``/``neighbors`` per (face, neighbour) pair, in
+        ascending face order and ascending neighbour order within a face, so face
+        i's neighbours are ``neighbors[starts[i]:starts[i] + counts[i]]``. Built on
+        the first request and cached per spec, with its slots; radius graphs are
+        dropped by :meth:`recompute_face_fields`.
         """
         graph = self._graphs.get(spec)
         if graph is None:
@@ -260,16 +260,27 @@ class TriMesh:
                                np.cross(v[f[:, 1]], v[f[:, 2]])).sum() / 6.0)
 
 
-def csr_graph(keys: np.ndarray, n: int, width: int):
-    """The read-only CSR arrays ``(centers, neighbors, starts, counts)`` of
-    the sorted distinct pair keys ``c * width + j`` of ``n`` centers: center c's
-    neighbours are ``neighbors[starts[c]:starts[c] + counts[c]]``."""
+class Graph(tuple):
+    """The read-only CSR arrays ``(centers, neighbors, starts, counts)`` of :func:`csr_graph`,
+    and ``slots``, their :func:`pair_slots`, read-only too, built on first use and kept."""
+
+    @cached_property
+    def slots(self):
+        return _read_only(pair_slots(self))
+
+
+def csr_graph(keys: np.ndarray, n: int, width: int) -> Graph:
+    """The :class:`Graph` of the sorted distinct pair keys ``c * width + j`` of
+    ``n`` centers: center c's neighbours are ``neighbors[starts[c]:starts[c] + counts[c]]``."""
     centers, neighbors = np.divmod(keys, max(width, 1))
     counts = np.bincount(centers, minlength=n)
-    graph = centers, neighbors, np.cumsum(counts) - counts, counts
-    for a in graph:
+    return Graph(_read_only((centers, neighbors, np.cumsum(counts) - counts, counts)))
+
+
+def _read_only(arrays):
+    for a in arrays:
         a.flags.writeable = False
-    return graph
+    return arrays
 
 
 def _group_pair_keys(groups, members, nf: int) -> np.ndarray:
@@ -325,10 +336,10 @@ def pair_slots(graph):
     return slot, centers[first], neighbors[first]
 
 
-def unit_rows(rows: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarray, int]:
+def unit_rows(rows: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``rows`` scaled to unit length, each by the root of its dot with itself
     (bit for bit ``np.linalg.norm(rows, axis=1)``); a row of norm 1e-12 or
-    less is replaced by that row of ``fallback``. Returns (unit rows, number replaced)."""
+    less is replaced by that row of ``fallback``. Returns (unit rows, mask of rows replaced)."""
     with np.errstate(over="ignore"):
         nrm = np.sqrt(pair_dots(rows, ..., ...))
     big = np.isinf(nrm)
@@ -338,8 +349,7 @@ def unit_rows(rows: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarray, int]:
         rows[big] /= np.abs(rows[big]).max(axis=1)[:, None]
         nrm[big] = np.sqrt(pair_dots(rows[big], ..., ...))
     ok = nrm > 1e-12
-    return (np.where(ok[:, None], rows / np.where(ok, nrm, 1.0)[:, None], fallback),
-            int(np.count_nonzero(~ok)))
+    return np.where(ok[:, None], rows / np.where(ok, nrm, 1.0)[:, None], fallback), ~ok
 
 
 def pair_dots(rows, i, j) -> np.ndarray:

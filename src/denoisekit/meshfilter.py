@@ -20,7 +20,7 @@ import numpy as np
 
 from .kernels import Kernel
 from .meshcore import (NeighborhoodSpec, TriMesh, check_positive, graph_sum, index_graph,
-                       pair_distances, pair_dots, pair_slots, unit_rows)
+                       pair_distances, pair_dots, unit_rows)
 
 # A row per named filter: its domain ("mesh" or "points"); the pinned kernel
 # kind and its box floor and the pinned argument (None: the spec's own); the
@@ -274,7 +274,7 @@ def _pair_arguments(spec, mesh, graph):
     if spec.argument == "curvature_edge":  # a per-face value: each pair takes its neighbour's
         x = mesh.vertex_mean_curvature()[mesh.faces].mean(axis=1) * mesh.avg_edge_length
         return (lambda normals: x), graph[1]
-    slot, i, j = pair_slots(graph)
+    slot, i, j = graph.slots
     x = pair_argument(spec.argument, i, j, lambda normals: guidance_normals(
         mesh, spec.neighborhood, spec.guidance_threshold, normals=normals))
     if spec.argument == "angle_per_distance":
@@ -351,7 +351,7 @@ def smooth_normals(normals, iterations, graph, argument, weight, spatial):
     for _ in range(iterations):
         w = _substitute_nan(weight(x(normals))[slot], centers, starts, counts) * spatial
         normals, kept = unit_rows(total(w, normals), normals)
-        warnings += kept
+        warnings += int(np.count_nonzero(kept))
     return normals, warnings
 
 
@@ -363,7 +363,7 @@ def filter_normals(mesh: TriMesh, spec: FilterSpec, initial=None) -> NormalField
     flavour = row.flavour
     if flavour == "gradient":
         return filter_gradient_descent(mesh, spec, initial=initial)
-    prev = np.array(mesh.face_normals if initial is None else initial, dtype=float)
+    prev = _initial_normals(mesh, initial)
     graph = mesh.neighbor_graph(spec.neighborhood)
     if flavour == "mean":
         prev, warnings = smooth_normals(prev, spec.iterations, graph,
@@ -371,12 +371,23 @@ def filter_normals(mesh: TriMesh, spec: FilterSpec, initial=None) -> NormalField
                                         spec.range_kernel.weight,
                                         spatial_weights(spec, graph, mesh.face_centroids,
                                                         mesh.face_areas))
-    else:
-        warnings = 0
+    else:  # the first pass computes every face
+        warnings, dirty, kept = 0, np.ones(len(prev), dtype=bool), graph[3] == 0
         for _ in range(spec.iterations):
-            prev, count = _median_pass(flavour, spec.range_kernel, prev, graph)
-            warnings += count
+            prev, dirty = _median_pass(flavour, spec.range_kernel, prev, graph, dirty, kept)
+            warnings += int(np.count_nonzero(kept))
     return NormalField(prev, zero_weight_warnings=warnings)
+
+
+def _initial_normals(mesh, initial):
+    """A copy of the normals a face filter starts from: the mesh's, or a finite (F, 3) initial."""
+    prev = np.array(mesh.face_normals if initial is None else initial, dtype=float)
+    if prev.shape != mesh.face_normals.shape:
+        raise ValueError(f"initial normals must be ({len(mesh.faces)}, 3), not {prev.shape}")
+    bad = np.flatnonzero(~np.isfinite(prev).all(axis=1))
+    if initial is not None and len(bad):
+        raise ValueError(f"initial normal {bad[0]} is not finite: {prev[bad[0]]}")
+    return prev
 
 
 # Entries of one (m, k, k) array in the median pass: 128 KiB, so a batch
@@ -387,45 +398,44 @@ def filter_normals(mesh: TriMesh, spec: FilterSpec, initial=None) -> NormalField
 _MEDIAN_BLOCK = 1 << 14
 
 
-def _median_pass(flavour, kernel, prev, graph):
-    """One pass of the median flavours, in batches of faces that have the
-    same neighbourhood size. A face with no neighbour keeps its normal and
-    counts as a warning, as in the averaging engine."""
+def _median_pass(flavour, kernel, prev, graph, dirty, kept):
+    """One pass of the median flavours over the ``dirty`` faces, in batches of one neighbourhood
+    size. The others' neighbourhoods are as when last computed, so they keep their normals and
+    their ``kept`` flag (set in place: no neighbour, or a vanished fuzzy sum). Returns the
+    normals and the next dirty faces: each whose normal or a neighbour's changed its bits."""
     centers, neighbors, starts, counts = graph
     new = prev.copy()
-    warnings = int(np.count_nonzero(counts == 0))
-    w = None
-    if flavour == "weighted_median":
-        w = kernel.weight(pair_distances(prev, centers, neighbors))
-        w = _substitute_nan(w, centers, starts, counts)
-    for k in np.unique(counts[counts > 0]):
-        group = np.flatnonzero(counts == k)
+    w = None if flavour != "weighted_median" else _substitute_nan(
+        kernel.weight(pair_distances(prev, centers, neighbors)), centers, starts, counts)
+    for k in np.unique(counts[dirty & (counts > 0)]):
+        group = np.flatnonzero(dirty & (counts == k))
         for rows in np.array_split(group, math.ceil(len(group) * k * k / _MEDIAN_BLOCK)):
             pairs = starts[rows, None] + np.arange(k)
-            new[rows], count = _median_batch(flavour, kernel, prev, rows, neighbors[pairs],
-                                             None if w is None else w[pairs])
-            warnings += count
-    return new, warnings
+            new[rows], kept[rows] = _median_batch(flavour, kernel, prev, rows, neighbors[pairs],
+                                                  None if w is None else w[pairs])
+    dirty = (new.view(np.int64) != prev.view(np.int64)).any(axis=1)  # -0.0, NaN exact
+    dirty[centers[dirty[neighbors]]] = True  # and each face with a moved neighbour
+    return new, dirty
 
 
 def _median_batch(flavour, kernel, prev, rows, members, w):
     """New normals of the m faces ``rows`` with neighbourhoods ``members``
     (m, k), both indices into the normals ``prev``, and, for the weighted
-    median, pair weights ``w`` (m, k); and the number of faces that kept
-    their own normal because the fuzzy median's weighted sum vanished."""
+    median, pair weights ``w`` (m, k); and which of them kept their own
+    normal because the fuzzy median's weighted sum vanished."""
     pick = np.arange(len(members))
     if flavour == "fuzzy_median":
         nvd = members[pick, _directional_median_index(prev, members)]
         w = kernel.weight(pair_distances(prev, members, nvd[:, None]))
         return unit_rows((w[:, :, None] * prev[members]).sum(axis=1), prev[rows])
-    return prev[members[pick, _vector_median_index(prev, members, w)]], 0
+    return prev[members[pick, _vector_median_index(prev, members, w)]], False
 
 
 def filter_gradient_descent(mesh: TriMesh, spec: FilterSpec, initial=None) -> NormalField:
     """Minimize the robust energy by explicit per-normal gradient steps."""
     if not spec.range_kernel.differentiable:
         raise ValueError("gradient descent needs a differentiable kernel")
-    prev = np.array(mesh.face_normals if initial is None else initial, dtype=float)
+    prev = _initial_normals(mesh, initial)
     centers, flat, _, _ = mesh.neighbor_graph(spec.neighborhood)
     total = graph_sum(index_graph(centers, len(prev)), len(flat))  # centers sorted: diff[p]
     for _ in range(spec.iterations):

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 
 from .kernels import Kernel
-from .meshcore import graph_sum, pair_slots, unit_rows
+from .meshcore import graph_sum, unit_rows
 from .meshfilter import PRESET, FilterSpec, pair_argument, smooth_normals, spatial_weights
 from .pointcloud import PointCloud
 
@@ -38,7 +38,7 @@ def filter_point_normals(cloud: PointCloud, spec: FilterSpec) -> np.ndarray:
     spatial = spatial_weights(spec, graph, cloud.points)
     # single-normal guidance: the distance-weighted mean normal
     total = graph_sum(graph, len(prev))
-    slot, i, j = pair_slots(graph)
+    slot, i, j = graph.slots
     x = pair_argument(spec.argument, i, j, lambda n: unit_rows(total(spatial, n), n)[0])
     kernel = spec.range_kernel
     if kernel == "auto":  # Li's rule on the row's argument, the angle

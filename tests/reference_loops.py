@@ -235,9 +235,10 @@ def median_pass(spec, prev, nbr):
     return new, warnings
 
 
-def median_filter(mesh, spec):
-    """(normals, warnings) after spec.iterations median passes."""
-    prev = np.array(mesh.face_normals, dtype=float)
+def median_filter(mesh, spec, initial=None):
+    """(normals, warnings) after spec.iterations median passes from the mesh's
+    normals or ``initial``."""
+    prev = np.array(mesh.face_normals if initial is None else initial, dtype=float)
     nbr = neighbor_lists(mesh, spec.neighborhood)
     warnings = 0
     for _ in range(spec.iterations):

@@ -338,10 +338,10 @@ def test_unit_rows_rescales_rows_whose_squares_overflow():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got, replaced = unit_rows(rows[:1], fallback[:1])
-        assert replaced == 0
+        assert replaced.tolist() == [False]
         assert np.allclose(got, [[math.sqrt(0.5), math.sqrt(0.5), 0.0]], rtol=1e-15, atol=0)
         mixed, replaced = unit_rows(rows, fallback)
-    assert replaced == 1
+    assert replaced.tolist() == [False, False, True]
     assert np.array_equal(mixed[0], got[0])
     assert np.array_equal(mixed[1:], unit_rows(rows[1:], fallback[1:])[0])
 

@@ -364,6 +364,27 @@ def test_initial_field_override(bent_pair):
     assert max_angle(out, init) < 1e-12
 
 
+@pytest.mark.parametrize("method", ["yadav_tukey_2018", "yagou_median", "gradient_descent"])
+def test_initial_field_of_wrong_shape_or_not_finite_is_refused(method):
+    """Each flavour (mean, median, gradient) refuses an initial field that is
+    not (F, 3), naming that shape, or that holds a non-finite row, naming the
+    first; a short field used to raise an IndexError, and a (F, 2) or an
+    all-NaN one gave a field of that shape or all NaN."""
+    mesh = add_noise(make_cube(3), 0.3, 42)
+    spec = preset(method, iterations=2)
+    n = mesh.face_normals
+    for bad in (n[:-1], n[:, :2], n[:, :, None], n[0]):
+        with pytest.raises(ValueError, match=r"\(96, 3\)"):
+            filter_normals(mesh, spec, initial=bad)
+    for row, value in ((0, math.nan), (5, math.inf), (95, -math.inf)):
+        bad = n.copy()
+        bad[row:, 1] = value
+        with pytest.raises(ValueError, match=f"initial normal {row} is not finite"):
+            filter_normals(mesh, spec, initial=bad)
+    assert np.array_equal(filter_normals(mesh, spec, initial=n.tolist()).normals,
+                          filter_normals(mesh, spec).normals)
+
+
 # ----------------------------------------------------------------------
 # guidance
 

@@ -31,13 +31,13 @@ from denoisekit import (
     orthogonality_residual,
     update_vertices,
 )
-from denoisekit import meshfilter
+from denoisekit import filter_point_normals, meshcore, meshfilter
 from denoisekit.bench import _weld
 from denoisekit.kernels import KERNEL_KINDS
 from denoisekit.meshcore import (csr_graph, graph_sum, index_graph, pair_distances, pair_dots,
                                  pair_slots)
 from denoisekit.meshfilter import METHODS
-from conftest import ball, knn
+from conftest import ball, knn, point_spec
 
 TOLERANCE = 1e-12
 SHAPES = {
@@ -143,18 +143,19 @@ def assert_filters_match(mesh, methods, neighborhood=None, iterations=3):
         assert abs(e_got - e_want) <= TOLERANCE * max(1.0, abs(e_want)), method
 
 
-def assert_medians_match(mesh, neighborhood, iterations=20):
-    """The batched median pass against the face-by-face loop: the two
-    Euclidean medians bit for bit, the fuzzy median to within TOLERANCE, and
-    the same number of warnings."""
+def assert_medians_match(mesh, neighborhood, iterations=20, initial=None):
+    """The batched median pass against the face-by-face loop, from the mesh's
+    normals or ``initial``: the two Euclidean medians bit for bit, zeros'
+    signs too, the fuzzy median to within TOLERANCE, and the same number of
+    warnings."""
     for method in MEDIANS:
         spec = preset(method, neighborhood=neighborhood, iterations=iterations)
-        field = filter_normals(mesh, spec)
-        want, warnings = ref.median_filter(mesh, spec)
+        field = filter_normals(mesh, spec, initial=initial)
+        want, warnings = ref.median_filter(mesh, spec, initial=initial)
         if method == "shen_fuzzy_median":
             assert np.max(np.abs(field.normals - want), initial=0.0) <= TOLERANCE, method
         else:
-            assert np.array_equal(field.normals, want), method
+            assert np.array_equal(field.normals.view(np.uint64), want.view(np.uint64)), method
         assert field.zero_weight_warnings == warnings, method
 
 
@@ -411,6 +412,14 @@ def small_meshes(draw, validate):
         assume(False)
 
 
+def with_far_face(mesh):
+    """The mesh and a face far from it, which shares no vertex and lies
+    farther than any radius drawn here."""
+    far = len(mesh.vertices) + np.arange(3)
+    return TriMesh(np.vstack([mesh.vertices, [[99, 0, 0], [100, 0, 0], [99, 1, 0]]]),
+                   np.vstack([mesh.faces, far]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_meshes(validate=False))
 def test_random_mesh_topology_matches_reference(mesh):
@@ -437,6 +446,98 @@ def test_guidance_matches_near_pair_graph(mesh, mode, include_self, threshold, d
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+# rows of a drawn initial field: a unit row repeated and its copies with a
+# -0.0 (equal as floats, not in bits), its opposite, and the zero row, on
+# which a fuzzy sum vanishes; or any finite row
+INITIAL_ROWS = st.one_of(
+    st.sampled_from([(0.0, 0.0, 1.0), (-0.0, 0.0, 1.0), (0.0, -0.0, 1.0), (-0.0, -0.0, 1.0),
+                     (0.0, 0.0, -1.0), (1.0, -0.0, 0.0), (0.0, 0.0, 0.0)]),
+    st.tuples(*[st.floats(-2, 2)] * 3))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(small_meshes(validate=True), st.sampled_from(["shared_edge", "shared_vertex", "radius"]),
+       st.booleans(), st.booleans(), st.integers(1, 8),
+       st.lists(INITIAL_ROWS, min_size=1, max_size=12))
+# two faces on an edge, each the other's only neighbour: they swap normals that
+# differ in a zero's sign, or keep zero normals whose fuzzy sums vanish
+@example(TriMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], [[0, 1, 2], [1, 3, 2]]),
+         "shared_edge", False, False, 2, [(0.0, 0.0, 1.0), (-0.0, 0.0, 1.0)])
+@example(TriMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], [[0, 1, 2], [1, 3, 2]]),
+         "shared_edge", False, False, 2, [(0.0, 0.0, 0.0)])
+def test_median_skip_matches_reference_from_drawn_initial(mesh, mode, include_self, far,
+                                                          iterations, rows):
+    """A median pass computes only the faces whose normal or a neighbour's
+    changed its bits in the pass before; the others keep their normal and
+    count their warning again. The loop computes every face on every pass.
+    The drawn rows repeat over the faces; with a far face, a neighbourhood
+    without the face itself can be empty."""
+    mesh = with_far_face(mesh) if far else mesh
+    nb = NeighborhoodSpec(mode, radius=2.5 if mode == "radius" else None,
+                          include_self=include_self)
+    initial = np.resize(np.array(rows, dtype=float), (len(mesh.faces), 3))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        assert_medians_match(mesh, nb, iterations, initial=initial)
+
+
+def median_work(monkeypatch, mesh, spec):
+    """Run the filter and return, per median pass, its normals in, its
+    normals out and the faces it computed, in order."""
+    passes = []
+    run_pass, run_batch = meshfilter._median_pass, meshfilter._median_batch
+
+    def median_pass(flavour, kernel, prev, *rest):
+        passes.append([prev, None, []])
+        passes[-1][1], dirty = run_pass(flavour, kernel, prev, *rest)
+        return passes[-1][1], dirty
+
+    def median_batch(flavour, kernel, prev, rows, *rest):
+        passes[-1][2] += rows.tolist()
+        return run_batch(flavour, kernel, prev, rows, *rest)
+
+    monkeypatch.setattr(meshfilter, "_median_pass", median_pass)
+    monkeypatch.setattr(meshfilter, "_median_batch", median_batch)
+    filter_normals(mesh, spec)
+    return passes
+
+
+def moved_faces(before, after):
+    return (before.view(np.uint64) != after.view(np.uint64)).any(axis=1)
+
+
+@pytest.mark.parametrize("method", MEDIANS)
+def test_median_passes_compute_only_faces_whose_neighbourhood_moved(monkeypatch, method):
+    """The first pass computes every face; pass t + 1 exactly those whose
+    normal or a neighbour's moved in pass t, so none after a pass that moved
+    nothing. Without the face itself in its neighbourhood, its own move
+    counts too. With it, the vector median reaches a fixed point (a root
+    signal), and its last passes compute nothing."""
+    mesh = add_noise(make_cube(4), 0.3, 42)
+    for include_self in (True, False):
+        nb = NeighborhoodSpec("shared_vertex", include_self=include_self)
+        passes = median_work(monkeypatch, mesh, preset(method, neighborhood=nb, iterations=20))
+        assert len(passes) == 20 and sorted(passes[0][2]) == list(range(len(mesh.faces)))
+        for (before, after, _), (_, _, rows) in zip(passes, passes[1:]):
+            moved = moved_faces(before, after)
+            dirty = moved | np.array([moved[n].any() for n in mesh.neighbor_lists(nb)])
+            assert sorted(rows) == np.flatnonzero(dirty).tolist()
+            assert moved.any() or not rows
+        if method == "yagou_median" and include_self:
+            assert not passes[-1][2]
+
+
+def test_median_passes_stop_on_the_noise_free_cube(monkeypatch):
+    """The noise-free cube's normals on one side differ only in the signs of
+    their zeros, and a median takes the bits of one of its members: the
+    passes move only those signs, the moves die out, and the later passes
+    compute no face. A comparison of floats would take -0.0 for 0.0."""
+    mesh = make_cube(4)
+    passes = median_work(monkeypatch, mesh, preset("yagou_median", iterations=10))
+    assert any(moved_faces(before, after).any() for before, after, _ in passes)
+    assert all(np.array_equal(before, after) for before, after, _ in passes)
+    assert [len(rows) for _, _, rows in passes[-5:]] == [0] * 5
+
+
 def test_guidance_threshold_is_strict(bent_pair):
     """A neighbour exactly at the threshold angle (its dot is cos θ) is left
     out, as the near-pair graph left it out: each face keeps its own normal."""
@@ -448,7 +549,7 @@ def test_guidance_threshold_is_strict(bent_pair):
 
 
 def test_guidance_nan_neighbour_keeps_own_normal(bent_pair):
-    """A NaN neighbour normal, which only an initial field supplies, weighs
+    """A NaN neighbour normal, which only a caller's normals supply, weighs
     0 but poisons the sum, so the face keeps its own normal, as a vanished
     mean does."""
     normals = np.array([[0.0, 0.0, 1.0], [np.nan, 0.0, 0.0]])
@@ -626,10 +727,7 @@ def pair_graphs(draw):
         n = draw(st.integers(2, 12))
         points = draw(hnp.arrays(float, (n, 3), elements=st.integers(-2, 2).map(float)))
         return PointCloud(points).neighbor_graph(knn(draw(st.integers(1, n - 1))))
-    mesh = draw(small_meshes(validate=True))
-    far = len(mesh.vertices) + np.arange(3)
-    mesh = TriMesh(np.vstack([mesh.vertices, [[99, 0, 0], [100, 0, 0], [99, 1, 0]]]),
-                   np.vstack([mesh.faces, far]))
+    mesh = with_far_face(draw(small_meshes(validate=True)))
     return mesh.neighbor_graph(NeighborhoodSpec("radius", radius=draw(st.sampled_from([0.5, 2.5])),
                                                 include_self=draw(st.booleans())))
 
@@ -647,6 +745,36 @@ def test_pair_slots_hold_each_unordered_pair_once(graph):
     want = {(min(c, n), max(c, n)) for c, n in zip(centers.tolist(), neighbors.tolist())}
     assert sorted(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist())) == sorted(want)
     assert np.array_equal(np.unique(slot), np.arange(len(i)))
+
+
+def test_pair_slots_are_built_once_per_graph(monkeypatch):
+    """The slots are kept with the cached graph, read-only: a second filter
+    or energy call on the same mesh, or a point filter on a copy of a cloud
+    with other normals, builds none. A vertex edit drops them with the radius
+    graphs only."""
+    built = []
+    build = meshcore.pair_slots
+    monkeypatch.setattr(meshcore, "pair_slots", lambda graph: built.append(graph) or build(graph))
+    mesh = add_noise(make_cube(3), 0.3, 42)
+    spec = preset("yadav_tukey_2018", iterations=2)
+    radius = preset("yadav_tukey_2018", iterations=2, neighborhood=NeighborhoodSpec(
+        "radius", radius=1.5 * mesh.avg_edge_length))
+    for s in (spec, radius):
+        first = filter_normals(mesh, s).normals
+        assert np.array_equal(filter_normals(mesh, s).normals, first)
+        energy(mesh, first, s)
+    assert len(built) == 2
+    assert not any(a.flags.writeable for a in mesh.neighbor_graph(spec.neighborhood).slots)
+    mesh.recompute_face_fields()
+    for s in (spec, radius):
+        filter_normals(mesh, s)
+    assert len(built) == 3
+    cloud = PointCloud(make_icosphere(2).vertices, make_icosphere(2).vertices)
+    spec = point_spec("li_bilateral", "auto")
+    first = filter_point_normals(cloud, spec)
+    assert np.array_equal(filter_point_normals(cloud.with_normals(first), spec),
+                          filter_point_normals(PointCloud(cloud.points, first), spec))
+    assert len(built) == 5
 
 
 def test_update_vertices_with_negative_zero_corners_equals_reference():
