@@ -119,29 +119,13 @@ class TriMesh:
         elif spec.mode == "shared_vertex":
             keys = _group_pair_keys(self.faces.ravel(), np.repeat(face, 3), nf)
         elif spec.mode == "radius":
-            keys = self._radius_pair_keys(spec.radius)
+            keys = radius_pair_keys(self.face_centroids, spec.radius)
         else:
             raise ValueError(f"a mesh has no {spec.mode} neighbourhood")
         # key c * F + n encodes the pair (c, n); the self pairs are c * (F + 1),
         # the only keys that F + 1 divides
         keys = _distinct(np.concatenate([keys, face * (nf + 1)]))
         return csr_graph(keys if spec.include_self else keys[keys % (nf + 1) != 0], nf, nf)
-
-    def _radius_pair_keys(self, radius: float) -> np.ndarray:
-        """Keys of the face pairs whose centroids lie within ``radius``."""
-        from scipy.spatial import cKDTree  # loaded on first use: no other mesh graph needs it
-        nf = len(self.faces)
-        c = self.face_centroids
-        finite = np.flatnonzero(np.isfinite(c).all(axis=1))  # NaN is near nothing
-        if len(finite) < 2:
-            return np.zeros(0, dtype=np.int64)
-        # the tree may round distances differently: take candidates from a
-        # slightly larger ball, then keep those numpy puts within the radius
-        pairs = cKDTree(c[finite]).query_pairs(radius * (1.0 + 1e-9), output_type="ndarray")
-        i, j = finite[pairs[:, 0]], finite[pairs[:, 1]]
-        near = pair_distances(c, j, i) <= radius
-        i, j = i[near], j[near]
-        return np.concatenate([i * nf + j, j * nf + i])
 
     @cached_property
     def vertex_graph(self):
@@ -231,8 +215,9 @@ class TriMesh:
         cot = np.einsum("fcx,fcx->fc", u, w) / np.maximum(
             np.linalg.norm(np.cross(u, w), axis=2), 1e-300)
         pull = cot[:, :, None] * (v[k] - v[j])
-        acc = graph_sum(index_graph(np.stack([j, k], axis=2).ravel(), nv), 6 * len(f))(
-            1.0, np.stack([pull, -pull], axis=2).reshape(-1, 3))
+        ends = np.stack([j, k], axis=2).ravel()
+        acc = np.stack([np.bincount(ends, weights=col, minlength=nv)
+                        for col in np.stack([pull, -pull], axis=2).reshape(-1, 3).T], axis=1)
         kappa = np.linalg.norm(acc, axis=1) / np.maximum(4.0 * ring_area / 3.0, 1e-300)
         kappa[boundary] = 0.0
         kappa[ring_area == 0] = 0.0
@@ -281,6 +266,21 @@ def _read_only(arrays):
     for a in arrays:
         a.flags.writeable = False
     return arrays
+
+
+def radius_pair_keys(positions: np.ndarray, radius: float) -> np.ndarray:
+    """Keys ``i * n + j`` of the pairs i != j of the n ``positions`` whose
+    :func:`pair_distances` is at most ``radius``, each pair both ways round."""
+    from scipy.spatial import cKDTree  # loaded on first use: no edge or vertex graph needs it
+    n = len(positions)
+    finite = np.flatnonzero(np.isfinite(positions).all(axis=1))  # NaN is near nothing
+    # the tree may round distances differently: take candidates from a
+    # slightly larger ball, then keep those numpy puts within the radius
+    pairs = cKDTree(positions[finite]).query_pairs(radius * (1.0 + 1e-9), output_type="ndarray")
+    i, j = finite[pairs[:, 0]], finite[pairs[:, 1]]
+    near = pair_distances(positions, j, i) <= radius
+    i, j = i[near], j[near]
+    return np.concatenate([i * n + j, j * n + i])
 
 
 def _group_pair_keys(groups, members, nf: int) -> np.ndarray:

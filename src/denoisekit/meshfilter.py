@@ -2,8 +2,8 @@
 the unit mean of its neighbours' normals under the weight ``g = psi(x)/x`` of
 a per-pair argument x, times a spatial factor. The face filters of meshes
 and the normal filters of point sets are the rows of one table, ``PRESET``,
-each set up by one spec, :class:`FilterSpec`; the median and
-gradient-descent flavours take their own step instead.
+each set up by one spec, :class:`FilterSpec`. Shen's fuzzy median is such a
+mean pass; the vector medians and gradient descent take their own step.
 
 All filters are double-buffered: pass t reads only the normals of pass t-1.
 Per-face accumulation runs in ascending face-index order, so results do not
@@ -216,7 +216,7 @@ def vector_median(normals, weights=None) -> tuple[np.ndarray, int]:
     if len(normals) == 0:
         raise ValueError("empty set")
     w = None if weights is None else np.asarray(weights, dtype=float)[None]
-    idx = int(_vector_median_index(normals, np.arange(len(normals))[None], w)[0])
+    idx = int(_median_index(normals, np.arange(len(normals))[None], "euclidean", w)[0])
     return normals[idx], idx
 
 
@@ -225,33 +225,25 @@ def vector_directional_median(normals) -> tuple[np.ndarray, int]:
     normals = np.asarray(normals, dtype=float)
     if len(normals) == 0:
         raise ValueError("empty set")
-    idx = int(_directional_median_index(normals, np.arange(len(normals))[None])[0])
+    idx = int(_median_index(normals, np.arange(len(normals))[None], "angle")[0])
     return normals[idx], idx
 
 
-def _vector_median_index(normals, members, weights=None):
-    """Per row of ``members`` (m, k) of rows of ``normals``: the position of
-    the member minimizing the sum of Euclidean distances to all members, each
-    distance to member b scaled by ``weights[:, b]``. Ties go to the lowest position."""
-    dist = pair_distances(normals, members[:, :, None], members[:, None, :])
-    if weights is not None:
-        dist *= weights[:, None, :]
-    return np.argmin(dist.sum(axis=2), axis=1)
-
-
-def _directional_median_index(normals, members):
-    """Per row of ``members`` (m, k) of rows of ``normals``: the position of
-    the member minimizing the sum of angles to all members. Ties go to the
+def _median_index(normals, members, argument, weights=None):
+    """Per row of ``members`` (m, k) of rows of ``normals``: the position of the
+    member minimizing the sum of its ``argument`` ("euclidean" or "angle") to
+    all members, that to member b scaled by ``weights[:, b]``. Ties go to the
     lowest position."""
-    angles = pair_dots(normals, members[:, :, None], members[:, None, :])
-    np.clip(angles, -1.0, 1.0, out=angles)
-    return np.argmin(np.arccos(angles, out=angles).sum(axis=2), axis=1)
+    x = pair_argument(argument, members[:, :, None], members[:, None, :])(normals)
+    if weights is not None:
+        x *= weights[:, None, :]
+    return np.argmin(x.sum(axis=2), axis=1)
 
 
 # ----------------------------------------------------------------------
 # helpers
 
-def _substitute_nan(w, centers, starts, counts):
+def _substitute_nan(w, graph):
     """Replace NaN weights (the L1 family's g(0)) by the largest other weight
     in the same neighborhood; the one fill of the mean and weighted-median passes.
 
@@ -261,6 +253,7 @@ def _substitute_nan(w, centers, starts, counts):
     nan = np.isnan(w)
     if not nan.any():
         return w
+    centers, _, starts, counts = graph
     seg_max = np.full(len(counts), -np.inf)
     nonempty = counts > 0
     seg_max[nonempty] = np.maximum.reduceat(np.where(nan, -np.inf, w), starts[nonempty])
@@ -340,16 +333,16 @@ def guidance_normals(mesh: TriMesh, neighborhood: NeighborhoodSpec,
 # the filters
 
 def smooth_normals(normals, iterations, graph, argument, weight, spatial):
-    """The M-smoother of every mean-flavoured face and point filter: each pass
-    takes a normal to the unit sum of its neighbours' normals under the weight
-    ``weight(x)[slot]`` of the argument ``(x, slot)``, NaN filled per neighbourhood,
-    times ``spatial``. Returns (normals, sums that vanished and kept their normal)."""
-    centers, _, starts, counts = graph
+    """The M-smoother of every mean-flavoured face and point filter and of the fuzzy
+    median: each pass takes a normal to the unit sum of its neighbours' normals under
+    the weight ``weight(x)[slot]`` of the argument ``(x, slot)``, NaN filled per
+    neighbourhood, times ``spatial``. Returns (normals, sums that vanished and kept
+    their normal)."""
     x, slot = argument
     total = graph_sum(graph, len(normals))
     warnings = 0
     for _ in range(iterations):
-        w = _substitute_nan(weight(x(normals))[slot], centers, starts, counts) * spatial
+        w = _substitute_nan(weight(x(normals))[slot], graph) * spatial
         normals, kept = unit_rows(total(w, normals), normals)
         warnings += int(np.count_nonzero(kept))
     return normals, warnings
@@ -365,18 +358,21 @@ def filter_normals(mesh: TriMesh, spec: FilterSpec, initial=None) -> NormalField
         return filter_gradient_descent(mesh, spec, initial=initial)
     prev = _initial_normals(mesh, initial)
     graph = mesh.neighbor_graph(spec.neighborhood)
-    if flavour == "mean":
-        prev, warnings = smooth_normals(prev, spec.iterations, graph,
-                                        _pair_arguments(spec, mesh, graph),
-                                        spec.range_kernel.weight,
-                                        spatial_weights(spec, graph, mesh.face_centroids,
-                                                        mesh.face_areas))
-    else:  # the first pass computes every face
-        warnings, dirty, kept = 0, np.ones(len(prev), dtype=bool), graph[3] == 0
-        for _ in range(spec.iterations):
-            prev, dirty = _median_pass(flavour, spec.range_kernel, prev, graph, dirty, kept)
-            warnings += int(np.count_nonzero(kept))
-    return NormalField(prev, zero_weight_warnings=warnings)
+    if flavour in ("mean", "fuzzy_median"):
+        prev, warnings = smooth_normals(
+            prev, spec.iterations, graph,
+            _pair_arguments(spec, mesh, graph) if flavour == "mean" else _fuzzy_argument(graph),
+            spec.range_kernel.weight,
+            spatial_weights(spec, graph, mesh.face_centroids, mesh.face_areas))
+        return NormalField(prev, zero_weight_warnings=warnings)
+    x, slot = _pair_arguments(spec, mesh, graph)
+    dirty = np.ones(len(prev), dtype=bool)  # the first pass computes every face
+    for _ in range(spec.iterations):
+        w = None if flavour == "median" else \
+            _substitute_nan(spec.range_kernel.weight(x(prev))[slot], graph)
+        prev, dirty = _median_pass(prev, graph, dirty, w)
+    # a vector median keeps the normal of each face without a neighbour, and only those
+    return NormalField(prev, spec.iterations * int(np.count_nonzero(graph[3] == 0)))
 
 
 def _initial_normals(mesh, initial):
@@ -390,7 +386,7 @@ def _initial_normals(mesh, initial):
     return prev
 
 
-# Entries of one (m, k, k) array in the median pass: 128 KiB, so a batch
+# Entries of one (m, k, k) array of a median batch: 128 KiB, so a batch
 # stays in cache and its memory does not grow with the square of a large
 # (radius) neighbourhood. At 512 KiB a batch's temporaries were mapped and
 # faulted afresh in a process whose glibc mmap threshold was never raised,
@@ -398,37 +394,40 @@ def _initial_normals(mesh, initial):
 _MEDIAN_BLOCK = 1 << 14
 
 
-def _median_pass(flavour, kernel, prev, graph, dirty, kept):
-    """One pass of the median flavours over the ``dirty`` faces, in batches of one neighbourhood
-    size. The others' neighbourhoods are as when last computed, so they keep their normals and
-    their ``kept`` flag (set in place: no neighbour, or a vanished fuzzy sum). Returns the
-    normals and the next dirty faces: each whose normal or a neighbour's changed its bits."""
-    centers, neighbors, starts, counts = graph
-    new = prev.copy()
-    w = None if flavour != "weighted_median" else _substitute_nan(
-        kernel.weight(pair_distances(prev, centers, neighbors)), centers, starts, counts)
-    for k in np.unique(counts[dirty & (counts > 0)]):
-        group = np.flatnonzero(dirty & (counts == k))
+def _median_pairs(normals, graph, faces, argument, weights=None):
+    """Per face of the mask ``faces`` that has a neighbour, the pair of its
+    :func:`_median_index` of ``argument`` among its neighbours' ``normals`` (the
+    others 0), in batches of one neighbourhood size."""
+    _, neighbors, starts, counts = graph
+    pair = np.zeros(len(counts), dtype=np.intp)
+    for k in np.unique(counts[faces & (counts > 0)]):
+        group = np.flatnonzero(faces & (counts == k))
         for rows in np.array_split(group, math.ceil(len(group) * k * k / _MEDIAN_BLOCK)):
             pairs = starts[rows, None] + np.arange(k)
-            new[rows], kept[rows] = _median_batch(flavour, kernel, prev, rows, neighbors[pairs],
-                                                  None if w is None else w[pairs])
+            pair[rows] = starts[rows] + _median_index(
+                normals, neighbors[pairs], argument, None if weights is None else weights[pairs])
+    return pair
+
+
+def _median_pass(prev, graph, dirty, weights):
+    """One vector median pass, weighted by the pair ``weights``, over the ``dirty`` faces; the
+    others' neighbourhoods are as when last computed, so they keep their normals. Returns the
+    normals and the next dirty faces: each whose normal or a neighbour's changed its bits."""
+    centers, neighbors, _, counts = graph
+    new = prev.copy()
+    dirty &= counts > 0
+    new[dirty] = prev[neighbors[_median_pairs(prev, graph, dirty, "euclidean", weights)[dirty]]]
     dirty = (new.view(np.int64) != prev.view(np.int64)).any(axis=1)  # -0.0, NaN exact
     dirty[centers[dirty[neighbors]]] = True  # and each face with a moved neighbour
     return new, dirty
 
 
-def _median_batch(flavour, kernel, prev, rows, members, w):
-    """New normals of the m faces ``rows`` with neighbourhoods ``members``
-    (m, k), both indices into the normals ``prev``, and, for the weighted
-    median, pair weights ``w`` (m, k); and which of them kept their own
-    normal because the fuzzy median's weighted sum vanished."""
-    pick = np.arange(len(members))
-    if flavour == "fuzzy_median":
-        nvd = members[pick, _directional_median_index(prev, members)]
-        w = kernel.weight(pair_distances(prev, members, nvd[:, None]))
-        return unit_rows((w[:, :, None] * prev[members]).sum(axis=1), prev[rows])
-    return prev[members[pick, _vector_median_index(prev, members, w)]], False
+def _fuzzy_argument(graph):
+    """Shen's fuzzy median as a mean pass: its argument ``(x, ...)`` is each
+    neighbour's distance to the directional median of the neighbourhood."""
+    centers, neighbors, _, counts = graph
+    return (lambda normals: pair_distances(normals, neighbors, neighbors[
+        _median_pairs(normals, graph, counts > 0, "angle")[centers]])), ...
 
 
 def filter_gradient_descent(mesh: TriMesh, spec: FilterSpec, initial=None) -> NormalField:
@@ -436,14 +435,14 @@ def filter_gradient_descent(mesh: TriMesh, spec: FilterSpec, initial=None) -> No
     if not spec.range_kernel.differentiable:
         raise ValueError("gradient descent needs a differentiable kernel")
     prev = _initial_normals(mesh, initial)
-    centers, flat, _, _ = mesh.neighbor_graph(spec.neighborhood)
-    total = graph_sum(index_graph(centers, len(prev)), len(flat))  # centers sorted: diff[p]
+    graph = centers, flat, _, _ = mesh.neighbor_graph(spec.neighborhood)
+    x, slot = _pair_arguments(spec, mesh, graph)
+    total = graph_sum(index_graph(centers, len(prev)), len(flat))  # centers sorted: pair order
     for _ in range(spec.iterations):
-        diff = prev[flat] - prev[centers]
-        x = np.linalg.norm(diff, axis=1)
-        # psi(x) * unit direction == g(x) * (n_j - n_i); exactly 0 when coincident
-        g = np.where(x > 0, spec.range_kernel.weight(x), 0.0)
-        prev = unit_rows(prev + spec.step_lambda * total(g, diff), prev)[0]
+        d = x(prev)[slot]
+        # psi(d) * unit direction == g(d) * (n_j - n_i); exactly 0 when coincident
+        g = np.where(d > 0, spec.range_kernel.weight(d), 0.0)
+        prev = unit_rows(prev + spec.step_lambda * total(g, prev[flat] - prev[centers]), prev)[0]
     return NormalField(prev)
 
 

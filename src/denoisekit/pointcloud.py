@@ -6,7 +6,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .meshcore import (NeighborhoodSpec, Tokens, csr_graph, fail_at, pair_distances,
-                       pair_dots, read_text)
+                       pair_dots, radius_pair_keys, read_text)
 
 
 class PointCloudError(Exception):
@@ -40,31 +40,31 @@ class PointCloud:
         return len(self.points)
 
     def neighbor_graph(self, spec: NeighborhoodSpec):
-        """The kNN graph (by numpy's distance, ties to the lowest index) or radius
-        graph of ``spec``, each point in its own neighbourhood, as the cached CSR
-        arrays of :meth:`TriMesh.neighbor_graph`; other modes or k >= n raise."""
+        """The kNN graph (by numpy's distance, ties to the lowest index) or radius graph
+        (numpy's distance <= radius) of ``spec``, each point in its own neighbourhood, as
+        the cached CSR arrays of :meth:`TriMesh.neighbor_graph`; other modes or k >= n raise."""
         graph = self._graphs.get(spec)
         if graph is None:
-            from scipy.spatial import cKDTree  # loaded on first use, as in the mesh radius mode
             n = len(self.points)
             if spec.mode not in ("knn", "radius") or not spec.include_self:
                 raise ValueError("a point graph needs a knn or radius neighborhood "
                                  "that includes the point itself")
             if spec.mode == "knn" and spec.k >= n:
                 raise ValueError(f"k must be in [1, {n - 1}], got {spec.k}")
-            tree = cKDTree(self.points)
             # key c * n + j encodes the pair (c, j); the self pairs are c * (n + 1)
             if spec.mode == "knn":
-                keys = np.sort(self._knn(tree, spec.k), axis=1) + (np.arange(n) * n)[:, None]
+                keys = np.sort(self._knn(spec.k), axis=1) + (np.arange(n) * n)[:, None]
             else:
-                i, j = tree.query_pairs(spec.radius, output_type="ndarray").T
-                keys = np.sort(np.concatenate([i * n + j, j * n + i, np.arange(n) * (n + 1)]))
+                keys = np.sort(np.concatenate([radius_pair_keys(self.points, spec.radius),
+                                               np.arange(n) * (n + 1)]))
             graph = self._graphs[spec] = csr_graph(keys.ravel(), n, n)
         return graph
 
-    def _knn(self, tree, k: int) -> np.ndarray:
+    def _knn(self, k: int) -> np.ndarray:
         """(n, k + 1): each point and its k nearest. Only rows where the next
         one lies within a hair of the k-th rank the whole ball (at most n)."""
+        from scipy.spatial import cKDTree  # loaded on first use, as by the radius graphs
+        tree = cKDTree(self.points)
         dist, rows = tree.query(self.points, k=k + 2)
         reach = dist[:, k] * (1 + 1e-12) + 1e-300
         tie = np.flatnonzero(dist[:, k + 1] <= reach)

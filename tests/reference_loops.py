@@ -573,11 +573,16 @@ def knn(tree, i, k) -> np.ndarray:
     return cand[order][:k].astype(np.int64)
 
 
-def radius_neighbors(tree, i, r, include_self=False) -> np.ndarray:
+def radius_neighbors(tree, i, r) -> np.ndarray:
+    """The tree's ball around point i, without i: the pairs of the position update."""
     idx = np.array(sorted(tree.query_ball_point(tree.data[i], r)), dtype=np.int64)
-    if not include_self:
-        idx = idx[idx != i]
-    return idx
+    return idx[idx != i]
+
+
+def ball_neighbors(points, i, r) -> np.ndarray:
+    """Every point within numpy's distance r of point i, itself included,
+    ascending: the rule of the point radius graph, by brute force."""
+    return np.flatnonzero(np.linalg.norm(points - points[i], axis=1) <= r)
 
 
 def point_neighborhoods(cloud, spec) -> list[np.ndarray]:
@@ -586,7 +591,7 @@ def point_neighborhoods(cloud, spec) -> list[np.ndarray]:
     out = []
     for i in range(len(cloud)):
         if nb.mode == "radius":
-            idx = radius_neighbors(tree, i, nb.radius, include_self=True)
+            idx = ball_neighbors(cloud.points, i, nb.radius)
         else:
             idx = np.sort(np.append(knn(tree, i, min(nb.k, len(cloud) - 1)), i))
         out.append(idx)

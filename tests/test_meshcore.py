@@ -17,6 +17,7 @@ from denoisekit import (
     make_plane,
     save_mesh,
 )
+from denoisekit import meshcore
 from denoisekit.meshcore import unit_rows
 from conftest import rotation_matrix
 
@@ -299,10 +300,10 @@ def test_neighborhood_spec_validation():
 
 
 def test_mesh_has_no_knn_graph(plane5, monkeypatch):
-    """A knn spec reached the radius branch and ``_radius_pair_keys(None)``."""
-    def no_radius(radius):
+    """A knn spec reached the radius branch and ``radius_pair_keys(c, None)``."""
+    def no_radius(positions, radius):
         raise AssertionError("radius graph built")
-    monkeypatch.setattr(plane5, "_radius_pair_keys", no_radius)
+    monkeypatch.setattr(meshcore, "radius_pair_keys", no_radius)
     knn = NeighborhoodSpec("knn", k=4)
     with pytest.raises(ValueError, match="a mesh has no knn neighbourhood"):
         plane5.neighbor_graph(knn)

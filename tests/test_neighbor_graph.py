@@ -481,23 +481,27 @@ def test_median_skip_matches_reference_from_drawn_initial(mesh, mode, include_se
 
 
 def median_work(monkeypatch, mesh, spec):
-    """Run the filter and return, per median pass, its normals in, its
-    normals out and the faces it computed, in order."""
+    """Run the filter and return, per pass that takes medians, its normals
+    in, its normals out and the faces whose median it computed, in order:
+    those of the mask it gave ``_median_pairs`` that have a neighbour, each
+    one row of a batch."""
     passes = []
-    run_pass, run_batch = meshfilter._median_pass, meshfilter._median_batch
+    run_pairs, run_index = meshfilter._median_pairs, meshfilter._median_index
 
-    def median_pass(flavour, kernel, prev, *rest):
-        passes.append([prev, None, []])
-        passes[-1][1], dirty = run_pass(flavour, kernel, prev, *rest)
-        return passes[-1][1], dirty
+    def median_pairs(normals, graph, faces, *rest):
+        passes.append([normals, None, np.flatnonzero(faces & (graph[3] > 0)).tolist(), 0])
+        return run_pairs(normals, graph, faces, *rest)
 
-    def median_batch(flavour, kernel, prev, rows, *rest):
-        passes[-1][2] += rows.tolist()
-        return run_batch(flavour, kernel, prev, rows, *rest)
+    def median_index(normals, members, *rest):
+        passes[-1][3] += len(members)
+        return run_index(normals, members, *rest)
 
-    monkeypatch.setattr(meshfilter, "_median_pass", median_pass)
-    monkeypatch.setattr(meshfilter, "_median_batch", median_batch)
-    filter_normals(mesh, spec)
+    monkeypatch.setattr(meshfilter, "_median_pairs", median_pairs)
+    monkeypatch.setattr(meshfilter, "_median_index", median_index)
+    out = filter_normals(mesh, spec).normals
+    for this, after in zip(passes, passes[1:] + [[out]]):
+        this[1] = after[0]
+        assert this.pop() == len(this[2])
     return passes
 
 
@@ -505,7 +509,7 @@ def moved_faces(before, after):
     return (before.view(np.uint64) != after.view(np.uint64)).any(axis=1)
 
 
-@pytest.mark.parametrize("method", MEDIANS)
+@pytest.mark.parametrize("method", ["yagou_median", "yagou_weighted_median"])
 def test_median_passes_compute_only_faces_whose_neighbourhood_moved(monkeypatch, method):
     """The first pass computes every face; pass t + 1 exactly those whose
     normal or a neighbour's moved in pass t, so none after a pass that moved
@@ -524,6 +528,20 @@ def test_median_passes_compute_only_faces_whose_neighbourhood_moved(monkeypatch,
             assert moved.any() or not rows
         if method == "yagou_median" and include_self:
             assert not passes[-1][2]
+
+
+def test_fuzzy_median_passes_compute_every_face(monkeypatch):
+    """Shen's fuzzy median is a mean pass whose argument is each neighbour's
+    distance to the directional median: every pass takes the median of every
+    face that has a neighbour, whether or not its neighbourhood moved."""
+    mesh = with_far_face(add_noise(make_cube(4), 0.3, 42))
+    for include_self in (True, False):
+        nb = NeighborhoodSpec("shared_vertex", include_self=include_self)
+        passes = median_work(monkeypatch, mesh,
+                             preset("shen_fuzzy_median", neighborhood=nb, iterations=5))
+        faces = np.flatnonzero(mesh.neighbor_graph(nb)[3] > 0).tolist()
+        assert len(faces) == len(mesh.faces) - (not include_self)
+        assert [rows for _, _, rows in passes] == [faces] * 5
 
 
 def test_median_passes_stop_on_the_noise_free_cube(monkeypatch):

@@ -75,8 +75,7 @@ def assert_graph_matches(points, k, radius):
     want = [np.sort(np.append(ref.knn(tree, i, k), i)) for i in range(len(points))]
     for got, row in zip(graph_rows(cloud, knn(k)), want):
         assert np.array_equal(got, row)
-    want = [ref.radius_neighbors(tree, i, radius, include_self=True)
-            for i in range(len(points))]
+    want = [ref.ball_neighbors(points, i, radius) for i in range(len(points))]
     for got, row in zip(graph_rows(cloud, ball(radius)), want):
         assert np.array_equal(got, row)
 
@@ -95,6 +94,16 @@ def assert_filters_match(cloud, iterations=3, **size):
 @pytest.mark.parametrize("k, radius", [(1, 0.125), (4, 0.25), (12, 0.375)])
 def test_graph_matches_reference(shape, k, radius):
     assert_graph_matches(CLOUDS[shape](), k, radius)
+
+
+def test_radius_pair_at_exactly_the_radius_is_kept():
+    """Two points whose numpy distance is the radius are neighbours, as two
+    faces are; the tree's own distance rounds above it."""
+    points = np.array([[0.1257302210933933, -0.1321048632913019, 0.6404226504432821],
+                       [0.10490011715303971, -0.535669373161111, 0.36159505490948474]])
+    radius = 0.4909613374674059
+    assert np.linalg.norm(points[0] - points[1]) == radius
+    assert PointCloud(points).neighbor_graph(ball(radius))[3].tolist() == [2, 2]
 
 
 def test_knn_ties_go_to_the_lowest_index():
