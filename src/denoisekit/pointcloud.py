@@ -94,9 +94,9 @@ def estimate_normals_pca(cloud: PointCloud, k: int,
     oriented toward +z. ``orient_to`` instead flips each normal toward the
     given reference directions (benchmark use).
 
-    The covariances, ``eigh`` and the flip walk's dots are BLAS and LAPACK
-    calls, so this is the one stage whose last bits may depend on the BLAS
-    kernel the process picks.
+    The covariances and ``eigh`` are BLAS and LAPACK calls, so this is the
+    one stage whose last bits may depend on the BLAS kernel the process
+    picks; the orientation's dots are ``pair_dots``.
     """
     if k < 3:
         raise ValueError("k must be >= 3")
@@ -129,17 +129,25 @@ def estimate_normals_pca(cloud: PointCloud, k: int,
     graph = graph.maximum(graph.T)
     mst = minimum_spanning_tree(graph)
 
-    # a point's sign follows its tree parent's, so flip in depth-first order
+    # a point's sign is its tree parent's times their dot's, or +1 where the dot is 0 (a
+    # root of its own); pointer doubling multiplies the relative signs up to the roots
     ncomp, labels = connected_components(graph, directed=False)
+    anc, sign = np.arange(n), np.ones(n)
     for comp in range(ncomp):
         members = np.flatnonzero(labels == comp)
         seed = members[np.argmax(pts[members, 2])]
         if normals[seed, 2] < 0:
             normals[seed] *= -1
         order, parent = depth_first_order(mst, seed, directed=False)
-        for j in order[1:]:
-            if np.dot(normals[parent[j]], normals[j]) < 0:
-                normals[j] *= -1
+        kids = order[1:]
+        d = pair_dots(normals, parent[kids], kids)
+        anc[kids] = np.where(d == 0, kids, parent[kids])
+        sign[kids] = np.where(d < 0, -1.0, 1.0)
+    up = anc[anc]
+    while not np.array_equal(up, anc):  # O(log depth) steps
+        sign *= sign[anc]
+        anc, up = up, up[up]
+    normals *= sign[:, None]
     return normals
 
 
@@ -161,6 +169,10 @@ def load_xyz(path) -> PointCloud:
 
 
 def save_xyz(cloud: PointCloud, path) -> None:
-    columns = [cloud.points] if cloud.normals is None else [cloud.points, cloud.normals]
-    np.savetxt(path, np.hstack(columns), fmt="%.9g")
+    """Write "x y z [nx ny nz]" lines with 9 significant digits in one formatted
+    write, the bytes of ``np.savetxt(path, rows, fmt="%.9g")``."""
+    rows = cloud.points if cloud.normals is None else np.hstack([cloud.points, cloud.normals])
+    line = " ".join(["%.9g"] * rows.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
 

@@ -14,11 +14,6 @@ from .meshfilter import PRESET, FilterSpec, pair_argument, smooth_normals, spati
 from .pointcloud import PointCloud
 
 
-def _gauss(x, sigma):
-    """The position update's distance weight exp(-x²/σ²), of peak 1: not a kernel's g."""
-    return np.exp(-(x * x) / (sigma * sigma))
-
-
 def filter_point_normals(cloud: PointCloud, spec: FilterSpec) -> np.ndarray:
     """The method's row of ``PRESET`` run by ``smooth_normals`` on the kNN or
     radius graph, each point in its own neighbourhood. With the "auto" range
@@ -46,9 +41,9 @@ def filter_point_normals(cloud: PointCloud, spec: FilterSpec) -> np.ndarray:
     return smooth_normals(prev, spec.iterations, graph, (x, slot), kernel.weight, spatial)[0]
 
 
-# Pairs per block of the position update (at least): 96 KiB per float
-# temporary of a block, so a large radius does not multiply the memory.
-_PAIR_BLOCK = 1 << 12
+# Pairs per block of the position update: 128 KiB per float temporary of a
+# block, so a large radius does not multiply the memory.
+_PAIR_BLOCK = 1 << 14
 
 
 def default_radius(cloud: PointCloud) -> float:
@@ -85,25 +80,28 @@ def update_point_positions(cloud: PointCloud, filtered_normals,
 
 
 def _position_step(pts, n, radius):
-    """One iteration over the point pairs within ``radius``, in blocks: the
-    new points, and how many stay for want of a neighbour or of weight. The
+    """One iteration over the pairs whose ``pair_distances`` is at most ``radius``, as in
+    the radius graphs, in blocks of 1-D columns, each pair end weighed by exp(-(d² + h²)/σ²):
+    the new points, and how many stay for want of a neighbour or of weight. The
     pairs are freed on return, before the next iteration queries its own."""
     from scipy.spatial import cKDTree  # loaded on first use, as by the point graphs
     sigma = radius / 3.0  # of the spatial and the plane-distance Gaussian alike
-    pairs = cKDTree(pts).query_pairs(radius, output_type="ndarray")
-    num = np.zeros(len(pts))
-    denom = np.zeros(len(pts))
-    # at least n pairs a block, so the bincounts do not outweigh the pairs
-    block = max(_PAIR_BLOCK, len(pts))
-    for lo in range(0, len(pairs), block):
-        i, j = pairs[lo:lo + block].T
-        rel = pts[j] - pts[i]
-        near = _gauss(np.linalg.norm(rel, axis=1), sigma)
-        for c, r in ((i, rel), (j, -rel)):  # each pair moves both its points
-            h = np.einsum("ij,ij->i", r, n[c])
-            w = near * _gauss(np.abs(h), sigma)
+    # the tree may round distances differently: candidates from a slightly
+    # larger ball, weighed 0 where numpy puts them beyond the radius
+    pairs = cKDTree(pts).query_pairs(radius * (1.0 + 1e-9), output_type="ndarray")
+    pos, (nx, ny, nz) = pts.T.copy(), n.T.copy()
+    num, denom = np.zeros((2, len(pts)))
+    for lo in range(0, len(pairs), _PAIR_BLOCK):
+        i, j = pairs[lo:lo + _PAIR_BLOCK].T
+        dx, dy, dz = (col.take(j) - col.take(i) for col in pos)
+        d2 = dx * dx + dy * dy + dz * dz
+        far = np.sqrt(d2) > radius
+        for c, sign in ((i, 1.0), (j, -1.0)):  # each pair moves both its points
+            h = dx * nx.take(c) + dy * ny.take(c) + dz * nz.take(c)
+            w = np.exp(-(d2 + h * h) / (sigma * sigma))
+            w[far] = 0.0
             denom += np.bincount(c, weights=w, minlength=len(pts))
-            num += np.bincount(c, weights=w * h, minlength=len(pts))
+            num += sign * np.bincount(c, weights=w * h, minlength=len(pts))
     ok = denom > 1e-300
     new = np.where(ok[:, None], pts + (num / np.where(ok, denom, 1.0))[:, None] * n, pts)
     return new, int(np.count_nonzero(~ok))

@@ -573,16 +573,17 @@ def knn(tree, i, k) -> np.ndarray:
     return cand[order][:k].astype(np.int64)
 
 
-def radius_neighbors(tree, i, r) -> np.ndarray:
-    """The tree's ball around point i, without i: the pairs of the position update."""
-    idx = np.array(sorted(tree.query_ball_point(tree.data[i], r)), dtype=np.int64)
-    return idx[idx != i]
-
-
 def ball_neighbors(points, i, r) -> np.ndarray:
     """Every point within numpy's distance r of point i, itself included,
     ascending: the rule of the point radius graph, by brute force."""
     return np.flatnonzero(np.linalg.norm(points - points[i], axis=1) <= r)
+
+
+def radius_neighbors(points, i, r) -> np.ndarray:
+    """The ball of the radius graph around point i, without i: the pairs of
+    the position update."""
+    idx = ball_neighbors(points, i, r)
+    return idx[idx != i]
 
 
 def point_neighborhoods(cloud, spec) -> list[np.ndarray]:
@@ -650,7 +651,7 @@ def estimate_normals_pca(cloud, k, orient_to=None) -> np.ndarray:
             i = stack.pop()
             for j in mst.indices[mst.indptr[i]:mst.indptr[i + 1]]:
                 if not visited[j]:
-                    if np.dot(normals[i], normals[j]) < 0:
+                    if dot(normals[i], normals[j]) < 0:
                         normals[j] *= -1
                     visited[j] = True
                     stack.append(int(j))
@@ -739,10 +740,9 @@ def update_point_positions(cloud, filtered_normals, radius, iterations) -> tuple
     pts = cloud.points.copy()
     warnings = 0
     for _ in range(iterations):
-        tree = cKDTree(pts)
         new = pts.copy()
         for i in range(len(pts)):
-            idx = radius_neighbors(tree, i, radius)
+            idx = radius_neighbors(pts, i, radius)
             if len(idx) == 0:
                 warnings += 1
                 continue

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -17,6 +17,7 @@ from denoisekit import (
     add_noise,
     estimate_normals_pca,
     filter_point_normals,
+    pointfilter,
     update_point_positions,
 )
 from denoisekit.bench import _noise_displacements
@@ -96,14 +97,27 @@ def test_graph_matches_reference(shape, k, radius):
     assert_graph_matches(CLOUDS[shape](), k, radius)
 
 
+# two points whose numpy distance is the radius; the tree's own distance rounds above it
+AT_RADIUS = np.array([[0.1257302210933933, -0.1321048632913019, 0.6404226504432821],
+                      [0.10490011715303971, -0.535669373161111, 0.36159505490948474]])
+RADIUS = 0.4909613374674059
+
+
 def test_radius_pair_at_exactly_the_radius_is_kept():
-    """Two points whose numpy distance is the radius are neighbours, as two
-    faces are; the tree's own distance rounds above it."""
-    points = np.array([[0.1257302210933933, -0.1321048632913019, 0.6404226504432821],
-                       [0.10490011715303971, -0.535669373161111, 0.36159505490948474]])
-    radius = 0.4909613374674059
-    assert np.linalg.norm(points[0] - points[1]) == radius
-    assert PointCloud(points).neighbor_graph(ball(radius))[3].tolist() == [2, 2]
+    """The two points are neighbours, as two faces are."""
+    assert np.linalg.norm(AT_RADIUS[0] - AT_RADIUS[1]) == RADIUS
+    assert PointCloud(AT_RADIUS).neighbor_graph(ball(RADIUS))[3].tolist() == [2, 2]
+
+
+def test_position_update_keeps_a_pair_at_exactly_the_radius():
+    """The position update takes the radius graph's pairs: each point of the
+    pair moves, and none counts as an empty neighbourhood."""
+    cloud = with_normals(AT_RADIUS)
+    got, warn = update_point_positions(cloud, cloud.normals, radius=RADIUS)
+    want, want_warn = ref.update_point_positions(cloud, cloud.normals, RADIUS, 1)
+    assert warn == want_warn == 0
+    assert not np.array_equal(got, AT_RADIUS)
+    assert np.max(np.abs(got - want)) < TOLERANCE
 
 
 def test_knn_ties_go_to_the_lowest_index():
@@ -132,6 +146,51 @@ def test_pca_normals_match_reference(points, orient):
     for k in (3, 6, 12):
         got = estimate_normals_pca(cloud, k, orient_to=ref_dir)
         assert np.array_equal(got, ref.estimate_normals_pca(cloud, k, orient_to=ref_dir))
+
+
+def folded_sheet(nx, ny, rho):
+    """A unit grid in the plane z = 0 curled over a half cylinder of radius
+    rho into the plane z = 2 rho, and a strip in the plane x = -1/2 below the
+    bottom grid's edge x = 0 (spacing 1/4 along y, 2/5 down). With k = 3 each
+    strip point's neighbours lie in the strip, so its PCA normal is exactly
+    +x, and those of an edge point of the bottom grid are three strip points
+    at z = 0, so its normal is exactly +z: the tree joins the strip by an
+    edge whose dot is exactly 0, to a bottom point whose sign the curl flips."""
+    x, y = (c.ravel() for c in np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij"))
+    bottom = np.column_stack([x, y, np.zeros(len(x))]).astype(float)
+    m = math.ceil(math.pi * rho)
+    turn, yc = (c.ravel() for c in np.meshgrid(np.arange(1, m) * math.pi / m, np.arange(ny),
+                                                indexing="ij"))
+    curl = np.column_stack([nx - 1 + rho * np.sin(turn), yc, rho - rho * np.cos(turn)])
+    ys, zs = (c.ravel() for c in np.meshgrid(np.arange(-2, 4 * ny + 1) / 4, -np.arange(3) * 0.4,
+                                             indexing="ij"))
+    strip = np.column_stack([np.full(len(ys), -0.5), ys, zs])
+    return np.vstack([bottom + [0, 0, 2 * rho], curl, bottom, strip])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(8, 40), st.integers(0, 2**32 - 1)), min_size=1, max_size=4),
+       st.sampled_from([3, 4, 6]),
+       st.one_of(st.none(), st.tuples(st.integers(3, 5), st.integers(2, 5),
+                                      st.sampled_from([1.5, 2.0, 2.5]))))
+@example([(30, 1), (12, 2)], 3, (4, 4, 1.5))  # both seeds' normals point down
+def test_random_cloud_orientation_matches_reference(clusters, k, sheet):
+    """Clusters 100 apart, each its own component, and maybe a folded sheet
+    (with k = 3): the tree walk and pointer doubling give the loop's bits.
+    The strip keeps its +x normals although its parent on the sheet is flipped
+    to -z, as the loop's `dot < 0` leaves a child with a zero dot unflipped."""
+    parts = [np.random.Generator(np.random.Philox(key=seed)).normal(size=(m, 3))
+             for m, seed in clusters]
+    if sheet is not None:
+        k = 3
+        parts.append(folded_sheet(*sheet))
+    cloud = PointCloud(np.vstack([p + [100.0 * c, 0, 0] for c, p in enumerate(parts)]))
+    got = estimate_normals_pca(cloud, k)
+    assert np.array_equal(got, ref.estimate_normals_pca(cloud, k))
+    if sheet is not None:
+        strip = cloud.points[:, 0] == 100.0 * len(clusters) - 0.5
+        edge = (cloud.points[:, 0] == 100.0 * len(clusters)) & (cloud.points[:, 2] == 0)
+        assert (got[strip] == [1, 0, 0]).all() and (got[edge] == [0, 0, -1]).all()
 
 
 def test_pca_rank_deficiency_matches_reference():
@@ -166,6 +225,28 @@ def test_cloud_noise_is_bit_identical(shape):
         noisy = add_noise(PointCloud(points), 0.3, 11).points
         sigma = 0.3 * ref.noise_spacing(points)
         assert np.array_equal(noisy, points + _noise_displacements(len(points), sigma, 11))
+
+
+def test_position_update_with_duplicated_points_matches_reference():
+    """Pairs at distance 0 weigh 1 in space, and a pile of five points at the
+    origin moves together."""
+    cloud = with_normals(duplicates())
+    got, got_warn = update_point_positions(cloud, cloud.normals, radius=0.3, iterations=3)
+    want, want_warn = ref.update_point_positions(cloud, cloud.normals, 0.3, 3)
+    assert got_warn == want_warn
+    assert np.max(np.abs(got - want)) < TOLERANCE
+
+
+@pytest.mark.parametrize("block", [1000, 1 << 20])
+def test_position_update_does_not_depend_on_the_block(monkeypatch, block):
+    """About 45,000 pairs: 46 blocks of 1,000, three of the default size or
+    one. Only the order of the per-block sums moves, by at most 1e-15."""
+    cloud = with_normals(add_noise(PointCloud(sphere(2000)), 0.3, 42).points)
+    want, want_warn = update_point_positions(cloud, cloud.normals, radius=0.3, iterations=2)
+    monkeypatch.setattr(pointfilter, "_PAIR_BLOCK", block)
+    got, got_warn = update_point_positions(cloud, cloud.normals, radius=0.3, iterations=2)
+    assert got_warn == want_warn
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_position_update_memory_is_bounded():
@@ -204,9 +285,12 @@ def test_random_cloud_graph_matches_reference(cloud, k, radius):
 
 @settings(max_examples=30, deadline=None)
 @given(small_clouds(), st.sampled_from([{"k": 3}, {"k": 8}, {"radius": 1.0}]))
+@example(with_normals(AT_RADIUS), {"radius": RADIUS})
 def test_random_cloud_filters_match_reference(cloud, size):
+    """The position update runs at the neighbourhood's radius, or at 1.0."""
     assert_filters_match(cloud, iterations=2, **size)
-    got = update_point_positions(cloud, cloud.normals, radius=1.0, iterations=2)
-    want = ref.update_point_positions(cloud, cloud.normals, 1.0, 2)
+    radius = size.get("radius", 1.0)
+    got = update_point_positions(cloud, cloud.normals, radius=radius, iterations=2)
+    want = ref.update_point_positions(cloud, cloud.normals, radius, 2)
     assert got[1] == want[1]
     assert np.max(np.abs(got[0] - want[0])) < TOLERANCE

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from denoisekit import NeighborhoodSpec, PointCloud, estimate_normals_pca, load_xyz, save_xyz
 from denoisekit.pointcloud import PointCloudError, RankDeficientNeighborhood
@@ -202,6 +204,28 @@ def test_xyz_roundtrip_with_normals(tmp_path):
     save_xyz(c, p)
     c2 = load_xyz(p)
     assert np.max(np.abs(c.normals - c2.normals)) < 1e-8
+
+
+COORDINATES = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300]),
+                        st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.lists(COORDINATES, min_size=6 * n,
+                                                     max_size=6 * n)), st.booleans())
+@example([], True)  # no points, an empty (0, 3) array of normals
+@example([-0.0, 1e-300, 1e300, 0.0, -0.0, -1e300], True)
+def test_save_xyz_writes_the_bytes_of_savetxt(tmp_path_factory, values, normals):
+    """One formatted write gives the bytes of ``np.savetxt`` row by row, with
+    and without normals (the normals as the cloud holds them, unit or zero)."""
+    a = np.array(values, dtype=float).reshape(-1, 6)
+    with np.errstate(over="ignore"):  # the extent and the norms of 1e300 overflow
+        cloud = PointCloud(a[:, :3], a[:, 3:] if normals else None)
+    got, want = (tmp_path_factory.getbasetemp() / name for name in ("got.xyz", "want.xyz"))
+    save_xyz(cloud, got)
+    np.savetxt(want, cloud.points if cloud.normals is None
+               else np.hstack([cloud.points, cloud.normals]), fmt="%.9g")
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_xyz_bad_columns(tmp_path):
