@@ -81,6 +81,8 @@ def _spec(args, methods) -> FilterSpec:
                               radius=args.radius)
     elif args.neighborhood is not None:
         raise CliError("--neighborhood applies to meshes; a point cloud takes --k or --radius")
+    elif args.k is not None and args.k < 1:
+        raise CliError(f"--k must be >= 1, got {args.k}")
     elif args.radius is None:
         nb = NeighborhoodSpec("knn", k=args.k or 12)
     else:
@@ -260,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="meshes: shared-vertex (default) | shared-edge | radius")
     p.add_argument("--radius", type=float, default=None)
     p.add_argument("--k", type=int, default=None,
-                   help="point clouds: kNN size (default 12), also of the PCA normals")
+                   help="point clouds: kNN size (default 12); the PCA normals use max(k, 3)")
     p.add_argument("--iters", type=int, default=20, help="normal filtering passes")
     p.add_argument("--vertex-iters", type=int, default=30,
                    help="vertex/point update iterations")

@@ -189,9 +189,6 @@ class TriMesh:
         _, neighbors, _, counts = self.neighbor_graph(spec)
         return _split(neighbors, counts)
 
-    def is_edge_manifold(self) -> bool:
-        return not np.any(self._edge_face_count > 2)
-
     def require_edge_manifold(self) -> None:
         """Raise NonManifoldError if an edge has more than two faces."""
         bad = np.flatnonzero(self._edge_face_count > 2)
@@ -268,18 +265,20 @@ def _read_only(arrays):
     return arrays
 
 
+def tree_pairs(positions: np.ndarray, radius: float) -> np.ndarray:
+    """The (m, 2) pairs i < j in a k-d tree ball a hair wider than ``radius``: the tree may
+    round distances differently, so callers keep those with :func:`pair_distances` <= radius."""
+    from scipy.spatial import cKDTree  # loaded on first use: no edge or vertex graph needs it
+    return cKDTree(positions).query_pairs(radius * (1.0 + 1e-9), output_type="ndarray")
+
+
 def radius_pair_keys(positions: np.ndarray, radius: float) -> np.ndarray:
     """Keys ``i * n + j`` of the pairs i != j of the n ``positions`` whose
     :func:`pair_distances` is at most ``radius``, each pair both ways round."""
-    from scipy.spatial import cKDTree  # loaded on first use: no edge or vertex graph needs it
     n = len(positions)
     finite = np.flatnonzero(np.isfinite(positions).all(axis=1))  # NaN is near nothing
-    # the tree may round distances differently: take candidates from a
-    # slightly larger ball, then keep those numpy puts within the radius
-    pairs = cKDTree(positions[finite]).query_pairs(radius * (1.0 + 1e-9), output_type="ndarray")
-    i, j = finite[pairs[:, 0]], finite[pairs[:, 1]]
-    near = pair_distances(positions, j, i) <= radius
-    i, j = i[near], j[near]
+    pairs = finite[tree_pairs(positions[finite], radius)]
+    i, j = pairs[pair_distances(positions, pairs[:, 1], pairs[:, 0]) <= radius].T
     return np.concatenate([i * n + j, j * n + i])
 
 
@@ -578,8 +577,19 @@ def _load_ply(text: str):
     return xyz, fan(t.numbers(_runs(t.start[f] + 1, n), np.int64, "bad face index"), n)
 
 
+# Rows per formatted write: bounds the text and the Python numbers held at once.
+_WRITE_BLOCK = 1 << 10
+
+
+def write_rows(fh, line: str, rows: np.ndarray) -> None:
+    """Write ``line % tuple(row)`` for each row, one formatted write per block of rows."""
+    for lo in range(0, len(rows), _WRITE_BLOCK):
+        block = rows[lo:lo + _WRITE_BLOCK]
+        fh.write(line * len(block) % tuple(block.ravel().tolist()))
+
+
 def save_mesh(mesh: TriMesh, path) -> None:
     """Write ASCII OBJ with 9 significant digits and 1-based faces."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("v %.9g %.9g %.9g\n" * len(mesh.vertices) % tuple(mesh.vertices.ravel().tolist()))
-        fh.write("f %d %d %d\n" * len(mesh.faces) % tuple((mesh.faces + 1).ravel().tolist()))
+        write_rows(fh, "v %.9g %.9g %.9g\n", mesh.vertices)
+        write_rows(fh, "f %d %d %d\n", mesh.faces + 1)

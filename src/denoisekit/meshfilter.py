@@ -136,65 +136,6 @@ class FilterSpec:
             kw.setdefault("neighborhood", NeighborhoodSpec("knn", k=12))
         return cls(method=method, **kw)
 
-    # ---- flat key=value serialization -------------------------------
-    TEXT_KEYS = ("method", "kernel", "sigma", "box_floor", "sigma_d", "neighborhood",
-                 "radius", "include_self", "k", "iterations", "lambda", "argument",
-                 "guidance_threshold")
-
-    def to_text(self) -> str:
-        nb, kernel = self.neighborhood, self.range_kernel
-        kind, sigma, floor = ("auto", "auto", 0.0) if kernel == "auto" else \
-            (kernel.kind, kernel.sigma, kernel.box_floor)
-        values = (self.method, kind, sigma, floor, self.spatial_sigma, nb.mode, nb.radius,
-                  str(nb.include_self).lower(), nb.k, self.iterations, self.step_lambda,
-                  self.argument, self.guidance_threshold)
-        return "".join(f"{k}={'none' if v is None else v}\n"
-                       for k, v in zip(self.TEXT_KEYS, values))
-
-    @classmethod
-    def from_text(cls, text: str) -> "FilterSpec":
-        kv = _key_values(text, cls.TEXT_KEYS, required=("method", "kernel", "sigma"))
-        kernel = "auto" if kv["sigma"] == "auto" else Kernel(
-            kv["kernel"], float(kv["sigma"]), box_floor=float(kv.get("box_floor", 0.0)))
-        nb = NeighborhoodSpec(kv.get("neighborhood", "shared_vertex"),
-                              _text_value(kv.get("radius", "none")),
-                              kv.get("include_self", "true") == "true",
-                              _text_value(kv.get("k", "none"), int))
-        return cls(
-            method=kv["method"],
-            range_kernel=kernel,
-            neighborhood=nb,
-            spatial_sigma=_text_value(kv.get("sigma_d", "none")),
-            iterations=int(kv.get("iterations", 1)),
-            step_lambda=float(kv.get("lambda", 1.0)),
-            argument=kv.get("argument", "euclidean"),
-            guidance_threshold=float(kv.get("guidance_threshold", math.radians(60.0))),
-        )
-
-
-def _key_values(text: str, keys, required) -> dict:
-    """The ``key=value`` lines of a spec text; blank and ``#`` lines are
-    skipped, and a key not in ``keys``, or a missing ``required`` one, is an error."""
-    kv = {}
-    for ln, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if line and not line.startswith("#"):
-            k, eq, v = (part.strip() for part in line.partition("="))
-            if not eq:
-                raise ValueError(f"line {ln}: expected key=value")
-            if k not in keys:
-                raise ValueError(f"line {ln}: unknown key {k!r}")
-            kv[k] = v
-    for k in required:
-        if k not in kv:
-            raise ValueError(f"missing key {k!r}")
-    return kv
-
-
-def _text_value(text: str, convert=float):
-    """A spec-text value: None for "none", "auto" as it is, else convert(text)."""
-    return None if text == "none" else text if text == "auto" else convert(text)
-
 
 @dataclass
 class NormalField:

@@ -6,7 +6,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .meshcore import (NeighborhoodSpec, Tokens, csr_graph, fail_at, pair_distances,
-                       pair_dots, radius_pair_keys, read_text)
+                       pair_dots, radius_pair_keys, read_text, write_rows)
 
 
 class PointCloudError(Exception):
@@ -91,8 +91,9 @@ def estimate_normals_pca(cloud: PointCloud, k: int,
     covariance of the point plus its k nearest neighbors. Orientation is
     propagated along a minimum spanning tree of the kNN graph weighted by
     1 - |n_i . n_j|, seeded per connected component at the maximal-z point
-    oriented toward +z. ``orient_to`` instead flips each normal toward the
-    given reference directions (benchmark use).
+    (the lowest index on ties) oriented toward +z, in one depth-first walk of the
+    forest. ``orient_to`` instead flips each normal toward the given reference
+    directions (benchmark use).
 
     The covariances and ``eigh`` are BLAS and LAPACK calls, so this is the
     one stage whose last bits may depend on the BLAS kernel the process
@@ -127,22 +128,23 @@ def estimate_normals_pca(cloud: PointCloud, k: int,
     vals = 1.0 - np.abs(pair_dots(normals, rows, cols)) + 1e-12
     graph = csr_matrix((vals, (rows, cols)), shape=(n, n))
     graph = graph.maximum(graph.T)
-    mst = minimum_spanning_tree(graph)
 
-    # a point's sign is its tree parent's times their dot's, or +1 where the dot is 0 (a
-    # root of its own); pointer doubling multiplies the relative signs up to the roots
+    # one walk from a virtual node n joined to each component's seed. A point's sign is its
+    # tree parent's times their dot's, or +1 where the dot is 0 or the parent is n (a root
+    # of its own); pointer doubling multiplies the relative signs up to the roots
     ncomp, labels = connected_components(graph, directed=False)
+    by_height = np.lexsort((-pts[:, 2], labels))
+    seeds = by_height[np.searchsorted(labels[by_height], np.arange(ncomp))]
+    normals[seeds[normals[seeds, 2] < 0]] *= -1
+    forest = minimum_spanning_tree(graph)
+    forest.resize(n + 1, n + 1)
+    forest += csr_matrix((np.ones(ncomp), (np.full(ncomp, n), seeds)), shape=forest.shape)
+    order, parent = depth_first_order(forest, n, directed=False)
+    kids = order[1:][parent[order[1:]] < n]
+    d = pair_dots(normals, parent[kids], kids)
     anc, sign = np.arange(n), np.ones(n)
-    for comp in range(ncomp):
-        members = np.flatnonzero(labels == comp)
-        seed = members[np.argmax(pts[members, 2])]
-        if normals[seed, 2] < 0:
-            normals[seed] *= -1
-        order, parent = depth_first_order(mst, seed, directed=False)
-        kids = order[1:]
-        d = pair_dots(normals, parent[kids], kids)
-        anc[kids] = np.where(d == 0, kids, parent[kids])
-        sign[kids] = np.where(d < 0, -1.0, 1.0)
+    anc[kids] = np.where(d == 0, kids, parent[kids])
+    sign[kids] = np.where(d < 0, -1.0, 1.0)
     up = anc[anc]
     while not np.array_equal(up, anc):  # O(log depth) steps
         sign *= sign[anc]
@@ -169,10 +171,9 @@ def load_xyz(path) -> PointCloud:
 
 
 def save_xyz(cloud: PointCloud, path) -> None:
-    """Write "x y z [nx ny nz]" lines with 9 significant digits in one formatted
-    write, the bytes of ``np.savetxt(path, rows, fmt="%.9g")``."""
+    """Write "x y z [nx ny nz]" lines with 9 significant digits through
+    :func:`write_rows`, the bytes of ``np.savetxt(path, rows, fmt="%.9g")``."""
     rows = cloud.points if cloud.normals is None else np.hstack([cloud.points, cloud.normals])
-    line = " ".join(["%.9g"] * rows.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
+        write_rows(fh, " ".join(["%.9g"] * rows.shape[1]) + "\n", rows)
 

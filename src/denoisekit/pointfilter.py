@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 
 from .kernels import Kernel
-from .meshcore import graph_sum, unit_rows
+from .meshcore import graph_sum, tree_pairs, unit_rows
 from .meshfilter import PRESET, FilterSpec, pair_argument, smooth_normals, spatial_weights
 from .pointcloud import PointCloud
 
@@ -84,11 +84,8 @@ def _position_step(pts, n, radius):
     the radius graphs, in blocks of 1-D columns, each pair end weighed by exp(-(d² + h²)/σ²):
     the new points, and how many stay for want of a neighbour or of weight. The
     pairs are freed on return, before the next iteration queries its own."""
-    from scipy.spatial import cKDTree  # loaded on first use, as by the point graphs
     sigma = radius / 3.0  # of the spatial and the plane-distance Gaussian alike
-    # the tree may round distances differently: candidates from a slightly
-    # larger ball, weighed 0 where numpy puts them beyond the radius
-    pairs = cKDTree(pts).query_pairs(radius * (1.0 + 1e-9), output_type="ndarray")
+    pairs = tree_pairs(pts, radius)  # weighed 0 where numpy puts them beyond the radius
     pos, (nx, ny, nz) = pts.T.copy(), n.T.copy()
     num, denom = np.zeros((2, len(pts)))
     for lo in range(0, len(pairs), _PAIR_BLOCK):

@@ -47,7 +47,7 @@ def test_icosphere_volume():
 
 def test_wedge_watertight():
     m = make_wedge()
-    assert m.is_edge_manifold()
+    m.require_edge_manifold()
     assert all(len(fs) == 2 for fs in m.edge_faces)
     assert abs(m.volume() - 0.96) < 1e-12
 

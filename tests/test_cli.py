@@ -349,6 +349,19 @@ def test_denoise_flag_of_the_other_domain(tmp_path, capsys, kind, flag, value, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("mode", [[], ["--radius", "0.5"]], ids=["knn", "radius"])
+def test_denoise_cloud_k_below_1(tmp_path, capsys, mode, value):
+    """A cloud's --k below 1 exits 2 and writes nothing, in kNN and radius
+    mode alike: --k 0 ran with the default k of 12."""
+    src, method, out = noisy_input(tmp_path, "cloud")
+    code = run("denoise", "--input", str(src), "--method", method, *mode, "--k", value,
+               "--iters", "3", "--output", str(out))
+    assert code == 2
+    assert f"error: --k must be >= 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_denoise_cloud_k_sizes_pca_in_radius_mode(tmp_path):
     """With --radius, a cloud's --k still sizes the PCA neighbourhood of
     the normals it estimates."""

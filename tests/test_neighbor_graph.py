@@ -104,7 +104,11 @@ def assert_topology_matches(mesh):
     assert mesh.edge_faces == topo["edge_faces"]
     assert_graph_holds(mesh.vertex_graph, len(mesh.vertices), topo["vertex_ring"])
     assert_same_lists(mesh.face_adjacency_vertex, topo["face_adjacency_vertex"])
-    assert mesh.is_edge_manifold() == all(len(fs) <= 2 for fs in topo["edge_faces"])
+    if all(len(fs) <= 2 for fs in topo["edge_faces"]):
+        mesh.require_edge_manifold()
+    else:
+        with pytest.raises(NonManifoldError):
+            mesh.require_edge_manifold()
     for spec in all_specs(mesh):
         want = ref.neighbor_lists(mesh, spec)
         assert_same_lists(mesh.neighbor_lists(spec), want)

@@ -1,9 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse.csgraph
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from denoisekit import NeighborhoodSpec, PointCloud, estimate_normals_pca, load_xyz, save_xyz
+import reference_loops as ref
+from denoisekit import (NeighborhoodSpec, PointCloud, add_noise, estimate_normals_pca,
+                        load_xyz, make_cube, save_mesh, save_xyz)
+from denoisekit import meshcore
 from denoisekit.pointcloud import PointCloudError, RankDeficientNeighborhood
 from conftest import ball, knn, rotation_matrix
 
@@ -158,6 +164,20 @@ def test_pca_two_clusters():
     assert len(set(np.sign(n[40:, 2]))) == 1
 
 
+def test_pca_orients_every_component_in_one_walk(monkeypatch):
+    """One depth-first walk of the spanning forest, not one per component,
+    with the loop's bits."""
+    pts = sphere_cloud(30).points
+    cloud = PointCloud(np.vstack([pts, pts + [100, 0, 0], pts + [0, 100, 0]]))
+    want = ref.estimate_normals_pca(cloud, 5)
+    calls = []
+    walk = scipy.sparse.csgraph.depth_first_order
+    monkeypatch.setattr(scipy.sparse.csgraph, "depth_first_order",
+                        lambda *a, **kw: calls.append(a) or walk(*a, **kw))
+    assert np.array_equal(estimate_normals_pca(cloud, 5), want)
+    assert len(calls) == 1
+
+
 def test_pca_orient_to_reference():
     c = sphere_cloud(100)
     radial = c.points / np.linalg.norm(c.points, axis=1)[:, None]
@@ -226,6 +246,39 @@ def test_save_xyz_writes_the_bytes_of_savetxt(tmp_path_factory, values, normals)
     np.savetxt(want, cloud.points if cloud.normals is None
                else np.hstack([cloud.points, cloud.normals]), fmt="%.9g")
     assert got.read_bytes() == want.read_bytes()
+
+
+def test_save_xyz_memory_is_bounded(tmp_path):
+    """50,000 points with normals: the stacked rows take 2.3 MiB, and the
+    text and the Python floats of one block of rows little more. The whole
+    file's text and floats at once held over 17 MiB."""
+    rng = np.random.Generator(np.random.Philox(key=6))
+    cloud = PointCloud(rng.normal(size=(50_000, 3)), rng.normal(size=(50_000, 3)))
+    tracemalloc.start()
+    try:
+        save_xyz(cloud, tmp_path / "c.xyz")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+
+
+def test_writers_give_the_same_bytes_in_blocks_of_3(tmp_path, monkeypatch):
+    """Rows spanning several blocks give the bytes of ``np.savetxt``, block
+    by block, for the OBJ's vertices and faces and the XYZ's rows."""
+    mesh = add_noise(make_cube(3), 0.3, 42)
+    rng = np.random.Generator(np.random.Philox(key=7))
+    cloud = PointCloud(mesh.vertices, rng.normal(size=mesh.vertices.shape))
+    want = tmp_path / "want"
+    with open(want, "wb") as fh:
+        np.savetxt(fh, mesh.vertices, fmt="v %.9g %.9g %.9g")
+        np.savetxt(fh, mesh.faces + 1, fmt="f %d %d %d")
+    np.savetxt(tmp_path / "want.xyz", np.hstack([cloud.points, cloud.normals]), fmt="%.9g")
+    monkeypatch.setattr(meshcore, "_WRITE_BLOCK", 3)
+    save_mesh(mesh, tmp_path / "got.obj")
+    save_xyz(cloud, tmp_path / "got.xyz")
+    assert (tmp_path / "got.obj").read_bytes() == want.read_bytes()
+    assert (tmp_path / "got.xyz").read_bytes() == (tmp_path / "want.xyz").read_bytes()
 
 
 def test_xyz_bad_columns(tmp_path):
