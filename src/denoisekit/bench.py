@@ -136,19 +136,21 @@ def make_wedge(scale: float = 1.0, n: int = 4) -> TriMesh:
                    np.concatenate([walls.ravel(), caps.ravel()]))
 
 
-SHAPE_KINDS = ("cube", "plane", "icosphere", "wedge")
+# a builder per shape kind, from (n, scale); "fandisk-like" is the wedge
+SHAPES = {
+    "cube": make_cube,
+    "plane": make_plane,
+    "icosphere": make_icosphere,
+    "wedge": lambda n, scale: make_wedge(scale, n),
+    "fandisk-like": lambda n, scale: make_wedge(scale, n),
+}
+SHAPE_KINDS = tuple(SHAPES)
 
 
 def make_shape(kind: str, n: int = 4, scale: float = 1.0) -> TriMesh:
     check_positive("scale", scale)
-    if kind == "cube":
-        return make_cube(n, scale)
-    if kind == "plane":
-        return make_plane(n, scale)
-    if kind == "icosphere":
-        return make_icosphere(n, scale)
-    if kind in ("wedge", "fandisk-like"):
-        return make_wedge(scale, n)
+    if kind in SHAPES:
+        return SHAPES[kind](n, scale)
     raise ValueError(f"unknown shape {kind!r}; valid: {SHAPE_KINDS}")
 
 

@@ -37,6 +37,9 @@ POINT_METHODS_CLI = tuple(m.replace("_", "-") for m in POINT_METHODS)
 ANGLE_SIGMA_METHODS = {m.replace("_", "-") for m, row in PRESET.items()
                        if row.argument in ("angle", "angle_per_distance")}
 
+# a mesh's --neighborhood modes; experiment takes the first two, having no --radius
+MESH_NEIGHBORHOODS = ("shared-vertex", "shared-edge", "radius")
+
 # the mesh presets with a pinned kernel
 EXPERIMENT_METHODS = tuple(m.replace("_", "-") for m in METHODS if PRESET[m].kind is not None)
 
@@ -77,8 +80,11 @@ def _spec(args, methods) -> FilterSpec:
     if row.domain == "mesh":
         if args.k is not None:
             raise CliError("--k sizes a point cloud's neighbourhood; a mesh takes none")
-        nb = NeighborhoodSpec((args.neighborhood or "shared-vertex").replace("-", "_"),
-                              radius=args.radius)
+        mode = (args.neighborhood or "shared-vertex").replace("_", "-")
+        if mode not in MESH_NEIGHBORHOODS:
+            raise CliError(f"--neighborhood on a mesh is one of {', '.join(MESH_NEIGHBORHOODS)}; "
+                           f"got {args.neighborhood!r}")
+        nb = NeighborhoodSpec(mode.replace("-", "_"), radius=args.radius)
     elif args.neighborhood is not None:
         raise CliError("--neighborhood applies to meshes; a point cloud takes --k or --radius")
     elif args.k is not None and args.k < 1:
@@ -231,8 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("make-shape", help="generate a synthetic benchmark shape")
-    p.add_argument("--kind", required=True,
-                   help="cube | plane | icosphere | wedge | fandisk-like")
+    p.add_argument("--kind", required=True, help=" | ".join(bench.SHAPE_KINDS))
     p.add_argument("--n", type=int, default=4,
                    help="vertices per edge (cube/plane/wedge) or subdivision level (icosphere)")
     p.add_argument("--scale", type=float, default=1.0)
@@ -259,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="kernel kind for the generic/gradient-descent methods")
     p.add_argument("--box-floor", type=float, default=0.0)
     p.add_argument("--neighborhood", default=None,
-                   help="meshes: shared-vertex (default) | shared-edge | radius")
+                   help=f"meshes: {' | '.join(MESH_NEIGHBORHOODS)} (default shared-vertex)")
     p.add_argument("--radius", type=float, default=None)
     p.add_argument("--k", type=int, default=None,
                    help="point clouds: kNN size (default 12); the PCA normals use max(k, 3)")
@@ -301,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=0.35)
     p.add_argument("--sigma-deg", type=float, default=30.0,
                    help="sigma for angle-argument methods, degrees")
-    p.add_argument("--neighborhood", default="shared-vertex")
+    p.add_argument("--neighborhood", default="shared-vertex", choices=MESH_NEIGHBORHOODS[:2])
     p.add_argument("--iters", type=int, default=20)
     p.add_argument("--vertex-iters", type=int, default=30)
     p.add_argument("--step", type=float, default=1.0)

@@ -4,42 +4,78 @@ Each kernel is a triple of an error norm ``rho``, its derivative (the
 influence function) ``psi`` and the per-neighbor weight ``g = psi(x)/x``.
 All functions are vectorized over numpy arrays and accept plain floats.
 
-Only ``g`` is written out per kind; ``psi`` is ``x * g``. The L1 and
-truncated-L1 kernels have no defined influence/weight at x = 0; those
-evaluations return NaN, and ``meshfilter._substitute_nan`` is the one fill:
-it gives them the largest other weight of the neighbourhood, in the mean and
-the weighted-median passes alike.
+Every kind is one row of ``NORMS``: its ``rho`` and ``g``, and whether its
+influence redescends and whether it is undefined at 0. ``KERNEL_KINDS``,
+``REDESCENDING_KINDS`` and ``UNDEFINED_AT_ZERO`` are read from the table.
+``psi`` is ``x * g``. The L1 and truncated-L1 kernels have no defined
+influence/weight at x = 0; those evaluations return NaN, and
+``meshfilter._substitute_nan`` is the one fill: it gives them the largest
+other weight of the neighbourhood, in the mean and the weighted-median
+passes alike.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
-KERNEL_KINDS = (
-    "l2",
-    "truncated_l2",
-    "l1",
-    "truncated_l1",
-    "huber",
-    "lorentzian",
-    "gaussian",
-    "tukey",
-    "box",
-    "centin_rational",
-)
 
-# kinds whose influence function vanishes for large arguments: tukey and
+def _inverse(x):
+    """1/x, NaN at 0: the L1 family's g."""
+    return np.where(x > 0, 1.0 / np.where(x > 0, x, 1.0), np.nan)
+
+
+def _tukey_rho(x, s, b):
+    u2 = (x / s) ** 2
+    return np.where(x < s, u2 - u2 * u2 + u2 ** 3 / 3.0, 1.0 / 3.0)
+
+
+def _centin_rho(x, s, b):
+    # integral of x' g(x') with the rational tail beyond sigma
+    t = (x - s) / s
+    tail = 0.5 * s * s + 0.5 * s * s * np.log1p(np.where(x > s, t, 0.0) ** 2) \
+        + s * s * np.arctan(np.where(x > s, t, 0.0))
+    return np.where(x < s, 0.5 * x * x, tail)
+
+
+# A row per kernel kind: rho(x, sigma, box_floor) and g(x, sigma, box_floor);
+# whether psi redescends (vanishes for large arguments: tukey and
 # truncated_l1 reach 0 at sigma, gaussian decays exponentially, and
-# lorentzian and centin_rational vanish only like 1/x (2 sigma^2/x and
-# sigma^2/x), so their psi is still about 1-3% of its peak at 100 sigma
-REDESCENDING_KINDS = ("truncated_l1", "lorentzian", "gaussian", "tukey", "centin_rational")
-
-# kinds where psi/g are undefined at x = 0
-UNDEFINED_AT_ZERO = ("l1", "truncated_l1")
+# lorentzian and centin_rational vanish only like 1/x, 2 sigma^2/x and
+# sigma^2/x, so their psi is still about 1-3% of its peak at 100 sigma); and
+# whether psi and g are undefined at x = 0. The box's rho is the integral of
+# x' g(x') with g = 1 inside sigma and box_floor outside.
+Norm = namedtuple("Norm", "rho g redescending undefined_at_zero")
+NORMS = {kind: Norm(*row) for kind, row in {
+    "l2": (lambda x, s, b: x * x, lambda x, s, b: np.full_like(x, 2.0), False, False),
+    "truncated_l2": (lambda x, s, b: np.where(x < math.sqrt(s), x * x, s),
+                     lambda x, s, b: np.where(x < math.sqrt(s), 2.0, 0.0), False, False),
+    "l1": (lambda x, s, b: np.abs(x), lambda x, s, b: _inverse(x), False, True),
+    "truncated_l1": (lambda x, s, b: np.minimum(np.abs(x), s),
+                     lambda x, s, b: np.where(x >= s, 0.0, _inverse(x)), True, True),
+    "huber": (lambda x, s, b: np.where(x < s, x * x / (2.0 * s) + s / 2.0, np.abs(x)),
+              lambda x, s, b: np.where(x < s, 1.0 / s, 1.0 / np.where(x > 0, x, 1.0)),
+              False, False),
+    "lorentzian": (lambda x, s, b: np.log1p(0.5 * (x / s) ** 2),
+                   lambda x, s, b: (1.0 / s ** 2) / (1.0 + 0.5 * (x / s) ** 2), True, False),
+    "gaussian": (lambda x, s, b: 1.0 - np.exp(-((x / s) ** 2)),
+                 lambda x, s, b: (2.0 / s ** 2) * np.exp(-((x / s) ** 2)), True, False),
+    "tukey": (_tukey_rho,
+              lambda x, s, b: np.where(x < s, 2.0 / s ** 2 * (1.0 - (x / s) ** 2) ** 2, 0.0),
+              True, False),
+    "box": (lambda x, s, b: np.where(x <= s, 0.5 * x * x, 0.5 * (b * x * x + (1.0 - b) * s * s)),
+            lambda x, s, b: np.where(x <= s, 1.0, b), False, False),
+    "centin_rational": (_centin_rho,
+                        lambda x, s, b: np.where(x < s, 1.0, s ** 2 / ((s - x) ** 2 + s ** 2)),
+                        True, False),
+}.items()}
+KERNEL_KINDS = tuple(NORMS)
+REDESCENDING_KINDS = tuple(kind for kind, norm in NORMS.items() if norm.redescending)
+UNDEFINED_AT_ZERO = tuple(kind for kind, norm in NORMS.items() if norm.undefined_at_zero)
 
 
 @dataclass(frozen=True)
@@ -56,7 +92,7 @@ class Kernel:
     box_floor: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in KERNEL_KINDS:
+        if self.kind not in NORMS:
             raise ValueError(f"unknown kernel kind {self.kind!r}; valid: {KERNEL_KINDS}")
         if not (0 < self.sigma < math.inf):
             raise ValueError(f"kernel sigma must be finite and > 0, got {self.sigma}")
@@ -67,17 +103,17 @@ class Kernel:
                 finite = np.isfinite(self.weight([0.0, self.sigma])).all()
         except ZeroDivisionError:
             finite = False
-        if not (finite or self.kind in UNDEFINED_AT_ZERO):
+        if not (finite or NORMS[self.kind].undefined_at_zero):
             raise ValueError(f"kernel sigma {self.sigma!r} is too small: its weight is not finite")
 
     @property
     def differentiable(self) -> bool:
         """True when psi is defined everywhere on [0, inf)."""
-        return self.kind not in UNDEFINED_AT_ZERO
+        return not NORMS[self.kind].undefined_at_zero
 
     def rho(self, x):
         """Error norm. Non-decreasing on [0, inf)."""
-        return _rho(self, np.asarray(x, dtype=float))
+        return NORMS[self.kind].rho(np.asarray(x, dtype=float), self.sigma, self.box_floor)
 
     def psi(self, x):
         """Influence function rho'(x) = x g(x). NaN at x = 0 for the L1 family."""
@@ -86,69 +122,7 @@ class Kernel:
 
     def weight(self, x):
         """Anisotropic weight g(x) = psi(x)/x, with the analytic limit at 0."""
-        return _weight(self, np.asarray(x, dtype=float))
-
-
-def _rho(k: Kernel, x):
-    s = k.sigma
-    if k.kind == "l2":
-        return x * x
-    if k.kind == "truncated_l2":
-        return np.where(x < math.sqrt(s), x * x, s)
-    if k.kind == "l1":
-        return np.abs(x)
-    if k.kind == "truncated_l1":
-        return np.minimum(np.abs(x), s)
-    if k.kind == "huber":
-        return np.where(x < s, x * x / (2.0 * s) + s / 2.0, np.abs(x))
-    if k.kind == "lorentzian":
-        return np.log1p(0.5 * (x / s) ** 2)
-    if k.kind == "gaussian":
-        return 1.0 - np.exp(-((x / s) ** 2))
-    if k.kind == "tukey":
-        u2 = (x / s) ** 2
-        return np.where(x < s, u2 - u2 * u2 + u2 ** 3 / 3.0, 1.0 / 3.0)
-    if k.kind == "box":
-        # integral of x' g(x') with g = 1 inside, box_floor outside
-        b = k.box_floor
-        inside = 0.5 * x * x
-        outside = 0.5 * (b * x * x + (1.0 - b) * s * s)
-        return np.where(x <= s, inside, outside)
-    if k.kind == "centin_rational":
-        # integral of x' g(x') with the rational tail beyond sigma
-        t = (x - s) / s
-        tail = 0.5 * s * s + 0.5 * s * s * np.log1p(np.where(x > s, t, 0.0) ** 2) \
-            + s * s * np.arctan(np.where(x > s, t, 0.0))
-        return np.where(x < s, 0.5 * x * x, tail)
-    raise AssertionError(k.kind)
-
-
-def _weight(k: Kernel, x):
-    s = k.sigma
-    if k.kind == "l2":
-        return np.full_like(x, 2.0)
-    if k.kind == "truncated_l2":
-        return np.where(x < math.sqrt(s), 2.0, 0.0)
-    if k.kind == "l1":
-        with np.errstate(divide="ignore"):
-            return np.where(x > 0, 1.0 / np.where(x > 0, x, 1.0), np.nan)
-    if k.kind == "truncated_l1":
-        inv = np.where(x > 0, 1.0 / np.where(x > 0, x, 1.0), np.nan)
-        return np.where(x >= s, 0.0, inv)
-    if k.kind == "huber":
-        return np.where(x < s, 1.0 / s, 1.0 / np.where(x > 0, x, 1.0))
-    if k.kind == "lorentzian":
-        return (1.0 / s ** 2) / (1.0 + 0.5 * (x / s) ** 2)
-    if k.kind == "gaussian":
-        return (2.0 / s ** 2) * np.exp(-((x / s) ** 2))
-    if k.kind == "tukey":
-        w = (1.0 - (x / s) ** 2) ** 2
-        return np.where(x < s, 2.0 / s ** 2 * w, 0.0)
-    if k.kind == "box":
-        return np.where(x <= s, 1.0, k.box_floor)
-    if k.kind == "centin_rational":
-        return np.where(x < s, 1.0, s ** 2 / ((s - x) ** 2 + s ** 2))
-    raise AssertionError(k.kind)
+        return NORMS[self.kind].g(np.asarray(x, dtype=float), self.sigma, self.box_floor)
 
 
 @dataclass

@@ -26,7 +26,7 @@ def filter_point_normals(cloud: PointCloud, spec: FilterSpec) -> np.ndarray:
     if cloud.normals is None:
         raise ValueError("cloud has no normals; estimate them first")
     prev = cloud.normals.copy()
-    if row.flavour is None or not len(prev):
+    if row.flavour is None or len(prev) < 2:  # a lone point's only neighbour is itself
         return prev
     nb = spec.neighborhood
     graph = cloud.neighbor_graph(replace(nb, k=min(nb.k, len(cloud) - 1)) if nb.k else nb)
@@ -59,8 +59,8 @@ def update_point_positions(cloud: PointCloud, filtered_normals,
 
     The offset is the weighted mean of the plane-distances of neighbors,
     with a Gaussian spatial weight (sigma_d = r/3) and a Gaussian weight on
-    the plane distance itself (sigma = r/3 by default, matching the
-    equal-radii heuristic). ``iterations`` steps are taken; a spec only
+    the plane distance itself (sigma = r/3 too, the equal-radii
+    heuristic). ``iterations`` steps are taken; a spec only
     supplies the radius of a radius neighbourhood. Returns (new points,
     empty-neighborhood count).
     """

@@ -10,7 +10,7 @@ import pytest
 from denoisekit import (FilterSpec, NonManifoldError, PointCloud, TriMesh, add_noise, denoise_mesh,
                         load_mesh, load_xyz, make_cube, make_shape, save_mesh, save_xyz,
                         update_vertices)
-from denoisekit import cli
+from denoisekit import bench, cli
 from denoisekit.cli import main
 from denoisekit.meshfilter import METHODS, POINT_METHODS
 
@@ -36,6 +36,21 @@ def test_make_shape(tmp_path):
 def test_make_shape_bad_kind(tmp_path):
     code = run("make-shape", "--kind", "torus", "--out", str(tmp_path / "t.obj"))
     assert code == 1
+
+
+def test_make_shape_every_listed_kind(tmp_path, capsys):
+    """Every kind of the shape table builds, and the help and the error of
+    an unknown kind list all five: the error named four, leaving out the
+    fandisk-like kind that it accepted."""
+    assert bench.SHAPE_KINDS == ("cube", "plane", "icosphere", "wedge", "fandisk-like")
+    for kind in bench.SHAPE_KINDS:
+        out = tmp_path / f"{kind}.obj"
+        assert run("make-shape", "--kind", kind, "--n", "3", "--out", str(out)) == 0
+        assert len(load_mesh(out).faces) > 0
+    assert run("make-shape", "--help") == 0
+    assert " | ".join(bench.SHAPE_KINDS) in " ".join(capsys.readouterr().out.split())
+    assert run("make-shape", "--kind", "torus", "--out", str(tmp_path / "t.obj")) == 1
+    assert f"valid: {bench.SHAPE_KINDS}" in capsys.readouterr().err
 
 
 def test_add_noise_zero_is_identity(cube_obj, tmp_path):
@@ -336,11 +351,14 @@ def noisy_input(tmp_path, kind, method=None):
     ("mesh", "--k", "12", "--k sizes a point cloud's neighbourhood; a mesh takes none"),
     ("cloud", "--neighborhood", "shared-edge", "--neighborhood applies to meshes"),
     ("cloud", "--neighborhood", "shared-vertex", "--neighborhood applies to meshes"),
+    ("mesh", "--neighborhood", "knn",
+     "--neighborhood on a mesh is one of shared-vertex, shared-edge, radius; got 'knn'"),
 ])
 def test_denoise_flag_of_the_other_domain(tmp_path, capsys, kind, flag, value, message):
     """A mesh's --k and a cloud's --neighborhood exit 2 and write nothing,
     even at the value that was the default: both were ignored, and the
-    output was the one written without them."""
+    output was the one written without them. So does a mesh's --neighborhood
+    knn, the point clouds' mode, which exited 1 with the message of an unset k."""
     src, method, out = noisy_input(tmp_path, kind)
     code = run("denoise", "--input", str(src), "--method", method, flag, value,
                "--iters", "3", "--output", str(out))
@@ -360,6 +378,22 @@ def test_denoise_cloud_k_below_1(tmp_path, capsys, mode, value):
     assert code == 2
     assert f"error: --k must be >= 1, got {value}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_denoise_one_point_cloud_keeps_its_normals(tmp_path):
+    """A one-point cloud with normals runs in kNN mode as with --radius: its
+    only neighbour is itself. kNN mode exited 1, because k was clamped to 0."""
+    src = tmp_path / "one.xyz"
+    src.write_text("0.1 0.2 0.3 0.6 0.8 0\n")
+    outs = []
+    for mode in ([], ["--radius", "0.5"]):
+        out, report = tmp_path / f"o{len(mode)}.xyz", tmp_path / f"r{len(mode)}.json"
+        assert run("denoise", "--input", str(src), "--method", "li-bilateral", *mode,
+                   "--vertex-iters", "1", "--output", str(out), "--ground-truth", str(src),
+                   "--report", str(report)) == 0
+        assert json.loads(report.read_text())["warnings"] == {"empty_neighborhoods": 1}
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_denoise_cloud_k_sizes_pca_in_radius_mode(tmp_path):
@@ -583,6 +617,17 @@ def test_experiment_fandisk_like_is_the_wedge(tmp_path):
 def test_experiment_unknown_method(tmp_path):
     assert run("experiment", "--preset", "plane", "--noise", "0.2", "--seed", "1",
                "--methods", "nope", "--out", str(tmp_path / "e")) == 2
+
+
+@pytest.mark.parametrize("mode", ["radius", "knn"])
+def test_experiment_neighborhood_without_radius(tmp_path, capsys, mode):
+    """experiment has no --radius or --k, so --neighborhood takes only the
+    shared modes: radius and knn exited 1 after parsing, as neither could run."""
+    out = tmp_path / "exp"
+    assert run("experiment", "--preset", "plane", "--noise", "0.2", "--seed", "1",
+               "--neighborhood", mode, "--out", str(out)) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_experiment_unknown_preset(tmp_path):

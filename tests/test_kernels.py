@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -210,6 +211,57 @@ def test_rho_plateaus_bounded():
     assert np.all(Kernel("tukey", 1.0).rho(xs) <= 1.0 / 3.0 + 1e-15)
     assert np.all(Kernel("truncated_l2", 0.8).rho(xs) <= 0.8 + 1e-15)
     assert np.all(Kernel("truncated_l1", 0.8).rho(xs) <= 0.8 + 1e-15)
+
+
+# sha256 of rho, psi and g of each kind over ``kernel_bits``'s grid, taken from
+# the if-chains that the table of kinds replaced
+KERNEL_DIGESTS = {
+    "l2": "61639b538ab886543b6d492ba6612cb629517dd5909417b31326cccfb51cd89a",
+    "truncated_l2": "a79008d7749ffc9dd967cf411e381c6d8fae0598361c7f2f22e2088d33ac7126",
+    "l1": "999a4e1b4fd4fe034fbdb3b43f75fc9e444f220cdd6a4efb9f315437715510ea",
+    "truncated_l1": "7cff0908fef2dc413a423cacaf62c292d793a3a3d19c67efafd091a747f33102",
+    "huber": "c6b2f5dd5932e50bffb02caad033871be1ae8a862d6b56a0a6f4ca2199a4e431",
+    "lorentzian": "cc835d969b05e9d68fd7b3a6a48d0355d134abf88d9e40f8a07542e9bf680c33",
+    "gaussian": "8b1fd5a8781a4cd28f9ee619a8cdcc04829dbee4d42d129639fddb4b8009fc7d",
+    "tukey": "930414eab4153bab137ca5a2fbce8dad382fb44c3235cd3ecf4231094a0f627e",
+    "box": "a68df8fb9a7a15ee2af37a832f683e6230a63db324dc39d5ad05c2d256f8b55a",
+    "centin_rational": "af24f98474a2fe492358d6e84d90e16fdf263ef62cdfa28cc3d21db6307e3f77",
+}
+
+
+def kernel_bits(kind):
+    """sha256 over rho, psi and g at sigma 0.35, 1, 1e-5 and 3 (the box at
+    floors 0 and 0.1), on 0, -0, the smallest subnormal, the breakpoints
+    sqrt(sigma) and sigma with their float neighbours, a grid up to 4 sigma,
+    1e300, inf and NaN."""
+    h = hashlib.sha256()
+    for sigma in (0.35, 1.0, 1e-5, 3.0):
+        for floor in ((0.0, 0.1) if kind == "box" else (0.0,)):
+            k = Kernel(kind, sigma, box_floor=floor)
+            marks = [math.sqrt(sigma), sigma]
+            xs = np.array([0.0, -0.0, 5e-324, *marks, *np.nextafter(marks, 0.0),
+                           *np.nextafter(marks, math.inf), *np.linspace(0.0, 4.0 * sigma, 41),
+                           1e300, math.inf, math.nan])
+            with np.errstate(all="ignore"):
+                for v in (k.rho(xs), k.psi(xs), k.weight(xs)):
+                    h.update(np.ascontiguousarray(v, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_kernel_bits_pinned(kind):
+    """Every bit of rho, psi and g, NaNs, infinities and signed zeros
+    included; the other kernel tests compare within tolerances."""
+    assert kernel_bits(kind) == KERNEL_DIGESTS[kind]
+
+
+def test_kind_tuples_pinned():
+    """The kinds and their two properties, in the table's order."""
+    assert KERNEL_KINDS == ("l2", "truncated_l2", "l1", "truncated_l1", "huber", "lorentzian",
+                            "gaussian", "tukey", "box", "centin_rational")
+    assert REDESCENDING_KINDS == ("truncated_l1", "lorentzian", "gaussian", "tukey",
+                                  "centin_rational")
+    assert UNDEFINED_AT_ZERO == ("l1", "truncated_l1")
 
 
 def test_redescending_classification():
