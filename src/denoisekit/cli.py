@@ -209,6 +209,8 @@ def _cmd_experiment(args) -> int:
     else:  # fork: the workers inherit the modules, both meshes and the graph; only specs are sent
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
+
+        import scipy.sparse  # noqa: F401  (imported once here, not once per worker)
         with ProcessPoolExecutor(workers, mp_context=get_context("fork"),
                                  initializer=_start_worker, initargs=(score,)) as pool:
             results = list(pool.map(_score_in_worker, specs))
@@ -267,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"meshes: {' | '.join(MESH_NEIGHBORHOODS)} (default shared-vertex)")
     p.add_argument("--radius", type=float, default=None)
     p.add_argument("--k", type=int, default=None,
-                   help="point clouds: kNN size (default 12); the PCA normals use max(k, 3)")
+                   help="point clouds: kNN size (default 12); the PCA normals use max(k, 3), "
+                        "at most the point count - 1")
     p.add_argument("--iters", type=int, default=20, help="normal filtering passes")
     p.add_argument("--vertex-iters", type=int, default=30,
                    help="vertex/point update iterations")

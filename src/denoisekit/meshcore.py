@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 
 class MeshError(Exception):
@@ -305,6 +304,7 @@ def graph_sum(graph, n_rows: int):
     ``n_rows`` rows giving per center ``sum_p w[p] * rows[neighbors[p]]``, added
     in pair order from zero as by ``np.add.at``: one sparse product, built
     once, whose data each call replaces by the weights (broadcast to the pairs)."""
+    from scipy.sparse import csr_matrix  # loaded on first use: only the filters and updates sum
     _, neighbors, starts, counts = graph
     op = csr_matrix((np.zeros(len(neighbors)), neighbors, np.append(starts, len(neighbors))),
                     shape=(len(counts), n_rows))

@@ -372,7 +372,8 @@ def _fuzzy_argument(graph):
 
 
 def filter_gradient_descent(mesh: TriMesh, spec: FilterSpec, initial=None) -> NormalField:
-    """Minimize the robust energy by explicit per-normal gradient steps."""
+    """Minimize the robust energy by explicit per-normal gradient steps of size lambda,
+    capped at 1 / sum_j g_ij on the faces where lambda * sum_j g_ij > 1."""
     if not spec.range_kernel.differentiable:
         raise ValueError("gradient descent needs a differentiable kernel")
     prev = _initial_normals(mesh, initial)
@@ -383,7 +384,11 @@ def filter_gradient_descent(mesh: TriMesh, spec: FilterSpec, initial=None) -> No
         d = x(prev)[slot]
         # psi(d) * unit direction == g(d) * (n_j - n_i); exactly 0 when coincident
         g = np.where(d > 0, spec.range_kernel.weight(d), 0.0)
-        prev = unit_rows(prev + spec.step_lambda * total(g, prev[flat] - prev[centers]), prev)[0]
+        # past lambda * sum_j g_ij = 1 the step overshoots the weighted mean: cap it there
+        gsum = np.bincount(centers, g, len(prev))
+        cap = spec.step_lambda * gsum > 1
+        step = np.where(cap, 1.0 / np.where(cap, gsum, 1.0), spec.step_lambda)[:, None]
+        prev = unit_rows(prev + step * total(g, prev[flat] - prev[centers]), prev)[0]
     return NormalField(prev)
 
 

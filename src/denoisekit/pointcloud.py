@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .meshcore import (NeighborhoodSpec, Tokens, csr_graph, fail_at, pair_distances,
                        pair_dots, radius_pair_keys, read_text, write_rows)
@@ -93,15 +92,18 @@ def estimate_normals_pca(cloud: PointCloud, k: int,
     1 - |n_i . n_j|, seeded per connected component at the maximal-z point
     (the lowest index on ties) oriented toward +z, in one depth-first walk of the
     forest. ``orient_to`` instead flips each normal toward the given reference
-    directions (benchmark use).
+    directions (benchmark use). A k of n or more is taken as n - 1.
 
     The covariances and ``eigh`` are BLAS and LAPACK calls, so this is the
     one stage whose last bits may depend on the BLAS kernel the process
     picks; the orientation's dots are ``pair_dots``.
     """
+    n = len(cloud)
+    if n < 4:
+        raise ValueError(f"PCA normals need at least 4 points, got {n}")
     if k < 3:
         raise ValueError("k must be >= 3")
-    n = len(cloud)
+    k = min(k, n - 1)  # as the point filters clamp theirs
     pts = cloud.points
     centers, neighbors, _, _ = cloud.neighbor_graph(NeighborhoodSpec("knn", k=k))
     rows = neighbors.reshape(n, k + 1)
@@ -120,6 +122,7 @@ def estimate_normals_pca(cloud: PointCloud, k: int,
         normals[flip] *= -1
         return normals
 
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components, depth_first_order, minimum_spanning_tree
 
     # symmetric kNN graph with angular-agreement weights

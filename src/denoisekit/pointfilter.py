@@ -62,7 +62,8 @@ def update_point_positions(cloud: PointCloud, filtered_normals,
     the plane distance itself (sigma = r/3 too, the equal-radii
     heuristic). ``iterations`` steps are taken; a spec only
     supplies the radius of a radius neighbourhood. Returns (new points,
-    empty-neighborhood count).
+    empty-neighborhood count), the count summed over the iterations: a point
+    that stays for want of a neighbour or of weight counts once per iteration.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")

@@ -321,7 +321,11 @@ def filter_normals(mesh, spec) -> np.ndarray:
             contrib = np.where((x > 0)[:, None], g[:, None] * diff, 0.0)
             step = np.zeros_like(prev)
             np.add.at(step, centers, contrib)
-            new = prev + spec.step_lambda * step
+            gsum = np.zeros(len(prev))
+            np.add.at(gsum, centers, np.where(x > 0, g, 0.0))
+            lam = np.array([1.0 / s if spec.step_lambda * s > 1 else spec.step_lambda
+                            for s in gsum])
+            new = prev + lam[:, None] * step
             nrm = np.linalg.norm(new, axis=1)
             ok = nrm > 1e-12
             prev = np.where(ok[:, None], new / np.where(ok, nrm, 1.0)[:, None], prev)

@@ -409,6 +409,34 @@ def test_denoise_cloud_k_sizes_pca_in_radius_mode(tmp_path):
     assert outs[0] != outs[1]
 
 
+@pytest.mark.parametrize("mode", [[], ["--radius", "1"]], ids=["knn", "radius"])
+def test_denoise_small_cloud_clamps_the_pca_k(tmp_path, mode):
+    """A 10-point cloud without normals runs at the default k, in kNN and radius
+    mode alike: the PCA's k is clamped to 9 as the filter's is, so the output is
+    that of --k 9. It exited 1 with "k must be in [1, 9], got 12"."""
+    src = tmp_path / "ten.xyz"
+    save_xyz(PointCloud(np.random.default_rng(3).normal(size=(10, 3))), src)
+    outs = []
+    for k in ([], ["--k", "9"]):
+        out = tmp_path / f"k{len(k)}.xyz"
+        assert run("denoise", "--input", str(src), "--method", "li-bilateral", *mode, *k,
+                   "--iters", "2", "--vertex-iters", "1", "--output", str(out)) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_denoise_cloud_too_small_for_pca(tmp_path, capsys, n):
+    """A cloud of fewer than 4 points without normals exits 1, saying that PCA
+    needs 4 points, and writes nothing."""
+    src, out = tmp_path / "few.xyz", tmp_path / "out.xyz"
+    save_xyz(PointCloud(np.random.default_rng(3).normal(size=(n, 3))), src)
+    assert run("denoise", "--input", str(src), "--method", "li-bilateral",
+               "--output", str(out)) == 1
+    assert f"error: PCA normals need at least 4 points, got {n}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_denoise_sigma_d_reaches_a_unilateral_mesh_row(tmp_path):
     """tasdizen weighs centroid distances when --sigma-d is set: the OBJ
     differs from the one without it (it was the same bytes) and is the

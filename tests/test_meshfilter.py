@@ -18,6 +18,7 @@ from denoisekit import (
     guidance_normals,
     make_cube,
     make_plane,
+    update_vertices,
     vector_directional_median,
     vector_median,
 )
@@ -252,6 +253,31 @@ def test_constant_field_fixed_point(method, plane5):
     spec = preset(method, iterations=2)
     out = filter_normals(plane5, spec).normals
     assert max_angle(out, plane5.face_normals) < 1e-9
+
+
+UNIT = st.floats(-1.0, 1.0)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@settings(max_examples=15, deadline=None)
+@given(axis=st.tuples(UNIT, UNIT, UNIT).filter(lambda a: np.linalg.norm(a) > 0.1),
+       angle=st.floats(0.0, 2.0 * math.pi), shift=st.tuples(*[st.floats(-10.0, 10.0)] * 3),
+       size=st.floats(1e-2, 1e2), n=st.integers(3, 10))
+def test_plane_is_a_fixed_point(method, axis, angle, shift, size, n):
+    """A plane of any pose and size is a fixed point of every mesh row at the CLI
+    defaults (20 passes, sigma 0.35 or the row's angle, lambda 0.05): unit normals
+    within 1e-12 of the plane's, and 30 vertex iterations that move no vertex by
+    more than 1e-12 of its size. Gradient descent turned them by up to 37 degrees
+    before its step was capped."""
+    rot, plane = rotation_matrix(axis, angle), make_plane(n, size)
+    mesh = TriMesh(plane.vertices @ rot.T + size * np.asarray(shift), plane.faces)
+    spec = preset(method, iterations=20,
+                  step_lambda=0.05 if method == "gradient_descent" else 1.0)
+    out = filter_normals(mesh, spec).normals
+    assert np.max(np.abs(out - rot @ plane.face_normals[0])) <= 1e-12
+    assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) <= 1e-12
+    moved = update_vertices(mesh, out, 30) - mesh.vertices
+    assert np.max(np.abs(moved)) <= 1e-12 * size
 
 
 def test_outputs_unit_norm():
