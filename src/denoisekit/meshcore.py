@@ -364,10 +364,21 @@ def pair_distances(rows, i, j) -> np.ndarray:
     return np.sqrt(sum(np.square(col[i] - col[j]) for col in rows.T))
 
 
-def check_positive(name: str, value) -> None:
-    """Raise ValueError unless a spec value is None, "auto" or finite and > 0."""
-    if value not in (None, "auto") and (isinstance(value, str) or not 0 < value < math.inf):
+def check_positive(name: str, value, allowed=(None, "auto")) -> None:
+    """Raise ValueError unless a spec value is one of ``allowed`` or finite and > 0."""
+    if value not in allowed and (isinstance(value, str) or not 0 < value < math.inf):
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def checked_normals(normals, n: int, name: str) -> np.ndarray:
+    """A float copy of the ``name`` normals, refused unless (n, 3) and finite."""
+    out = np.array(normals, dtype=float)
+    if out.shape != (n, 3):
+        raise ValueError(f"{name} normals must be ({n}, 3), not {out.shape}")
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if len(bad):
+        raise ValueError(f"{name} normal {bad[0]} is not finite: {out[bad[0]]}")
+    return out
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:

@@ -2,8 +2,8 @@
 the unit mean of its neighbours' normals under the weight ``g = psi(x)/x`` of
 a per-pair argument x, times a spatial factor. The face filters of meshes
 and the normal filters of point sets are the rows of one table, ``PRESET``,
-each set up by one spec, :class:`FilterSpec`. Shen's fuzzy median is such a
-mean pass; the vector medians and gradient descent take their own step.
+each set up by one spec, :class:`FilterSpec`. Shen's fuzzy median and gradient
+descent are such mean passes; only the vector medians take their own step.
 
 All filters are double-buffered: pass t reads only the normals of pass t-1.
 Per-face accumulation runs in ascending face-index order, so results do not
@@ -19,19 +19,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kernels import Kernel
-from .meshcore import (NeighborhoodSpec, TriMesh, check_positive, graph_sum, index_graph,
+from .meshcore import (NeighborhoodSpec, TriMesh, check_positive, checked_normals, graph_sum,
                        pair_distances, pair_dots, unit_rows)
 
 # A row per named filter: its domain ("mesh" or "points"); the pinned kernel
-# kind and its box floor and the pinned argument (None: the spec's own); the
+# kind and its box floor and the argument (None: reads none; see FilterSpec.argument); the
 # spatial factor ("gaussian" makes a mesh filter bilateral; "area"; a point
 # filter's "auto" spatial_sigma rule, "half_radius" or "mean_distance"); the
 # flavour (None leaves the normals alone); whether range_kernel="auto" is
 # allowed. Every row weighs its pairs with its kernel's g.
 Method = namedtuple("Method", "domain kind floor argument spatial flavour auto_sigma")
 PRESET = {name: Method(*row) for name, row in {
-    "generic_unilateral": ("mesh", None, 0.0, None, None, "mean", False),
-    "generic_bilateral": ("mesh", None, 0.0, None, "gaussian", "mean", False),
+    "generic_unilateral": ("mesh", None, 0.0, "euclidean", None, "mean", False),
+    "generic_bilateral": ("mesh", None, 0.0, "euclidean", "gaussian", "mean", False),
     "belyaev_ohtake": ("mesh", "gaussian", 0.0, "angle_per_distance", None, "mean", False),
     "yagou_mean": ("mesh", "l2", 0.0, "euclidean", "area", "mean", False),
     "yagou_median": ("mesh", "l1", 0.0, "euclidean", None, "median", False),
@@ -54,14 +54,6 @@ PRESET = {name: Method(*row) for name, row in {
 METHODS = tuple(m for m, row in PRESET.items() if row.domain == "mesh")
 POINT_METHODS = tuple(m for m, row in PRESET.items() if row.domain == "points")
 
-ARGUMENTS = (
-    "euclidean",          # ||n_i - n_j||
-    "angle",              # angle between n_i and n_j, radians
-    "angle_per_distance", # angle / centroid distance
-    "curvature_edge",     # face curvature * global average edge length
-    "guidance",           # ||G_i - G_j|| of guidance normals
-)
-
 
 def _row(method: str) -> Method:
     if method not in PRESET:
@@ -80,13 +72,17 @@ class FilterSpec:
     spatial_sigma: float | str | None = None  # number, "auto", or None (unilateral)
     iterations: int = 1
     step_lambda: float = 1.0                  # gradient flavour only
-    argument: str = "euclidean"
-    guidance_threshold: float = math.radians(60.0)  # guidance argument only
+    guidance_threshold = math.radians(60.0)   # guidance argument only; a constant, not a field
+
+    @property
+    def argument(self) -> str | None:
+        """The row's argument of a pair (i, j): "euclidean" ||n_i - n_j||, "angle" between them
+        in radians, "angle_per_distance" that angle over the centroid distance, "guidance"
+        ||G_i - G_j|| of guidance normals, "curvature_edge" curvature times mean edge length."""
+        return PRESET[self.method].argument
 
     def __post_init__(self):
         row, kernel, nb = _row(self.method), self.range_kernel, self.neighborhood
-        if self.argument not in ARGUMENTS:
-            raise ValueError(f"unknown argument {self.argument!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if not (0.0 < self.step_lambda <= 1.0):
@@ -106,8 +102,6 @@ class FilterSpec:
             raise ValueError(f"method {self.method} requires box_floor = {row.floor}")
         elif row.flavour == "gradient" and not kernel.differentiable:
             raise ValueError(f"method {self.method} needs a differentiable kernel")
-        if row.argument is not None and self.argument != row.argument:
-            raise ValueError(f"method {self.method} uses argument {row.argument!r}")
         if row.spatial not in (None, "area") and self.spatial_sigma is None:
             raise ValueError(f"method {self.method} is bilateral: set spatial_sigma")
         # a mesh row's mean pass weighs centroid distances whenever a sigma is set
@@ -117,19 +111,16 @@ class FilterSpec:
             raise ValueError(f"method {self.method} has no spatial weight: "
                              "leave spatial_sigma unset")
         check_positive("spatial_sigma", self.spatial_sigma)
-        if not (0.0 < self.guidance_threshold < math.pi):
-            raise ValueError("guidance_threshold must be in (0, pi)")
 
     @classmethod
     def preset(cls, method: str, sigma: float | str = 0.35, **kw) -> "FilterSpec":
-        """Build a spec with the method's pinned kernel and argument filled in,
-        an "auto" spatial sigma where the row weighs distances, and a point
-        row's 12 nearest neighbours; sigma="auto" gives the auto kernel."""
+        """Build a spec with the method's pinned kernel filled in, an "auto"
+        spatial sigma where the row weighs distances, and a point row's 12
+        nearest neighbours; sigma="auto" gives the auto kernel."""
         row = _row(method)
         if "range_kernel" not in kw:
             kw["range_kernel"] = "auto" if sigma == "auto" else \
                 Kernel(row.kind or "gaussian", sigma, box_floor=row.floor)
-        kw.setdefault("argument", row.argument or "euclidean")
         if row.spatial not in (None, "area"):
             kw.setdefault("spatial_sigma", "auto")
         if row.domain == "points":
@@ -273,18 +264,24 @@ def guidance_normals(mesh: TriMesh, neighborhood: NeighborhoodSpec,
 # ----------------------------------------------------------------------
 # the filters
 
-def smooth_normals(normals, iterations, graph, argument, weight, spatial):
-    """The M-smoother of every mean-flavoured face and point filter and of the fuzzy
-    median: each pass takes a normal to the unit sum of its neighbours' normals under
-    the weight ``weight(x)[slot]`` of the argument ``(x, slot)``, NaN filled per
-    neighbourhood, times ``spatial``. Returns (normals, sums that vanished and kept
+def smooth_normals(normals, iterations, graph, argument, weight, spatial, step=None):
+    """The M-smoother of every mean-flavoured face and point filter, the fuzzy median and
+    gradient descent: each pass takes a normal to the unit sum of its neighbours' normals
+    under the weight ``weight(x)[slot]`` of the argument ``(x, slot)``, NaN filled per
+    neighbourhood, times ``spatial``. With a ``step`` λ, the normal also weighs itself at
+    max(1/λ - sum_j w_ij, 0): the explicit step n_i + s sum_j w_ij (n_j - n_i) of size
+    s = min(λ, 1/sum_j w_ij), times 1/s. Returns (normals, sums that vanished and kept
     their normal)."""
     x, slot = argument
     total = graph_sum(graph, len(normals))
     warnings = 0
     for _ in range(iterations):
         w = _substitute_nan(weight(x(normals))[slot], graph) * spatial
-        normals, kept = unit_rows(total(w, normals), normals)
+        pull = total(w, normals)
+        if step is not None:
+            own = 1.0 / step - np.bincount(graph[0], w, len(normals))
+            pull += np.maximum(own, 0.0)[:, None] * normals
+        normals, kept = unit_rows(pull, normals)
         warnings += int(np.count_nonzero(kept))
     return normals, warnings
 
@@ -294,37 +291,28 @@ def filter_normals(mesh: TriMesh, spec: FilterSpec, initial=None) -> NormalField
     row = PRESET[spec.method]
     if row.domain != "mesh":
         raise ValueError(f"{spec.method} is a point filter: use filter_point_normals")
-    flavour = row.flavour
-    if flavour == "gradient":
-        return filter_gradient_descent(mesh, spec, initial=initial)
-    prev = _initial_normals(mesh, initial)
+    flavour, kernel = row.flavour, spec.range_kernel
+    prev = mesh.face_normals.copy() if initial is None else \
+        checked_normals(initial, len(mesh.faces), "initial")
     graph = mesh.neighbor_graph(spec.neighborhood)
-    if flavour in ("mean", "fuzzy_median"):
+    if flavour in ("mean", "fuzzy_median", "gradient"):
+        weight, step = kernel.weight, None
+        if flavour == "gradient":  # g(d) (n_j - n_i) is psi(d) along the unit direction, 0 at 0
+            weight, step = (lambda d: np.where(d > 0, kernel.weight(d), 0.0)), spec.step_lambda
         prev, warnings = smooth_normals(
             prev, spec.iterations, graph,
-            _pair_arguments(spec, mesh, graph) if flavour == "mean" else _fuzzy_argument(graph),
-            spec.range_kernel.weight,
-            spatial_weights(spec, graph, mesh.face_centroids, mesh.face_areas))
+            _fuzzy_argument(graph) if flavour == "fuzzy_median" else
+            _pair_arguments(spec, mesh, graph), weight,
+            spatial_weights(spec, graph, mesh.face_centroids, mesh.face_areas), step)
         return NormalField(prev, zero_weight_warnings=warnings)
     x, slot = _pair_arguments(spec, mesh, graph)
     dirty = np.ones(len(prev), dtype=bool)  # the first pass computes every face
     for _ in range(spec.iterations):
         w = None if flavour == "median" else \
-            _substitute_nan(spec.range_kernel.weight(x(prev))[slot], graph)
+            _substitute_nan(kernel.weight(x(prev))[slot], graph)
         prev, dirty = _median_pass(prev, graph, dirty, w)
     # a vector median keeps the normal of each face without a neighbour, and only those
     return NormalField(prev, spec.iterations * int(np.count_nonzero(graph[3] == 0)))
-
-
-def _initial_normals(mesh, initial):
-    """A copy of the normals a face filter starts from: the mesh's, or a finite (F, 3) initial."""
-    prev = np.array(mesh.face_normals if initial is None else initial, dtype=float)
-    if prev.shape != mesh.face_normals.shape:
-        raise ValueError(f"initial normals must be ({len(mesh.faces)}, 3), not {prev.shape}")
-    bad = np.flatnonzero(~np.isfinite(prev).all(axis=1))
-    if initial is not None and len(bad):
-        raise ValueError(f"initial normal {bad[0]} is not finite: {prev[bad[0]]}")
-    return prev
 
 
 # Entries of one (m, k, k) array of a median batch: 128 KiB, so a batch
@@ -373,23 +361,11 @@ def _fuzzy_argument(graph):
 
 def filter_gradient_descent(mesh: TriMesh, spec: FilterSpec, initial=None) -> NormalField:
     """Minimize the robust energy by explicit per-normal gradient steps of size lambda,
-    capped at 1 / sum_j g_ij on the faces where lambda * sum_j g_ij > 1."""
-    if not spec.range_kernel.differentiable:
-        raise ValueError("gradient descent needs a differentiable kernel")
-    prev = _initial_normals(mesh, initial)
-    graph = centers, flat, _, _ = mesh.neighbor_graph(spec.neighborhood)
-    x, slot = _pair_arguments(spec, mesh, graph)
-    total = graph_sum(index_graph(centers, len(prev)), len(flat))  # centers sorted: pair order
-    for _ in range(spec.iterations):
-        d = x(prev)[slot]
-        # psi(d) * unit direction == g(d) * (n_j - n_i); exactly 0 when coincident
-        g = np.where(d > 0, spec.range_kernel.weight(d), 0.0)
-        # past lambda * sum_j g_ij = 1 the step overshoots the weighted mean: cap it there
-        gsum = np.bincount(centers, g, len(prev))
-        cap = spec.step_lambda * gsum > 1
-        step = np.where(cap, 1.0 / np.where(cap, gsum, 1.0), spec.step_lambda)[:, None]
-        prev = unit_rows(prev + step * total(g, prev[flat] - prev[centers]), prev)[0]
-    return NormalField(prev)
+    capped at 1 / sum_j g_ij (the weighted mean): :func:`filter_normals` on the
+    ``gradient_descent`` row, the only row it takes."""
+    if spec.method != "gradient_descent":
+        raise ValueError(f"filter_gradient_descent takes only its own row, not {spec.method}")
+    return filter_normals(mesh, spec, initial=initial)
 
 
 def energy(mesh: TriMesh, normals, spec: FilterSpec) -> float:

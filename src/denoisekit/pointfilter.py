@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 
 from .kernels import Kernel
-from .meshcore import graph_sum, tree_pairs, unit_rows
+from .meshcore import check_positive, checked_normals, graph_sum, tree_pairs, unit_rows
 from .meshfilter import PRESET, FilterSpec, pair_argument, smooth_normals, spatial_weights
 from .pointcloud import PointCloud
 
@@ -57,17 +57,18 @@ def update_point_positions(cloud: PointCloud, filtered_normals,
                            iterations: int = 1) -> tuple[np.ndarray, int]:
     """Move each point along its filtered normal toward the local surface.
 
-    The offset is the weighted mean of the plane-distances of neighbors,
-    with a Gaussian spatial weight (sigma_d = r/3) and a Gaussian weight on
-    the plane distance itself (sigma = r/3 too, the equal-radii
-    heuristic). ``iterations`` steps are taken; a spec only
-    supplies the radius of a radius neighbourhood. Returns (new points,
-    empty-neighborhood count), the count summed over the iterations: a point
+    The offset is the weighted mean of the plane-distances of neighbors, with a
+    Gaussian spatial weight (sigma_d = r/3) and a Gaussian weight on the plane
+    distance itself (sigma = r/3 too, the equal-radii heuristic). ``iterations``
+    steps are taken; a spec only supplies the radius of a radius neighbourhood. The
+    normals must be (N, 3) and finite, a given radius finite and > 0. Returns (new
+    points, empty-neighborhood count), the count summed over the iterations: a point
     that stays for want of a neighbour or of weight counts once per iteration.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
-    n = np.asarray(filtered_normals, dtype=float)
+    n = checked_normals(filtered_normals, len(cloud), "filtered")
+    check_positive("radius", radius, allowed=(None,))
     if spec is not None and spec.neighborhood.mode == "radius":
         radius = spec.neighborhood.radius
     if radius is None:

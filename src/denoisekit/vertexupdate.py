@@ -6,21 +6,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .meshcore import TriMesh, graph_sum, index_graph
+from .meshcore import TriMesh, checked_normals, graph_sum, index_graph
 
 
 def update_vertices(mesh: TriMesh, filtered_normals, iterations: int,
                     step: float = 1.0) -> np.ndarray:
     """Iteratively project vertices toward edge-face orthogonality.
 
-    Per iteration each vertex moves by the average, over its incident
-    faces, of the filtered normal scaled by the point-to-face-plane offset.
-    Centroids are taken from the previous buffer within an iteration.
+    Per iteration each vertex moves by the average, over its incident faces, of the
+    filtered normal scaled by the point-to-face-plane offset. Centroids are taken from
+    the previous buffer within an iteration. The normals must be (F, 3) and finite.
     """
     if not (0.0 <= step <= 1.0):
         raise ValueError("step must be in [0, 1]")
     mesh.require_edge_manifold()
-    n = np.asarray(filtered_normals, dtype=float)
+    n = checked_normals(filtered_normals, len(mesh.faces), "filtered")
     v = mesh.vertices.copy()
     # corner-major (corner 0 of every face, then 1, then 2); take gathers
     # whole rows several times faster than v[vid]

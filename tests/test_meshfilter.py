@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -44,20 +44,30 @@ def test_unknown_method_rejected():
 
 def test_preset_pins_kernel_kind():
     with pytest.raises(ValueError):
-        FilterSpec("belyaev_ohtake", Kernel("tukey"), argument="angle_per_distance")
-
-
-def test_preset_pins_argument():
-    with pytest.raises(ValueError):
-        FilterSpec("zheng_bilateral", Kernel("gaussian"), spatial_sigma="auto",
-                   argument="angle")
+        FilterSpec("belyaev_ohtake", Kernel("tukey"))
 
 
 def test_box_floor_pinned():
     with pytest.raises(ValueError):
-        FilterSpec("yadav_box_2017", Kernel("box", 0.5, box_floor=0.0),
-                   argument="angle")
-    FilterSpec("yadav_box_2017", Kernel("box", 0.5, box_floor=0.1), argument="angle")
+        FilterSpec("yadav_box_2017", Kernel("box", 0.5, box_floor=0.0))
+    FilterSpec("yadav_box_2017", Kernel("box", 0.5, box_floor=0.1))
+
+
+@pytest.mark.parametrize("method", [m for m, row in PRESET.items()
+                                    if row.argument not in (None, "euclidean")])
+def test_row_of_another_argument_builds_directly(method):
+    """A spec's argument is its row's: a row whose argument is not Euclidean
+    builds from its kernel alone, equal to its preset, with the six fields
+    of a spec; a field of its own used to default to "euclidean" and refuse it."""
+    row = PRESET[method]
+    kw = {"spatial_sigma": "auto"} if row.spatial not in (None, "area") else {}
+    if row.domain == "points":
+        kw["neighborhood"] = NeighborhoodSpec("knn", k=12)
+    spec = FilterSpec(method, Kernel(row.kind, 0.5, box_floor=row.floor), **kw)
+    assert spec == FilterSpec.preset(method, 0.5) and spec.argument == row.argument
+    assert [f.name for f in fields(FilterSpec)] == [
+        "method", "range_kernel", "neighborhood", "spatial_sigma", "iterations",
+        "step_lambda"]
 
 
 def test_bilateral_needs_spatial_sigma():
@@ -112,8 +122,7 @@ def filter_specs(draw):
         method, sigma=draw(sigma),
         neighborhood=NeighborhoodSpec(mode, radius, include_self, k),
         spatial_sigma=draw(spatial), iterations=draw(st.integers(1, 100)),
-        step_lambda=draw(st.floats(0.0, 1.0, exclude_min=True)),
-        guidance_threshold=draw(st.floats(0.01, 3.1)))
+        step_lambda=draw(st.floats(0.0, 1.0, exclude_min=True)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -416,6 +425,16 @@ def test_gradient_descent_constant_field(plane5):
                              iterations=10)
     out = filter_gradient_descent(plane5, spec).normals
     assert max_angle(out, plane5.face_normals) < 1e-12
+
+
+@pytest.mark.parametrize("method", ["li_bilateral", "yadav_tukey_2018", "generic_unilateral"])
+def test_gradient_descent_takes_only_its_row(plane5, method):
+    """Another row's spec is refused, not run as gradient descent: an "auto"
+    kernel used to fail on its missing attributes, and the Tukey row ran
+    without its spatial Gaussian."""
+    spec = FilterSpec.preset(method, "auto" if method == "li_bilateral" else 0.35)
+    with pytest.raises(ValueError, match=f"only its own row, not {spec.method}"):
+        filter_gradient_descent(plane5, spec)
 
 
 def test_gradient_descent_reduces_energy():

@@ -258,6 +258,27 @@ def test_empty_neighborhood_warns():
     assert np.array_equal(new, cloud.points)
 
 
+@pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf, "auto"])
+def test_update_radius_must_be_finite_and_positive(radius):
+    """A given radius is refused unless finite and > 0: one <= 0 or NaN left
+    every point where it was, counted as empty, and an infinite one weighed
+    all n² pairs."""
+    cloud = noisy_plane_cloud(n=7)
+    with pytest.raises(ValueError, match="radius must be finite and > 0"):
+        update_point_positions(cloud, cloud.normals, radius=radius, iterations=2)
+
+
+def test_update_refuses_normals_of_the_wrong_shape_or_not_finite():
+    cloud = noisy_plane_cloud(n=7)
+    n = cloud.normals
+    with pytest.raises(ValueError, match=r"filtered normals must be \(49, 3\), not \(48, 3\)"):
+        update_point_positions(cloud, n[:-1], radius=0.4)
+    bad = n.copy()
+    bad[3:, 0] = math.nan
+    with pytest.raises(ValueError, match="filtered normal 3 is not finite"):
+        update_point_positions(cloud, bad, radius=0.4)
+
+
 def test_default_radius_heuristic():
     rng = np.random.Generator(np.random.Philox(key=6))
     pts = rng.uniform(0, 1, (1000, 3))

@@ -32,6 +32,16 @@ def test_step_range_validation(plane5):
         update_vertices(plane5, plane5.face_normals, 1, step=-0.1)
 
 
+def test_normals_of_the_wrong_shape_or_not_finite_are_refused(plane5):
+    """All-NaN normals used to give all-NaN vertices, and a (3, 3) field failed
+    inside numpy's broadcasting."""
+    n = plane5.face_normals
+    with pytest.raises(ValueError, match=r"filtered normals must be \(32, 3\), not \(3, 3\)"):
+        update_vertices(plane5, n[:3], 1)
+    with pytest.raises(ValueError, match="filtered normal 0 is not finite"):
+        update_vertices(plane5, np.full_like(n, np.nan), 1)
+
+
 def test_nonmanifold_rejected():
     verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1]]
     faces = [[0, 1, 2], [0, 1, 3], [0, 1, 4]]
